@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from cam.javasrc.lexer import LexError
+from cam.javasrc.model import CompilationUnit
 from cam.javasrc.parser import JavaSyntaxError, parse
 
 REASONS = (
@@ -34,6 +35,7 @@ _TEST_IMPORT_RE = re.compile(
     r"^\s*import\s+(static\s+)?(org\.junit|junit\.framework|org\.testng)",
     re.MULTILINE,
 )
+_LONE_CR_RE = re.compile(r"\r(?!\n)")
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class FileVerdict:
 @dataclass
 class FileRecord:
     path: str
-    content: str
+    unit: CompilationUnit
 
 
 @dataclass
@@ -84,11 +86,12 @@ def _looks_like_test(relpath: str, content: str) -> bool:
     return bool(_TEST_IMPORT_RE.search(content))
 
 
-def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, str | None]:
+def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, CompilationUnit | None]:
     """Apply the rule chain to one file.
 
-    Returns (reason, content): reason is None for a kept file; content is
-    the decoded text whenever decoding succeeded, regardless of verdict.
+    Returns (reason, unit): a kept file has reason None and its parsed
+    unit, which carries the text that is measured; a rejected file has
+    its reason and no unit.
     """
     if not relpath.endswith(".java"):
         return "not-java-ext", None
@@ -98,14 +101,18 @@ def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, str | None]:
     if content is None:
         return "undecodable", None
     if _has_long_line(content):
-        return "too-long-line", content
+        return "too-long-line", None
     if _looks_like_test(relpath, content):
-        return "test-file", content
+        return "test-file", None
     try:
-        parse(content)
+        unit = parse(content)
     except (LexError, JavaSyntaxError):
-        return "unparseable", content
-    return None, content
+        return "unparseable", None
+    if _LONE_CR_RE.search(content):
+        # Metrics are taken on universal-newline text, where a lone "\r"
+        # ends a line; the verdict above stays on the raw text.
+        unit = parse(content.replace("\r\n", "\n").replace("\r", "\n"))
+    return None, unit
 
 
 def _walk_files(root: Path) -> list[tuple[str, Path]]:
@@ -140,18 +147,19 @@ def filter_tree(root: str | Path) -> FilterOutcome:
     """Walk a repository checkout and classify every regular file.
 
     Symlinks are ignored entirely and the .git directory is never entered.
-    Verdicts come back in lexicographic relative-path order.
+    Verdicts and kept records come back in lexicographic relative-path
+    order; each kept record holds the file's only parse.
     """
     root = Path(root)
     kept: list[FileRecord] = []
     verdicts: list[FileVerdict] = []
     stats = empty_stats()
     for rel, full in _walk_files(root):
-        reason, content = evaluate_file(rel, full.read_bytes())
+        reason, unit = evaluate_file(rel, full.read_bytes())
         stats["total"] += 1
         if reason is None:
             stats["kept"] += 1
-            kept.append(FileRecord(rel, content))
+            kept.append(FileRecord(rel, unit))
             verdicts.append(FileVerdict(rel, True, None))
         else:
             stats["rejected"][reason] += 1

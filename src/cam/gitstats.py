@@ -82,14 +82,12 @@ def file_history(repo_dir: str, pin: str, path: str) -> FileHistory:
     return FileHistory(path, commits, added, deleted)
 
 
-def derived_columns(history: FileHistory, run_time: int | None = None) -> dict[str, int]:
+def derived_columns(history: FileHistory) -> dict[str, int]:
     """The five dataset columns for one file's history.
 
-    run_time is accepted for signature stability and deliberately ignored:
-    age is the span between the first and last commit, not distance from
-    the run.
+    Age is the span between the first and last commit, not the distance
+    from the run, so reruns give the same numbers.
     """
-    del run_time
     stamps = [c.timestamp for c in history.commits]
     emails = {c.author_email.lower() for c in history.commits}
     return {

@@ -106,3 +106,4 @@ class CompilationUnit:
     types: list[ClassModel]
     ncss: int = 0
     tokens: list[Token] = field(default_factory=list)
+    source: str = ""

@@ -1465,16 +1465,17 @@ class _Parser:
 
 
 def parse(source: str) -> CompilationUnit:
-    """Parse Java 8 source text into a CompilationUnit.
+    """Parse Java 8 source text into a CompilationUnit that keeps the text.
 
     Raises JavaSyntaxError (or LexError) when the text is outside the
-    accepted grammar; the filter stage maps either to its unparseable
+    accepted grammar; the filter rules map either to the unparseable
     verdict.
     """
     raw = tokenize(source)
     code = [t for t in raw if t.kind not in ("comment-line", "comment-block")]
-    parser = _Parser(code)
-    return parser.run(raw)
+    unit = _Parser(code).run(raw)
+    unit.source = source
+    return unit
 
 
 def extract_classes(unit: CompilationUnit) -> list[ClassModel]:

@@ -1,9 +1,9 @@
-"""Turns filtered sources of one repository into metric rows.
+"""Turns the parsed kept files of one repository into metric rows.
 
 Each top-level class becomes one row keyed by (repo, path, class_name),
 with file-level figures repeated across the classes of a file. Git-derived
 columns come in precomputed; files without history are skipped by the
-caller before this stage.
+caller.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from cam.javasrc.model import ClassModel, CompilationUnit
-from cam.javasrc.parser import extract_classes, parse
+from cam.javasrc.parser import extract_classes
+# Unused here; perfbench/tracing.py wraps this name, and fails without it.
+from cam.javasrc.parser import parse  # noqa: F401
 from cam.metrics.code import (
     class_cognitive,
     class_cyclomatic,
@@ -45,25 +47,23 @@ class RepoMeasurement:
 
 def measure_repo(
     repo: str,
-    sources: dict[str, str],
+    units: dict[str, CompilationUnit],
     git_columns: dict[str, dict[str, int]],
 ) -> RepoMeasurement:
     """Compute all metric rows for one repository.
 
-    sources maps repository-relative paths to file text that already passed
-    the filter stage; git_columns maps the same paths to their five history
+    units maps repository-relative paths to the parsed files that passed
+    the filter rules; git_columns maps the same paths to their five history
     values.
     """
-    units: list[tuple[str, CompilationUnit]] = []
-    for path in sorted(sources):
-        units.append((path, parse(sources[path])))
-    graph = ClassGraph([(path, extract_classes(unit)) for path, unit in units])
+    files = [(path, extract_classes(units[path])) for path in sorted(units)]
+    graph = ClassGraph(files)
 
     result = RepoMeasurement()
-    for path, unit in units:
+    for path, classes in files:
         history = git_columns[path]
-        file_row = _file_columns(sources[path], unit)
-        for model in extract_classes(unit):
+        file_row = _file_columns(units[path])
+        for model in classes:
             row = {"repo": repo, "path": path, "class_name": model.name}
             row.update(file_row)
             row.update(_class_columns(model, graph, (path, model.name), lines_of_file=file_row["loc"]))
@@ -75,8 +75,8 @@ def measure_repo(
     return result
 
 
-def _file_columns(source: str, unit: CompilationUnit) -> dict:
-    lines = line_metrics(source, unit.tokens)
+def _file_columns(unit: CompilationUnit) -> dict:
+    lines = line_metrics(unit.source, unit.tokens)
     return {
         "loc": lines.loc,
         "kloc": lines.kloc,

@@ -243,9 +243,6 @@ class ClassGraph:
             self._depth[member] = base
         return self._depth[key]
 
-    def keys(self) -> list[Key]:
-        return sorted(self._models)
-
     def cbo(self, key: Key) -> int:
         return len(self._out[key] | self._in[key])
 

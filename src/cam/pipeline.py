@@ -5,12 +5,17 @@ results as files there, records per-repository status, and a rerun skips
 whatever already finished. Stage artifacts are self-contained so each
 stage can also run on its own against a prepared work directory.
 
+After its clone, each repository gets one measure pass: walk, decode,
+apply the filter rules, parse once, read git history, compute metrics.
+Any error in a repository's stages is recorded as that repository's
+failure, so the other repositories still ship.
+
 Layout under the work directory:
   pins.json                  discovery output with pinned commits
   github/<owner>/<name>/     clones, checked out at the pin
   state/<owner>__<name>.json per-repository stage status
-  filtered/<key>.json        filter verdicts and counters
-  rows/<key>.csv, .meta.json per-repository metric rows
+  filtered/<key>.json        filter verdicts and counters (measure stage)
+  rows/<key>.csv, .meta.json per-repository metric rows (measure stage)
   out/                       merged CSVs, manifest, column reference
   dataset.zip                the deliverable archive
 """
@@ -19,7 +24,9 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 import threading
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -37,6 +44,7 @@ from cam.dataset import (
 )
 from cam.filters import empty_stats, filter_tree, merge_stats
 from cam.gitstats import UntrackedFile, derived_columns, file_history
+from cam.javasrc.model import CompilationUnit
 from cam.measure import measure_repo
 from cam.metrics.schema import schema_markdown
 from cam.repos import (
@@ -51,8 +59,8 @@ from cam.repos import (
     discover,
 )
 
-STAGES = ("discover", "clone", "filter", "measure", "aggregate", "pack")
-REPO_STAGES = ("clone", "filter", "measure")
+STAGES = ("discover", "clone", "measure", "aggregate", "pack")
+REPO_STAGES = ("clone", "measure")
 
 
 class ConfigError(Exception):
@@ -230,22 +238,27 @@ class Pipeline:
             if state["stages"].get(stage) == "done" and not self.config.force:
                 continue
             self._progress.emit(spec.full_name, stage, "start")
+            reason = None
             try:
                 if stage == "clone":
                     self._stage_clone(spec)
-                elif stage == "filter":
-                    self._stage_filter(spec)
                 else:
                     self._stage_measure(spec)
             except StageError as exc:
+                reason = exc.reason
+            except Exception as exc:
+                # One repository's fault must not abort the others.
+                reason = f"internal-error:{type(exc).__name__}"
+                print(f"{spec.full_name}: {traceback.format_exc(limit=-3)}", end="", file=sys.stderr)
+            if reason is not None:
                 state["stages"][stage] = "failed"
-                state["failure"] = exc.reason
+                state["failure"] = reason
                 self._save_state(spec, state)
-                self._progress.emit(spec.full_name, stage, "failed", exc.reason)
+                self._progress.emit(spec.full_name, stage, "failed", reason)
                 success = False
                 break
             state["stages"][stage] = "done"
-            if all(value != "failed" for value in state["stages"].values()):
+            if all(state["stages"].get(s) != "failed" for s in REPO_STAGES):
                 state["failure"] = None
             self._save_state(spec, state)
             self._progress.emit(spec.full_name, stage, "done")
@@ -262,7 +275,7 @@ class Pipeline:
         except CloneFailed as exc:
             raise StageError(exc.reason) from exc
 
-    def _stage_filter(self, spec: RepoSpec) -> None:
+    def _stage_measure(self, spec: RepoSpec) -> None:
         clone_dir = self._clone_dir(spec)
         if not clone_dir.is_dir():
             raise StageError("missing-clone")
@@ -274,29 +287,20 @@ class Pipeline:
         }
         write_json_atomic(self._filtered_path(spec), payload)
 
-    def _stage_measure(self, spec: RepoSpec) -> None:
-        clone_dir = self._clone_dir(spec)
-        filtered_path = self._filtered_path(spec)
-        if not clone_dir.is_dir():
-            raise StageError("missing-clone")
-        if not filtered_path.exists():
-            raise StageError("missing-filter")
-        kept = json.loads(filtered_path.read_text(encoding="utf-8"))["kept"]
-
-        sources: dict[str, str] = {}
+        units: dict[str, CompilationUnit] = {}
         git_columns: dict[str, dict[str, int]] = {}
         untracked: list[str] = []
-        for rel in kept:
+        for record in outcome.kept:
             try:
-                history = file_history(str(clone_dir), spec.head_commit, rel)
+                history = file_history(str(clone_dir), spec.head_commit, record.path)
             except UntrackedFile:
-                untracked.append(rel)
-                self._progress.emit(spec.full_name, "measure", "untracked", rel)
+                untracked.append(record.path)
+                self._progress.emit(spec.full_name, "measure", "untracked", record.path)
                 continue
-            sources[rel] = (clone_dir / rel).read_text(encoding="utf-8")
-            git_columns[rel] = derived_columns(history)
+            units[record.path] = record.unit
+            git_columns[record.path] = derived_columns(history)
 
-        result = measure_repo(spec.full_name, sources, git_columns)
+        result = measure_repo(spec.full_name, units, git_columns)
         write_bytes_atomic(self._rows_path(spec), rows_to_csv_bytes(result.rows))
         write_json_atomic(
             self._meta_path(spec),

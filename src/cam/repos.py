@@ -334,27 +334,7 @@ class CloneFailed(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class CloneResult:
-    full_name: str
-    bytes_on_disk: int
-    seconds: float
-    status: str = "cloned"
-
-
-def _tree_bytes(root: Path) -> int:
-    total = 0
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for name in filenames:
-            full = os.path.join(dirpath, name)
-            try:
-                total += os.lstat(full).st_size
-            except OSError:
-                continue
-    return total
-
-
-def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> CloneResult:
+def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> None:
     """Clone a repository and check out its pinned commit.
 
     dest must not already contain anything; the pin must resolve inside the
@@ -366,7 +346,6 @@ def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> Clon
     dest.parent.mkdir(parents=True, exist_ok=True)
     if url is None:
         url = f"https://github.com/{spec.full_name}.git"
-    started = time.monotonic()
     proc = subprocess.run(
         ["git", "clone", "--quiet", url, str(dest)],
         capture_output=True,
@@ -391,8 +370,3 @@ def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> Clon
     )
     if head.returncode != 0 or head.stdout.strip().lower() != spec.head_commit:
         raise CloneFailed("pin-unreachable", spec.head_commit)
-    return CloneResult(
-        full_name=spec.full_name,
-        bytes_on_disk=_tree_bytes(dest),
-        seconds=time.monotonic() - started,
-    )

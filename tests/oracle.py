@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from cam.javasrc.parser import parse
 from cam.measure import measure_repo
 
 INT_COLUMNS = (
@@ -32,7 +33,7 @@ def synthetic_git(loc: int) -> dict[str, int]:
 def measure_case(case, git_columns: dict[str, int] | None = None) -> dict[str, dict]:
     loc = next(iter(case.classes.values()))["loc"]
     git = {case.file: git_columns or synthetic_git(loc)}
-    result = measure_repo("fixtures/repo", {case.file: case.source}, git)
+    result = measure_repo("fixtures/repo", {case.file: parse(case.source)}, git)
     return {row["class_name"]: row for row in result.rows}
 
 

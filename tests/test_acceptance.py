@@ -22,6 +22,7 @@ from cam.cli import main
 from cam.dataset import HEADER
 from cam.filters import MAX_LINE_LENGTH, evaluate_file, filter_tree
 from cam.gitstats import derived_columns, file_history
+from cam.javasrc.parser import parse
 from cam.measure import measure_repo
 from cam.repos import DiscoveryCriteria
 
@@ -251,9 +252,9 @@ def test_criterion_end_to_end_determinism(capsys, tmp_path):
 def test_criterion_modern_syntax_rejected(capsys, tmp_path):
     with verdict(capsys, "Java-21 record syntax is rejected as unparseable"):
         source = b"public record Point(int x, int y) {}\n"
-        reason, content = evaluate_file("src/Point.java", source)
+        reason, unit = evaluate_file("src/Point.java", source)
         assert reason == "unparseable"
-        assert content == source.decode("utf-8")
+        assert unit is None
 
         target = tmp_path / "src" / "Point.java"
         target.parent.mkdir(parents=True)
@@ -275,7 +276,8 @@ def test_criterion_throughput(capsys):
         assert len(sources) == 1024
 
         start = time.perf_counter()
-        result = measure_repo("bulk/corpus", sources, git)
+        units = {rel: parse(source) for rel, source in sources.items()}
+        result = measure_repo("bulk/corpus", units, git)
         elapsed = time.perf_counter() - start
         assert result.class_count == 38 * 32
         assert elapsed < 30.0

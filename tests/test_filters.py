@@ -26,9 +26,10 @@ def test_reason_vocabulary():
 
 
 def test_kept_file():
-    reason, content = evaluate_file("src/Ok.java", GOOD)
+    reason, unit = evaluate_file("src/Ok.java", GOOD)
     assert reason is None
-    assert content == "class Ok {}\n"
+    assert unit.source == "class Ok {}\n"
+    assert [model.name for model in unit.types] == ["Ok"]
 
 
 @pytest.mark.parametrize(
@@ -56,13 +57,9 @@ def test_kept_file():
     ],
 )
 def test_rejections(path, data, reason):
-    got, content = evaluate_file(path, data)
+    got, unit = evaluate_file(path, data)
     assert got == reason
-    # content survives whenever decoding succeeded, even for rejects
-    if reason in ("not-java-ext", "forbidden-name", "undecodable"):
-        assert content is None
-    else:
-        assert content == data.decode("utf-8")
+    assert unit is None
 
 
 def test_line_length_boundary():

@@ -93,11 +93,3 @@ def test_binary_numstat_dashes_count_zero(tmp_path):
 def test_bad_repo_raises(tmp_path):
     with pytest.raises(GitCommandError):
         file_history(str(tmp_path), "HEAD", "A.java")
-
-
-def test_run_time_is_ignored(tmp_path):
-    repo = init_repo(tmp_path / "r")
-    (repo / "A.java").write_text("class A {\n}\n")
-    pin = commit_all(repo, "one", when="2020-01-01T00:00:00Z")
-    hist = file_history(str(repo), pin, "A.java")
-    assert derived_columns(hist, run_time=9_999_999_999) == derived_columns(hist)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import cam.javasrc.parser
 from cam.cli import main
-from cam.dataset import HEADER
+from cam.dataset import HEADER, read_csv_rows
 from cam.pipeline import STAGES, ConfigError, Pipeline, PipelineConfig
 from cam.repos import DiscoveryCriteria
 from conftest import build_replay_dir, single_commit_repo
@@ -159,8 +160,23 @@ def test_full_run_builds_dataset(tmp_path):
     assert manifest["filter_stats"]["rejected"]["not-java-ext"] == 2
 
     state = json.loads((work / "state" / "alpha__lib.json").read_text(encoding="utf-8"))
-    assert state["stages"] == {"clone": "done", "filter": "done", "measure": "done"}
+    assert state["stages"] == {"clone": "done", "measure": "done"}
     assert state["failure"] is None
+
+
+def test_each_file_is_parsed_once(tmp_path, monkeypatch):
+    calls = []
+    real_tokenize = cam.javasrc.parser.tokenize
+
+    def counting_tokenize(source):
+        calls.append(source)
+        return real_tokenize(source)
+
+    monkeypatch.setattr(cam.javasrc.parser, "tokenize", counting_tokenize)
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay) == 0
+    stats = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))["filter_stats"]
+    assert len(calls) == stats["kept"] + stats["rejected"]["unparseable"]
 
 
 def test_rows_carry_git_history_columns(tmp_path):
@@ -210,6 +226,22 @@ def test_force_reruns_finished_stages(tmp_path, capsys):
     assert "skip" not in statuses
 
 
+def test_stale_filter_failure_clears_on_measure(tmp_path):
+    replay, work = make_world(tmp_path)
+    assert main(["discover", "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
+    state_path = work / "state" / "alpha__lib.json"
+    state_path.parent.mkdir(parents=True)
+    state_path.write_text(
+        json.dumps({"stages": {"filter": "failed"}, "failure": "missing-clone"}), encoding="utf-8"
+    )
+    assert run_cli(work, replay) == 0
+
+    manifest = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))
+    alpha_entry = manifest["repos"][0]
+    assert alpha_entry["status"] == "ok"
+    assert alpha_entry["failure"] is None
+
+
 def test_untracked_file_is_skipped_not_fatal(tmp_path):
     replay, work = make_world(tmp_path)
     assert run_cli(work, replay) == 0
@@ -217,13 +249,33 @@ def test_untracked_file_is_skipped_not_fatal(tmp_path):
     loose = work / "github" / "beta" / "app" / "app" / "Loose.java"
     loose.write_text("class Loose {}\n", encoding="utf-8")
     args = ["run", "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
-    assert main(args + ["--stages", "filter,measure,aggregate,pack", "--force"]) == 0
+    assert main(args + ["--stages", "measure,aggregate,pack", "--force"]) == 0
 
     meta = json.loads((work / "rows" / "beta__app.meta.json").read_text(encoding="utf-8"))
     assert meta["untracked"] == ["app/Loose.java"]
     assert meta["classes"] == 1
     rows = (work / "rows" / "beta__app.csv").read_text(encoding="utf-8")
     assert "Loose" not in rows
+
+
+def test_lone_carriage_return_ends_a_line(tmp_path):
+    files = {
+        "src/Doubled.java": "class Doubled {\r\r\n  int a;\r\r\n}\r\n",
+        "src/Hidden.java": "class Hidden {\n  int a; // note\r  int b;\n}\n",
+    }
+    remote, sha = single_commit_repo(tmp_path / "remotes" / "crlf", files)
+    replay = build_replay_dir(
+        tmp_path / "replay", DiscoveryCriteria(), [("crlf/lib", 200, 400, remote, sha)]
+    )
+    work = tmp_path / "work"
+    assert run_cli(work, replay) == 0
+
+    rows = {row["class_name"]: row for row in read_csv_rows(work / "rows" / "crlf__lib.csv")}
+    picked = {
+        name: [row[col] for col in ("loc", "blanks", "comments", "attributes")]
+        for name, row in rows.items()
+    }
+    assert picked == {"Doubled": ["5", "2", "0", "1"], "Hidden": ["4", "0", "1", "2"]}
 
 
 # ---- failure handling ---------------------------------------------------
@@ -260,27 +312,50 @@ def test_exit_one_when_every_repo_fails(tmp_path):
     assert run_cli(tmp_path / "work", replay) == 1
 
 
-def test_filter_without_clone_fails(tmp_path, capsys):
+def test_internal_error_fails_only_its_repo(tmp_path):
+    arms = "".join(f"    else if (x == {i}) {{ y = {i}; }}\n" for i in range(1, 1000))
+    poison = "class Poison {\n  int y;\n  void f(int x) {\n    if (x == 0) { y = 0; }\n" + arms + "  }\n}\n"
+    alpha, alpha_sha = single_commit_repo(
+        tmp_path / "remotes" / "alpha", {"src/Main.java": MAIN_JAVA, "src/Poison.java": poison}
+    )
+    beta, beta_sha = single_commit_repo(tmp_path / "remotes" / "beta", BETA_FILES)
+    replay = build_replay_dir(
+        tmp_path / "replay",
+        DiscoveryCriteria(),
+        [("alpha/lib", 200, 400, alpha, alpha_sha), ("beta/app", 300, 500, beta, beta_sha)],
+    )
+    work = tmp_path / "work"
+    assert run_cli(work, replay) == 0
+
+    state = json.loads((work / "state" / "alpha__lib.json").read_text(encoding="utf-8"))
+    assert state["stages"] == {"clone": "done", "measure": "failed"}
+    with zipfile.ZipFile(work / "dataset.zip") as archive:
+        names = archive.namelist()
+        manifest = json.loads(archive.read("manifest.json"))
+        all_csv = archive.read("data/all.csv").decode("utf-8")
+    alpha_entry, beta_entry = manifest["repos"]
+    assert alpha_entry["status"] == "failed"
+    assert alpha_entry["failure"] == "internal-error:RecursionError"
+    assert beta_entry["status"] == "ok"
+    assert "data/beta__app.csv" in names
+    assert "data/alpha__lib.csv" not in names
+    assert [line.split(",")[:3] for line in all_csv.split("\n")[1:] if line] == [
+        ["beta/app", "app/App.java", "App"]
+    ]
+
+
+def test_measure_without_clone_fails(tmp_path, capsys):
     replay, work = make_world(tmp_path)
     assert main(["discover", "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
-    assert main(["filter", "--workdir", str(work), "--quiet"]) == 1
-    state = json.loads((work / "state" / "alpha__lib.json").read_text(encoding="utf-8"))
-    assert state["stages"]["filter"] == "failed"
-    assert state["failure"] == "missing-clone"
-
-
-def test_measure_without_filter_fails(tmp_path):
-    replay, work = make_world(tmp_path)
-    for stage in ("discover", "clone"):
-        assert main([stage, "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
     assert main(["measure", "--workdir", str(work), "--quiet"]) == 1
     state = json.loads((work / "state" / "alpha__lib.json").read_text(encoding="utf-8"))
-    assert state["failure"] == "missing-filter"
+    assert state["stages"]["measure"] == "failed"
+    assert state["failure"] == "missing-clone"
 
 
 def test_pack_without_aggregate_fails(tmp_path, capsys):
     replay, work = make_world(tmp_path)
-    for stage in ("discover", "clone", "filter", "measure"):
+    for stage in ("discover", "clone", "measure"):
         assert main([stage, "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
     assert main(["pack", "--workdir", str(work), "--quiet"]) == 2
     assert "missing-aggregate" in capsys.readouterr().err
@@ -314,7 +389,7 @@ def test_cli_rejects_bad_criteria(tmp_path, capsys):
 
 def test_cli_stage_subcommands_exist():
     parser_stages = set(STAGES)
-    assert parser_stages == {"discover", "clone", "filter", "measure", "aggregate", "pack"}
+    assert parser_stages == {"discover", "clone", "measure", "aggregate", "pack"}
 
 
 def test_cli_discover_subcommand_writes_pins_only(tmp_path):

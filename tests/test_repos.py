@@ -260,9 +260,7 @@ def test_clone_repo_checks_out_pin(tmp_path):
     (src / "B.java").write_text("class B {}\n")
     commit_all(src, "two")
     dest = tmp_path / "dest"
-    result = clone_repo(spec_for(src, pin), dest, url=str(src))
-    assert result.status == "cloned"
-    assert result.bytes_on_disk > 0
+    clone_repo(spec_for(src, pin), dest, url=str(src))
     assert (dest / "A.java").exists()
     assert not (dest / "B.java").exists()
 
