@@ -35,7 +35,6 @@ _TEST_IMPORT_RE = re.compile(
     r"^\s*import\s+(static\s+)?(org\.junit|junit\.framework|org\.testng)",
     re.MULTILINE,
 )
-_LONE_CR_RE = re.compile(r"\r(?!\n)")
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,7 @@ def _decode(data: bytes) -> str | None:
 
 
 def _has_long_line(content: str) -> bool:
-    for line in content.split("\n"):
-        if line.endswith("\r"):
-            line = line[:-1]
-        if len(line) > MAX_LINE_LENGTH:
-            return True
-    return False
+    return any(len(line) > MAX_LINE_LENGTH for line in content.split("\n"))
 
 
 def _looks_like_test(relpath: str, content: str) -> bool:
@@ -91,7 +85,9 @@ def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, CompilationUni
 
     Returns (reason, unit): a kept file has reason None and its parsed
     unit, which carries the text that is measured; a rejected file has
-    its reason and no unit.
+    its reason and no unit. Every rule after decoding sees the text with
+    "\r\n" and lone "\r" line ends turned into "\n", as Java reads lines.
+    A file nested deeper than the parser's stack allows is unparseable.
     """
     if not relpath.endswith(".java"):
         return "not-java-ext", None
@@ -100,18 +96,16 @@ def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, CompilationUni
     content = _decode(data)
     if content is None:
         return "undecodable", None
+    if "\r" in content:
+        content = content.replace("\r\n", "\n").replace("\r", "\n")
     if _has_long_line(content):
         return "too-long-line", None
     if _looks_like_test(relpath, content):
         return "test-file", None
     try:
         unit = parse(content)
-    except (LexError, JavaSyntaxError):
+    except (LexError, JavaSyntaxError, RecursionError):
         return "unparseable", None
-    if _LONE_CR_RE.search(content):
-        # Metrics are taken on universal-newline text, where a lone "\r"
-        # ends a line; the verdict above stays on the raw text.
-        unit = parse(content.replace("\r\n", "\n").replace("\r", "\n"))
     return None, unit
 
 

@@ -32,6 +32,11 @@ class Stmt:
     children of if/switch/loop/catch constructs and of lambda or inner-body
     class bodies sit one deeper than the construct itself; plain blocks,
     try bodies and ternaries do not add depth.
+
+    else_children is set only on the head `if` of an if statement: its
+    `else if` arms, each an `if` node with chained=True, then the final
+    `else` statement, in source order. A chained arm keeps its own
+    condition and body but never has else_children of its own.
     """
 
     kind: str

@@ -9,11 +9,21 @@ Grammar coverage is Java 8: generics, lambdas, anonymous and local classes,
 enums, annotation types, try-with-resources, multi-catch, method references.
 Later syntax (records, sealed types, `var`, arrow switches) fails with
 JavaSyntaxError, which is the pipeline's exclusion signal.
+
+Binary operators are parsed by precedence climbing over one table
+(`_BINARY_PREC`), so a level of parentheses costs six Python frames, not one
+per precedence level. An `else if` chain is parsed in a loop and kept flat:
+each chained arm and the final `else` sit, in order, in the head `if`
+node's else_children, so a chain of any length costs no recursion. Nesting
+deeper than the interpreter's recursion limit raises RecursionError, which
+the filter rules map to the unparseable verdict.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from cam.javasrc.lexer import LexError, Token, tokenize
 from cam.javasrc.model import (
@@ -37,6 +47,24 @@ _GT_REMAINDERS = {">>": ">", ">>>": ">>", ">=": "=", ">>=": ">=", ">>>=": ">>="}
 # Tokens that may open the operand of a reference-type cast; '+'/'-' must
 # not, or '(a) - b' would parse as a cast.
 _CAST_FOLLOW_LEXEMES = frozenset(["(", "!", "~", "this", "super", "new"]) | PRIMITIVES
+
+# Binding strength of each binary operator, loosest first; every lexeme here
+# is an operator token except the keyword 'instanceof', whose right side is
+# a type.
+_BINARY_PREC = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7, "instanceof": 7,
+    "<<": 8, ">>": 8, ">>>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+
+_ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="])
 
 
 class JavaSyntaxError(Exception):
@@ -200,18 +228,27 @@ class _Parser:
         if self._collect:
             self._collect[-1].nodes.append(node)
 
-    def _parse_expr_group(self, depth: int) -> _ExprCollect:
-        """Parse one full expression, gathering its logical-operator run and
-        any ternary/lambda nodes it produced."""
+    @contextmanager
+    def _collecting(self, depth: int | None = None) -> Iterator[_ExprCollect]:
+        """Gather the logical-operator run and the ternary/lambda nodes of
+        the expression parsed inside the `with`, optionally at *depth*.
+
+        A context manager, not a wrapper around the parse call, so nesting
+        costs no extra stack frame per level."""
         saved = self._depth
-        self._depth = depth
+        if depth is not None:
+            self._depth = depth
         coll = _ExprCollect()
         self._collect.append(coll)
         try:
-            self.parse_expression()
+            yield coll
         finally:
             self._collect.pop()
             self._depth = saved
+
+    def _parse_expr_group(self, depth: int) -> _ExprCollect:
+        with self._collecting(depth) as coll:
+            self.parse_expression()
         return coll
 
     @staticmethod
@@ -645,12 +682,8 @@ class _Parser:
                     break
             self.expect("}")
             return
-        coll = _ExprCollect()
-        self._collect.append(coll)
-        try:
+        with self._collecting():
             self.parse_ternary()
-        finally:
-            self._collect.pop()
 
     # ---- statements ------------------------------------------------------
 
@@ -678,7 +711,7 @@ class _Parser:
             self.ncss += 1
             return Stmt("statement", d)
         if lex == "if":
-            return self._if_stmt(d, chained=False)
+            return self._if_stmt(d)
         if lex == "for":
             return self._for_stmt(d)
         if lex == "while":
@@ -764,7 +797,9 @@ class _Parser:
                 while self.at("[") and self.peek().lexeme == "]":
                     self.i += 2
                 if self.accept("="):
-                    self._attach(node, self._group_variable_init(d))
+                    with self._collecting(d) as coll:
+                        self._parse_variable_init()
+                    self._attach(node, coll)
                 if not self.accept(","):
                     break
             self.expect(";")
@@ -779,18 +814,6 @@ class _Parser:
         self.ncss += 1
         return node
 
-    def _group_variable_init(self, d: int) -> _ExprCollect:
-        saved = self._depth
-        self._depth = d
-        coll = _ExprCollect()
-        self._collect.append(coll)
-        try:
-            self._parse_variable_init()
-        finally:
-            self._collect.pop()
-            self._depth = saved
-        return coll
-
     def _parse_variable_init(self) -> None:
         if self.at("{"):
             self.i += 1
@@ -802,22 +825,32 @@ class _Parser:
             return
         self.parse_expression()
 
-    def _if_stmt(self, d: int, chained: bool) -> Stmt:
-        self.expect("if")
-        self.ncss += 1
-        self._record_decision("if")
-        node = Stmt("if", d, chained=chained)
-        self.expect("(")
-        self._attach(node, self._parse_expr_group(d))
-        self.expect(")")
-        node.children.append(self.parse_statement(d + 1))
-        if self.accept("else"):
+    def _if_stmt(self, d: int) -> Stmt:
+        """An if statement and its whole else-if chain, parsed in a loop
+        (see Stmt.else_children)."""
+        head = None
+        arms: list[Stmt] = []
+        while True:
+            self.expect("if")
             self.ncss += 1
-            if self.at("if"):
-                node.else_children = [self._if_stmt(d, chained=True)]
+            self._record_decision("if")
+            node = Stmt("if", d, chained=head is not None)
+            self.expect("(")
+            self._attach(node, self._parse_expr_group(d))
+            self.expect(")")
+            node.children.append(self.parse_statement(d + 1))
+            if head is None:
+                head = node
             else:
-                node.else_children = [self.parse_statement(d + 1)]
-        return node
+                arms.append(node)
+            if not self.accept("else"):
+                break
+            self.ncss += 1
+            if not self.at("if"):
+                arms.append(self.parse_statement(d + 1))
+                break
+        head.else_children = arms or None
+        return head
 
     def _for_stmt(self, d: int) -> Stmt:
         self.expect("for")
@@ -877,7 +910,9 @@ class _Parser:
                 while self.at("[") and self.peek().lexeme == "]":
                     self.i += 2
                 if self.accept("="):
-                    self._attach(node, self._group_variable_init(d))
+                    with self._collecting(d) as coll:
+                        self._parse_variable_init()
+                    self._attach(node, coll)
                 if not self.accept(","):
                     return
         else:
@@ -925,12 +960,8 @@ class _Parser:
                 self.i += 1
                 self.ncss += 1
                 self._record_decision("case")
-                coll = _ExprCollect()
-                self._collect.append(coll)
-                try:
+                with self._collecting() as coll:
                     self.parse_ternary()
-                finally:
-                    self._collect.pop()
                 current = Stmt("case-label", d + 1)
                 self._attach(current, coll)
                 node.children.append(current)
@@ -1001,9 +1032,13 @@ class _Parser:
     # ---- expressions -----------------------------------------------------
 
     def parse_expression(self) -> None:
-        if self._try_lambda():
-            return
-        self.parse_assignment()
+        """A lambda, or a ternary; assignments chain to the right."""
+        while not self._try_lambda():
+            self.parse_ternary()
+            t = self.toks[self.i]
+            if t.kind != "operator" or t.lexeme not in _ASSIGN_OPS:
+                return
+            self.i += 1
 
     def _try_lambda(self) -> bool:
         t = self.toks[self.i]
@@ -1071,109 +1106,45 @@ class _Parser:
                 body = self.parse_block(self._depth)
                 node.children.extend(body.children)
             else:
-                coll = _ExprCollect()
-                self._collect.append(coll)
-                try:
+                with self._collecting() as coll:
                     self.parse_expression()
-                finally:
-                    self._collect.pop()
                 self._attach(node, coll)
         finally:
             self._depth = saved
             self._pop_scope()
 
-    def parse_assignment(self) -> None:
-        self.parse_ternary()
-        t = self.toks[self.i]
-        if t.kind == "operator" and t.lexeme in ("=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="):
-            self.i += 1
-            self.parse_expression()
-
     def parse_ternary(self) -> None:
-        self._parse_or()
+        self._parse_binary(1)
         if self.at("?"):
             self.i += 1
             self._record_decision("ternary")
             self._log_node(Stmt("conditional-expr", self._depth))
             self.parse_expression()
             self.expect(":")
-            if not self._try_lambda():
-                self.parse_ternary()
-                t = self.toks[self.i]
-                if t.kind == "operator" and t.lexeme in ("=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="):
-                    self.i += 1
-                    self.parse_expression()
+            self.parse_expression()
 
-    def _parse_or(self) -> None:
-        self._parse_and()
-        while self.at("||"):
-            self.i += 1
-            self._record_decision("or")
-            self._log_op("||")
-            self._parse_and()
+    def _parse_binary(self, min_prec: int) -> None:
+        """Precedence climbing over the left-associative binary operators.
 
-    def _parse_and(self) -> None:
-        self._parse_bitor()
-        while self.at("&&"):
-            self.i += 1
-            self._record_decision("and")
-            self._log_op("&&")
-            self._parse_bitor()
-
-    def _parse_bitor(self) -> None:
-        self._parse_bitxor()
-        while self.at("|"):
-            self.i += 1
-            self._parse_bitxor()
-
-    def _parse_bitxor(self) -> None:
-        self._parse_bitand()
-        while self.at("^"):
-            self.i += 1
-            self._parse_bitand()
-
-    def _parse_bitand(self) -> None:
-        self._parse_equality()
-        while self.at("&"):
-            self.i += 1
-            self._parse_equality()
-
-    def _parse_equality(self) -> None:
-        self._parse_relational()
-        while self.at("==") or self.at("!="):
-            self.i += 1
-            self._parse_relational()
-
-    def _parse_relational(self) -> None:
-        self._parse_shift()
+        After an operator only one as loose or looser may follow: the right
+        operand took every tighter one, except after 'instanceof', whose
+        right side is a type, so 'a instanceof T * b' is rejected."""
+        self.parse_unary()
+        ceiling = _BINARY_PREC["*"]
         while True:
             t = self.toks[self.i]
-            if t.kind == "operator" and t.lexeme in ("<", ">", "<=", ">="):
-                self.i += 1
-                self._parse_shift()
-            elif t.lexeme == "instanceof" and t.kind == "keyword":
-                self.i += 1
-                self.parse_type()
-            else:
+            prec = _BINARY_PREC.get(t.lexeme, 0)
+            if not min_prec <= prec <= ceiling:
                 return
-
-    def _parse_shift(self) -> None:
-        self._parse_additive()
-        while self.toks[self.i].lexeme in ("<<", ">>", ">>>") and self.toks[self.i].kind == "operator":
             self.i += 1
-            self._parse_additive()
-
-    def _parse_additive(self) -> None:
-        self._parse_multiplicative()
-        while self.toks[self.i].lexeme in ("+", "-") and self.toks[self.i].kind == "operator":
-            self.i += 1
-            self._parse_multiplicative()
-
-    def _parse_multiplicative(self) -> None:
-        self.parse_unary()
-        while self.toks[self.i].lexeme in ("*", "/", "%") and self.toks[self.i].kind == "operator":
-            self.i += 1
-            self.parse_unary()
+            ceiling = prec
+            if t.lexeme == "instanceof":
+                self.parse_type()
+                continue
+            if prec <= 2:
+                self._record_decision("or" if prec == 1 else "and")
+                self._log_op(t.lexeme)
+            self._parse_binary(prec + 1)
 
     def parse_unary(self) -> None:
         t = self.toks[self.i]

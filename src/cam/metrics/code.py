@@ -130,12 +130,10 @@ def _cognitive_score(node: Stmt) -> int:
         score += _alternations(group)
     for child in node.children:
         score += _cognitive_score(child)
-    if node.else_children:
-        first = node.else_children[0]
-        if not (first.kind == "if" and first.chained):
+    for child in node.else_children or ():
+        if not child.chained:  # the final else; a chained arm scores its own 1
             score += 1
-        for child in node.else_children:
-            score += _cognitive_score(child)
+        score += _cognitive_score(child)
     return score
 
 

@@ -10,6 +10,8 @@ from cam.filters import (
     filter_tree,
     merge_stats,
 )
+from cam.measure import measure_repo
+from oracle import synthetic_git
 
 GOOD = b"class Ok {}\n"
 
@@ -54,6 +56,7 @@ def test_kept_file():
         ("src/Main.java", b"import org.testng.Assert;\nclass A {}\n", "test-file"),
         ("src/Broken.java", b"class {", "unparseable"),
         ("src/Records.java", b"record P(int x) {}\n", "unparseable"),
+        ("src/Cr.java", b"class A { // c\r garbage garbage\n }", "unparseable"),
     ],
 )
 def test_rejections(path, data, reason):
@@ -78,6 +81,43 @@ def test_line_length_boundary():
 def test_crlf_does_not_tip_line_length():
     line = b"// " + b"y" * (MAX_LINE_LENGTH - 3)
     assert evaluate_file("A.java", line + b"\r\nclass A {}\r\n")[0] is None
+
+
+def test_lone_carriage_return_ends_a_comment():
+    reason, unit = evaluate_file("src/A.java", b"class A { int f; // c\r }")
+    assert reason is None
+    assert unit.source == "class A { int f; // c\n }"
+    assert [field.name for field in unit.types[0].fields] == ["f"]
+
+
+def _parens(n):
+    return "class Deep {\n  int f(int x) {\n    return " + "(\n" * n + "x" + "\n)" * n + ";\n  }\n}\n"
+
+
+def _anonymous_classes(n):
+    opening = "new Object() {\n  Object g() {\n    return "
+    return "class Deep {\n  Object f() {\n    return " + opening * n + "null" + ";\n  }\n}" * n + ";\n  }\n}\n"
+
+
+def _lambdas(n):
+    return "class Deep {\n  Object f() {\n    return " + "x ->\n" * n + "null;\n  }\n}\n"
+
+
+def _else_if_chain(n):
+    arms = "".join(f"    else if (x == {i}) {{ y = {i}; }}\n" for i in range(1, n))
+    return "class Deep {\n  int y;\n  void f(int x) {\n    if (x == 0) { y = 0; }\n" + arms + "  }\n}\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [_parens(100), _anonymous_classes(50), _lambdas(200), _else_if_chain(5000)],
+    ids=["parens-100", "anonymous-classes-50", "lambdas-200", "else-if-5000"],
+)
+def test_deep_valid_nesting_is_kept_and_measured(source):
+    reason, unit = evaluate_file("src/Deep.java", source.encode())
+    assert reason is None
+    rows = measure_repo("deep/lib", {"src/Deep.java": unit}, {"src/Deep.java": synthetic_git(1)}).rows
+    assert [row["class_name"] for row in rows] == ["Deep"]
 
 
 def test_rule_order_extension_beats_test_dir():

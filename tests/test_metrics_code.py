@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cam.filters import evaluate_file
 from cam.javasrc.lexer import KEYWORDS, tokenize
 from cam.javasrc.parser import parse
 from cam.metrics.code import (
@@ -177,6 +178,18 @@ COGNITIVE_TABLE = [
 def test_method_cognitive(snippet, score):
     m = first_method("class C { " + snippet + " void g() {} boolean h() { return true; } }")
     assert method_cognitive(m) == score
+
+
+def test_long_else_if_chain_is_kept_and_scored():
+    arms = "".join(f"    else if (x == {i}) {{ y = {i}; }}\n" for i in range(1, 1000))
+    source = "class Chain {\n  int y;\n  void f(int x) {\n    if (x == 0) { y = 0; }\n" + arms + "    else { y = -1; }\n  }\n}\n"
+    reason, unit = evaluate_file("src/Chain.java", source.encode())
+    assert reason is None
+    model = unit.types[0]
+    # 1000 if decisions plus the method's base path
+    assert class_cyclomatic(model) == 1001
+    # the head if at depth 0 scores 1, each of the 999 chained arms 1, the final else 1
+    assert class_cognitive(model) == 1001
 
 
 def test_cognitive_anonymous_body_adds_nesting_level():

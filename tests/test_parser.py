@@ -166,6 +166,9 @@ def test_chained_else_if_marks_chain():
     assert not outer.chained
     assert outer.else_children[0].kind == "if"
     assert outer.else_children[0].chained
+    # the chain is flat: each arm and the final else sit on the head
+    assert [s.kind for s in outer.else_children] == ["if", "block"]
+    assert outer.else_children[0].else_children is None
 
 
 def test_statement_depths_nest_on_control_flow_only():
@@ -331,6 +334,7 @@ def test_annotations_counted_on_class():
         "class",
         "class X { int ; }",
         "class Y { void f() { if } }",
+        "class I { int f(Object o) { return o instanceof String * 2; } }",
         "int x = 1;",
     ],
 )

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cam.javasrc.parser
+import cam.pipeline
 from cam.cli import main
 from cam.dataset import HEADER, read_csv_rows
 from cam.pipeline import STAGES, ConfigError, Pipeline, PipelineConfig
@@ -312,12 +313,16 @@ def test_exit_one_when_every_repo_fails(tmp_path):
     assert run_cli(tmp_path / "work", replay) == 1
 
 
-def test_internal_error_fails_only_its_repo(tmp_path):
-    arms = "".join(f"    else if (x == {i}) {{ y = {i}; }}\n" for i in range(1, 1000))
-    poison = "class Poison {\n  int y;\n  void f(int x) {\n    if (x == 0) { y = 0; }\n" + arms + "  }\n}\n"
-    alpha, alpha_sha = single_commit_repo(
-        tmp_path / "remotes" / "alpha", {"src/Main.java": MAIN_JAVA, "src/Poison.java": poison}
-    )
+def test_internal_error_fails_only_its_repo(tmp_path, monkeypatch):
+    real_measure_repo = cam.pipeline.measure_repo
+
+    def poisoned_measure_repo(repo, units, git_columns):
+        if repo == "alpha/lib":
+            raise RuntimeError("poison")
+        return real_measure_repo(repo, units, git_columns)
+
+    monkeypatch.setattr(cam.pipeline, "measure_repo", poisoned_measure_repo)
+    alpha, alpha_sha = single_commit_repo(tmp_path / "remotes" / "alpha", {"src/Main.java": MAIN_JAVA})
     beta, beta_sha = single_commit_repo(tmp_path / "remotes" / "beta", BETA_FILES)
     replay = build_replay_dir(
         tmp_path / "replay",
@@ -335,12 +340,34 @@ def test_internal_error_fails_only_its_repo(tmp_path):
         all_csv = archive.read("data/all.csv").decode("utf-8")
     alpha_entry, beta_entry = manifest["repos"]
     assert alpha_entry["status"] == "failed"
-    assert alpha_entry["failure"] == "internal-error:RecursionError"
+    assert alpha_entry["failure"] == "internal-error:RuntimeError"
     assert beta_entry["status"] == "ok"
     assert "data/beta__app.csv" in names
     assert "data/alpha__lib.csv" not in names
     assert [line.split(",")[:3] for line in all_csv.split("\n")[1:] if line] == [
         ["beta/app", "app/App.java", "App"]
+    ]
+
+
+def test_too_deep_nesting_is_unparseable_not_a_failure(tmp_path):
+    deep = "class Deep {\n  int f(int x) {\n    return " + "(\n" * 400 + "x" + "\n)" * 400 + ";\n  }\n}\n"
+    alpha, alpha_sha = single_commit_repo(
+        tmp_path / "remotes" / "alpha", {"src/Main.java": MAIN_JAVA, "src/Deep.java": deep}
+    )
+    replay = build_replay_dir(
+        tmp_path / "replay", DiscoveryCriteria(), [("alpha/lib", 200, 400, alpha, alpha_sha)]
+    )
+    work = tmp_path / "work"
+    assert run_cli(work, replay) == 0
+
+    filtered = json.loads((work / "filtered" / "alpha__lib.json").read_text(encoding="utf-8"))
+    assert filtered["verdicts"] == [["src/Deep.java", "unparseable"], ["src/Main.java", None]]
+    with zipfile.ZipFile(work / "dataset.zip") as archive:
+        manifest = json.loads(archive.read("manifest.json"))
+        all_csv = archive.read("data/all.csv").decode("utf-8")
+    assert [(e["status"], e["failure"]) for e in manifest["repos"]] == [("ok", None)]
+    assert [line.split(",")[:3] for line in all_csv.split("\n")[1:] if line] == [
+        ["alpha/lib", "src/Main.java", "Main"]
     ]
 
 
