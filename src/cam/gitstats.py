@@ -1,4 +1,11 @@
-"""Per-file change history pulled from a repository's git log.
+"""Per-file change history pulled from one pass over a repository's git log.
+
+One `git log <pin> -M --numstat` per repository walks the pinned history
+from newest to oldest. Each kept file is tracked under its name at that
+point of the walk, so a rename moves it to its old name for older
+commits. A file deleted and added again keeps the history of its name.
+Copies are not followed, and merge commits show no diff, so they count
+for no file.
 
 All figures are anchored to a pinned commit so reruns over the same
 checkout produce identical numbers no matter when they happen.
@@ -6,18 +13,17 @@ checkout produce identical numbers no matter when they happen.
 
 from __future__ import annotations
 
+import os
 import subprocess
 from dataclasses import dataclass
 
 _FIELD_SEP = "\x1f"
+_COMMIT_MARK = "\x01"
 
 
+# Unused here; perfbench/tracing.py imports this name, and fails without it.
 class UntrackedFile(Exception):
-    """The pinned history contains no commit touching the file."""
-
-    def __init__(self, path: str):
-        super().__init__(f"no history for {path}")
-        self.path = path
+    pass
 
 
 class GitCommandError(Exception):
@@ -40,46 +46,53 @@ class FileHistory:
 
 
 def _run_git(repo_dir: str, args: list[str]) -> str:
-    proc = subprocess.run(
-        ["git", "-C", repo_dir] + args,
-        capture_output=True,
-        text=True,
-        errors="replace",
-    )
+    """Stdout decoded like `os.walk` names, so odd bytes in a path survive."""
+    proc = subprocess.run(["git", "-C", repo_dir] + args, capture_output=True)
     if proc.returncode != 0:
-        raise GitCommandError(proc.stderr.strip() or f"git {args[0]} failed")
-    return proc.stdout
+        stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+        raise GitCommandError(stderr or f"git {args[0]} failed")
+    return os.fsdecode(proc.stdout)
 
 
-def file_history(repo_dir: str, pin: str, path: str) -> FileHistory:
-    """History of one file up to the pinned commit, following renames."""
+def file_history(repo_dir: str, pin: str, paths: list[str]) -> dict[str, FileHistory]:
+    """History up to the pinned commit of each path, following renames.
+
+    A path that no commit's diff touches is untracked and left out.
+    """
+    if not paths:
+        return {}
     out = _run_git(
         repo_dir,
-        [
-            "log",
-            pin,
-            "--follow",
-            f"--format=%H{_FIELD_SEP}%ae{_FIELD_SEP}%at",
-            "--numstat",
-            "--",
-            path,
-        ],
+        ["log", pin, "-z", "--numstat", "-M", f"--format={_COMMIT_MARK}%H{_FIELD_SEP}%ae{_FIELD_SEP}%at"],
     )
-    commits: list[CommitInfo] = []
-    added = 0
-    deleted = 0
-    for line in out.split("\n"):
-        if _FIELD_SEP in line:
-            sha, email, stamp = line.split(_FIELD_SEP)
-            commits.append(CommitInfo(sha, email, int(stamp)))
+    histories = {path: FileHistory(path, [], 0, 0) for path in paths}
+    # name at this point of the walk -> history of the kept file it is
+    names = dict(histories)
+    commit = None
+    tokens = iter(out.split("\0"))
+    for token in tokens:
+        token = token.lstrip("\n")
+        if token.startswith(_COMMIT_MARK):
+            sha, email, stamp = token[1:].split(_FIELD_SEP)
+            commit = CommitInfo(sha, email, int(stamp))
             continue
-        if "\t" in line:
-            plus, minus, _ = line.split("\t", 2)
-            added += 0 if plus == "-" else int(plus)
-            deleted += 0 if minus == "-" else int(minus)
-    if not commits:
-        raise UntrackedFile(path)
-    return FileHistory(path, commits, added, deleted)
+        if not token:
+            continue
+        plus, minus, name = token.split("\t", 2)
+        old = name
+        if not name:  # a rename: its old and new names follow
+            old, name = next(tokens), next(tokens)
+        history = names.get(name)
+        if history is None:
+            continue
+        history.commits.append(commit)
+        history.added += 0 if plus == "-" else int(plus)
+        history.deleted += 0 if minus == "-" else int(minus)
+        # Older commits know the file by its old name. A kept file that
+        # reuses that name later starts its history here.
+        if old != name:
+            names[old] = names.pop(name)
+    return {path: history for path, history in histories.items() if history.commits}
 
 
 def derived_columns(history: FileHistory) -> dict[str, int]:

@@ -14,9 +14,11 @@ Binary operators are parsed by precedence climbing over one table
 (`_BINARY_PREC`), so a level of parentheses costs six Python frames, not one
 per precedence level. An `else if` chain is parsed in a loop and kept flat:
 each chained arm and the final `else` sit, in order, in the head `if`
-node's else_children, so a chain of any length costs no recursion. Nesting
-deeper than the interpreter's recursion limit raises RecursionError, which
-the filter rules map to the unparseable verdict.
+node's else_children, so a chain of any length costs no recursion. The
+false branches of a conditional chain (`a ? b : c ? d : e`) are taken by
+the expression loop, so they cost no recursion either. Nesting deeper than
+the interpreter's recursion limit raises RecursionError, which the filter
+rules map to the unparseable verdict.
 """
 
 from __future__ import annotations
@@ -1032,9 +1034,12 @@ class _Parser:
     # ---- expressions -----------------------------------------------------
 
     def parse_expression(self) -> None:
-        """A lambda, or a ternary; assignments chain to the right."""
+        """A lambda, or a ternary; assignments and ternary false branches
+        chain to the right in this loop, so a long chain costs no recursion."""
         while not self._try_lambda():
-            self.parse_ternary()
+            self._parse_binary(1)
+            if self._ternary_head():
+                continue
             t = self.toks[self.i]
             if t.kind != "operator" or t.lexeme not in _ASSIGN_OPS:
                 return
@@ -1115,13 +1120,19 @@ class _Parser:
 
     def parse_ternary(self) -> None:
         self._parse_binary(1)
-        if self.at("?"):
-            self.i += 1
-            self._record_decision("ternary")
-            self._log_node(Stmt("conditional-expr", self._depth))
+        if self._ternary_head():
             self.parse_expression()
-            self.expect(":")
-            self.parse_expression()
+
+    def _ternary_head(self) -> bool:
+        """'? true-branch :' after a condition; the caller parses the false branch."""
+        if not self.at("?"):
+            return False
+        self.i += 1
+        self._record_decision("ternary")
+        self._log_node(Stmt("conditional-expr", self._depth))
+        self.parse_expression()
+        self.expect(":")
+        return True
 
     def _parse_binary(self, min_prec: int) -> None:
         """Precedence climbing over the left-associative binary operators.

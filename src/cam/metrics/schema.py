@@ -56,7 +56,7 @@ COLUMNS: tuple[ColumnSpec, ...] = (
     ColumnSpec("cbo", "oo", "Other top-level classes in the same repository that this class references or is referenced by, in either direction."),
     ColumnSpec("dit", "oo", "Resolved inheritance edges above the class: zero without a parent beyond Object, one for an unresolvable parent, one more per resolved ancestor; members of an inheritance cycle report one."),
     ColumnSpec("noc", "oo", "Classes in the same repository whose extends clause resolves to this class."),
-    ColumnSpec("commits", "git", "Commits in the repository history touching the file, renames followed."),
+    ColumnSpec("commits", "git", "Commits in the repository history touching the file; renames followed (`git log -M`), and a name reused after a rename starts a new history; copies and merge commits not counted."),
     ColumnSpec("authors", "git", "Distinct lowercased author emails among the file's commits."),
     ColumnSpec("age_days", "git", "Whole days between the file's first and last commit timestamps."),
     ColumnSpec("churn_added", "git", "Lines added to the file summed over its commits."),

@@ -6,7 +6,8 @@ whatever already finished. Stage artifacts are self-contained so each
 stage can also run on its own against a prepared work directory.
 
 After its clone, each repository gets one measure pass: walk, decode,
-apply the filter rules, parse once, read git history, compute metrics.
+apply the filter rules, parse once, read git history once (one `git log`
+for all kept files), compute metrics.
 Any error in a repository's stages is recorded as that repository's
 failure, so the other repositories still ship.
 
@@ -43,7 +44,7 @@ from cam.dataset import (
     write_json_atomic,
 )
 from cam.filters import empty_stats, filter_tree, merge_stats
-from cam.gitstats import UntrackedFile, derived_columns, file_history
+from cam.gitstats import derived_columns, file_history
 from cam.javasrc.model import CompilationUnit
 from cam.measure import measure_repo
 from cam.metrics.schema import schema_markdown
@@ -287,13 +288,13 @@ class Pipeline:
         }
         write_json_atomic(self._filtered_path(spec), payload)
 
+        histories = file_history(str(clone_dir), spec.head_commit, payload["kept"])
         units: dict[str, CompilationUnit] = {}
         git_columns: dict[str, dict[str, int]] = {}
         untracked: list[str] = []
         for record in outcome.kept:
-            try:
-                history = file_history(str(clone_dir), spec.head_commit, record.path)
-            except UntrackedFile:
+            history = histories.get(record.path)
+            if history is None:
                 untracked.append(record.path)
                 self._progress.emit(spec.full_name, "measure", "untracked", record.path)
                 continue

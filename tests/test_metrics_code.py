@@ -192,6 +192,18 @@ def test_long_else_if_chain_is_kept_and_scored():
     assert class_cognitive(model) == 1001
 
 
+def test_long_conditional_chain_is_kept_and_scored():
+    arms = "".join(f"        x == {i} ? {i} :\n" for i in range(5000))
+    source = "class Table {\n  int f(int x) {\n    return\n" + arms + "        -1;\n  }\n}\n"
+    reason, unit = evaluate_file("src/Table.java", source.encode())
+    assert reason is None
+    model = unit.types[0]
+    # 5000 ternary decisions plus the method's base path
+    assert class_cyclomatic(model) == 5001
+    # each ternary scores 1 whatever its nesting; '==' adds no operator run
+    assert class_cognitive(model) == 5000
+
+
 def test_cognitive_anonymous_body_adds_nesting_level():
     model = parse(
         "class C {\n"

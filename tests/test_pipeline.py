@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import cam.gitstats
 import cam.javasrc.parser
 import cam.pipeline
 from cam.cli import main
@@ -178,6 +179,24 @@ def test_each_file_is_parsed_once(tmp_path, monkeypatch):
     assert run_cli(work, replay) == 0
     stats = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))["filter_stats"]
     assert len(calls) == stats["kept"] + stats["rejected"]["unparseable"]
+
+
+def test_each_repository_starts_one_git_log(tmp_path, monkeypatch):
+    logs = []
+    real_run = cam.gitstats.subprocess.run
+
+    def counting_run(args, *rest, **kwargs):
+        if args[:1] == ["git"] and "log" in args:
+            logs.append(args[args.index("-C") + 1])
+        return real_run(args, *rest, **kwargs)
+
+    monkeypatch.setattr(cam.gitstats.subprocess, "run", counting_run)
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay) == 0
+    repos = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))["repos"]
+    measured = [str(work / "github" / entry["full_name"]) for entry in repos if entry["status"] == "ok"]
+    assert len(measured) == 2
+    assert sorted(logs) == sorted(measured)
 
 
 def test_rows_carry_git_history_columns(tmp_path):
