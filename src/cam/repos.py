@@ -120,12 +120,6 @@ class TransportError(Exception):
     pass
 
 
-class RateLimited(Exception):
-    def __init__(self, retry_after: float | None):
-        super().__init__("rate limited")
-        self.retry_after = retry_after
-
-
 class Transport(ABC):
     """Fetches API responses for server-relative URLs like /search/..."""
 

@@ -1,0 +1,239 @@
+"""Test-local copy of the character-at-a-time Java lexer, kept as an oracle.
+
+The production lexer in `cam.javasrc.lexer` scans with one master regular
+expression. This is the lexer it replaced, copied unchanged apart from
+this header and the imports, so that `tests/test_lexer_differential.py` can
+check that both give the same tokens, or the same error, on any input.
+"""
+
+from __future__ import annotations
+
+from cam.javasrc.lexer import KEYWORDS, LexError, Token
+
+_WS = " \t\f\r\n"
+
+# Longest match first; '@', '::' and '...' are separators per the language,
+# the rest of the punctuation splits into operators and bracket/comma-like
+# separators.
+_SYMBOLS: list[tuple[str, str]] = [
+    (">>>=", "operator"),
+    ("...", "separator"),
+    ("<<=", "operator"),
+    (">>=", "operator"),
+    (">>>", "operator"),
+    ("::", "separator"),
+    ("->", "operator"),
+    ("==", "operator"),
+    ("!=", "operator"),
+    ("<=", "operator"),
+    (">=", "operator"),
+    ("&&", "operator"),
+    ("||", "operator"),
+    ("++", "operator"),
+    ("--", "operator"),
+    ("+=", "operator"),
+    ("-=", "operator"),
+    ("*=", "operator"),
+    ("/=", "operator"),
+    ("&=", "operator"),
+    ("|=", "operator"),
+    ("^=", "operator"),
+    ("%=", "operator"),
+    ("<<", "operator"),
+    (">>", "operator"),
+]
+for _ch in "(){}[];,.@":
+    _SYMBOLS.append((_ch, "separator"))
+for _ch in "+-*/%=<>!~&|^?:":
+    _SYMBOLS.append((_ch, "operator"))
+
+_SYM_BY_LEN: dict[int, dict[str, str]] = {}
+for _lex, _kind in _SYMBOLS:
+    _SYM_BY_LEN.setdefault(len(_lex), {})[_lex] = _kind
+_SYM_LENGTHS = sorted(_SYM_BY_LEN, reverse=True)
+
+_HEX = "0123456789abcdefABCDEF_"
+
+
+
+def _ident_start(ch: str) -> bool:
+    return ch == "_" or ch == "$" or ch.isalpha()
+
+
+def _ident_part(ch: str) -> bool:
+    return ch == "_" or ch == "$" or ch.isalnum()
+
+
+def tokenize(source: str) -> list[Token]:
+    """Scan *source* into tokens, ending with an ``eof`` sentinel.
+
+    Raises LexError on unterminated strings/chars/comments, malformed
+    numeric literals, and characters outside the language.
+    """
+    toks: list[Token] = []
+    i = 0
+    n = len(source)
+    line = 1
+    col = 1
+
+    def advance_pos(text: str) -> None:
+        nonlocal line, col
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rindex("\n")
+        else:
+            col += len(text)
+
+    while True:
+        ws_start = i
+        while i < n and source[i] in _WS:
+            i += 1
+        preceding = source[ws_start:i]
+        advance_pos(preceding)
+        if i >= n:
+            toks.append(Token("eof", "", line, col, preceding))
+            return toks
+
+        start = i
+        tline, tcol = line, col
+        ch = source[i]
+
+        if ch == "/" and i + 1 < n and source[i + 1] == "/":
+            j = source.find("\n", i)
+            if j == -1:
+                j = n
+            lexeme = source[i:j]
+            toks.append(Token("comment-line", lexeme, tline, tcol, preceding))
+            advance_pos(lexeme)
+            i = j
+            continue
+
+        if ch == "/" and i + 1 < n and source[i + 1] == "*":
+            j = source.find("*/", i + 2)
+            if j == -1:
+                raise LexError(tline, tcol, "unterminated block comment")
+            lexeme = source[i : j + 2]
+            toks.append(Token("comment-block", lexeme, tline, tcol, preceding))
+            advance_pos(lexeme)
+            i = j + 2
+            continue
+
+        if ch == '"' or ch == "'":
+            quote = ch
+            j = i + 1
+            while True:
+                if j >= n:
+                    raise LexError(tline, tcol, f"unterminated {'string' if quote == chr(34) else 'char'} literal")
+                c = source[j]
+                if c == "\\":
+                    if j + 1 >= n:
+                        raise LexError(tline, tcol, "unterminated escape")
+                    j += 2
+                    continue
+                if c == "\n":
+                    raise LexError(tline, tcol, f"unterminated {'string' if quote == chr(34) else 'char'} literal")
+                if c == quote:
+                    j += 1
+                    break
+                j += 1
+            lexeme = source[i:j]
+            kind = "literal-string" if quote == '"' else "literal-char"
+            toks.append(Token(kind, lexeme, tline, tcol, preceding))
+            advance_pos(lexeme)
+            i = j
+            continue
+
+        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+            kind, j = _scan_number(source, i, tline, tcol)
+            lexeme = source[i:j]
+            toks.append(Token(kind, lexeme, tline, tcol, preceding))
+            advance_pos(lexeme)
+            i = j
+            continue
+
+        if _ident_start(ch):
+            j = i + 1
+            while j < n and _ident_part(source[j]):
+                j += 1
+            lexeme = source[i:j]
+            kind = "keyword" if lexeme in KEYWORDS else "identifier"
+            toks.append(Token(kind, lexeme, tline, tcol, preceding))
+            advance_pos(lexeme)
+            i = j
+            continue
+
+        matched = False
+        for length in _SYM_LENGTHS:
+            cand = source[i : i + length]
+            kind = _SYM_BY_LEN[length].get(cand)
+            if kind is not None:
+                toks.append(Token(kind, cand, tline, tcol, preceding))
+                advance_pos(cand)
+                i += length
+                matched = True
+                break
+        if not matched:
+            raise LexError(tline, tcol, f"illegal character {ch!r}")
+
+
+def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
+    n = len(source)
+    kind = "literal-int"
+    prefixed = False
+
+    if source[i] == "0" and i + 1 < n and source[i + 1] in "xX":
+        prefixed = True
+        i += 2
+        digits = i
+        while i < n and source[i] in _HEX:
+            i += 1
+        if i == digits:
+            raise LexError(line, col, "malformed hex literal")
+        if i < n and source[i] == ".":
+            kind = "literal-float"
+            i += 1
+            while i < n and source[i] in _HEX:
+                i += 1
+        if i < n and source[i] in "pP":
+            kind = "literal-float"
+            i += 1
+            if i < n and source[i] in "+-":
+                i += 1
+            while i < n and (source[i].isdigit() or source[i] == "_"):
+                i += 1
+    elif source[i] == "0" and i + 1 < n and source[i + 1] in "bB":
+        prefixed = True
+        i += 2
+        digits = i
+        while i < n and source[i] in "01_":
+            i += 1
+        if i == digits:
+            raise LexError(line, col, "malformed binary literal")
+    else:
+        while i < n and (source[i].isdigit() or source[i] == "_"):
+            i += 1
+        if i < n and source[i] == ".":
+            kind = "literal-float"
+            i += 1
+            while i < n and (source[i].isdigit() or source[i] == "_"):
+                i += 1
+        if i < n and source[i] in "eE":
+            j = i + 1
+            if j < n and source[j] in "+-":
+                j += 1
+            if j < n and source[j].isdigit():
+                kind = "literal-float"
+                i = j
+                while i < n and (source[i].isdigit() or source[i] == "_"):
+                    i += 1
+
+    if i < n and source[i] in "fFdD" and (kind == "literal-float" or not prefixed):
+        kind = "literal-float"
+        i += 1
+    elif i < n and source[i] in "lL":
+        i += 1
+
+    if i < n and _ident_start(source[i]):
+        raise LexError(line, col, "malformed numeric literal")
+    return kind, i

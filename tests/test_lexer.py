@@ -106,25 +106,26 @@ def test_positions():
     assert (toks[1].line, toks[1].column) == (2, 3)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '"open',
-        "'x",
-        "'ab\n'",
-        '"line\nbreak"',
-        "/* never closed",
-        "0x;",
-        "0b2",
-        "1abc",
-        "`tick`",
-        "#define",
-        '"esc\\',
-    ],
-)
-def test_lex_errors(text):
-    with pytest.raises(LexError):
+LEX_ERRORS = [
+    ('"open', 1, 1, "unterminated string literal"),
+    ("'x", 1, 1, "unterminated char literal"),
+    ("'ab\n'", 1, 1, "unterminated char literal"),
+    ('"line\nbreak"', 1, 1, "unterminated string literal"),
+    ("/* never closed", 1, 1, "unterminated block comment"),
+    ("0x;", 1, 1, "malformed hex literal"),
+    ("0b2", 1, 1, "malformed binary literal"),
+    ("1abc", 1, 1, "malformed numeric literal"),
+    ("`tick`", 1, 1, "illegal character '`'"),
+    ("#define", 1, 1, "illegal character '#'"),
+    ('"esc\\', 1, 1, "unterminated escape"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, reason", LEX_ERRORS, ids=[case[0] for case in LEX_ERRORS])
+def test_lex_errors(text, line, column, reason):
+    with pytest.raises(LexError) as info:
         tokenize(text)
+    assert (info.value.line, info.value.column, info.value.reason) == (line, column, reason)
 
 
 def test_lex_error_carries_position():
@@ -132,3 +133,17 @@ def test_lex_error_carries_position():
         tokenize("ok\n  #")
     assert info.value.line == 2
     assert info.value.column == 3
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("/* a\n b */ x #", 2, 9),
+        ('s = "a\\\n b" + #', 2, 7),
+        ("x\n\n  // c\n\t@ #", 4, 4),
+    ],
+)
+def test_positions_after_multiline_tokens(text, line, column):
+    with pytest.raises(LexError) as info:
+        tokenize(text)
+    assert (info.value.line, info.value.column) == (line, column)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import zipfile
 from pathlib import Path
@@ -408,6 +409,53 @@ def test_pack_without_aggregate_fails(tmp_path, capsys):
     for stage in ("aggregate", "pack"):
         assert main([stage, "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
     assert (work / "dataset.zip").exists()
+
+
+# ---- garbage collection -------------------------------------------------
+
+
+def test_run_restores_the_callers_gc_thresholds(tmp_path):
+    replay, work = make_world(tmp_path)
+    before = gc.get_threshold()
+    gc.set_threshold(123, 4, 5)
+    try:
+        assert run_cli(work, replay) == 0
+        assert gc.get_threshold() == (123, 4, 5)
+        assert main(["run"]) == 2
+        assert gc.get_threshold() == (123, 4, 5)
+        with pytest.raises(SystemExit):
+            main(["no-such-stage"])
+        assert gc.get_threshold() == (123, 4, 5)
+    finally:
+        gc.set_threshold(*before)
+
+
+def test_run_skips_collections_that_find_nothing(tmp_path):
+    # One class of 1000 methods: enough objects for the default thresholds
+    # to collect dozens of times.
+    methods = "".join(f"  int m{i}(int x) {{ if (x > {i}) {{ return x * {i} + 1; }} return m{i}(x - 1); }}\n" for i in range(1000))
+    files = {"src/Big.java": "class Big {\n" + methods + "}\n"}
+    alpha, alpha_sha = single_commit_repo(tmp_path / "remotes" / "alpha", files)
+    replay = build_replay_dir(tmp_path / "replay", DiscoveryCriteria(), [("alpha/lib", 200, 400, alpha, alpha_sha)])
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    before = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        assert run_cli(tmp_path / "work", replay) == 0
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.set_threshold(*before)
+    stats = json.loads((tmp_path / "work" / "out" / "manifest.json").read_text(encoding="utf-8"))["filter_stats"]
+    assert stats["kept"] == 1
+    # With the default thresholds for the whole run there are about 80.
+    assert len(starts) <= 2
 
 
 # ---- command line -------------------------------------------------------
