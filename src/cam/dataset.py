@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import shutil
 import zipfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -109,21 +110,31 @@ def build_manifest(
     }
 
 
-def pack_archive(zip_path: str | Path, members: dict[str, bytes]) -> None:
-    """Write the deliverable archive with fully pinned member metadata."""
+def pack_archive(zip_path: str | Path, members: dict[str, list[bytes | tuple[Path, int]]]) -> None:
+    """Write the deliverable archive with fully pinned member metadata.
+
+    Each member is a list of parts, streamed in order: bytes, or a file
+    path and the offset its copy starts at. No member is held in memory.
+    """
     zip_path = Path(zip_path)
     zip_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = zip_path.with_name(zip_path.name + ".tmp")
     with zipfile.ZipFile(tmp, "w") as archive:
-        for arcname in sorted(members):
+        for arcname, parts in sorted(members.items()):
             info = zipfile.ZipInfo(arcname, date_time=_ZIP_DATE)
             info.external_attr = 0o644 << 16
             info.create_system = 3
             info.compress_type = zipfile.ZIP_DEFLATED
-            archive.writestr(
-                info,
-                members[arcname],
-                compress_type=zipfile.ZIP_DEFLATED,
-                compresslevel=_ZIP_COMPRESSLEVEL,
-            )
+            # Python 3.13 renamed this to `compress_level` and kept the old name as an alias.
+            info._compresslevel = _ZIP_COMPRESSLEVEL
+            # Set before opening, so the zip64 choice is the same as writestr's.
+            info.file_size = sum(len(p) if isinstance(p, bytes) else os.path.getsize(p[0]) - p[1] for p in parts)
+            with archive.open(info, "w") as dest:
+                for part in parts:
+                    if isinstance(part, bytes):
+                        dest.write(part)
+                    else:
+                        with open(part[0], "rb") as source:
+                            source.seek(part[1])
+                            shutil.copyfileobj(source, dest)
     os.replace(tmp, zip_path)

@@ -40,7 +40,6 @@ _TEST_IMPORT_RE = re.compile(
 @dataclass(frozen=True)
 class FileVerdict:
     path: str
-    kept: bool
     reason: str | None
 
 
@@ -129,18 +128,18 @@ def empty_stats() -> dict:
     return {"total": 0, "kept": 0, "rejected": {reason: 0 for reason in REASONS}}
 
 
-def merge_stats(target: dict, extra: dict) -> dict:
+def merge_stats(target: dict, extra: dict) -> None:
     target["total"] += extra["total"]
     target["kept"] += extra["kept"]
     for reason in REASONS:
         target["rejected"][reason] += extra["rejected"][reason]
-    return target
 
 
 def filter_tree(root: str | Path) -> FilterOutcome:
     """Walk a repository checkout and classify every regular file.
 
     Symlinks are ignored entirely and the .git directory is never entered.
+    A file whose name is not valid UTF-8 is undecodable before any rule.
     Verdicts and kept records come back in lexicographic relative-path
     order; each kept record holds the file's only parse.
     """
@@ -149,13 +148,14 @@ def filter_tree(root: str | Path) -> FilterOutcome:
     verdicts: list[FileVerdict] = []
     stats = empty_stats()
     for rel, full in _walk_files(root):
-        reason, unit = evaluate_file(rel, full.read_bytes())
+        # A name that is not UTF-8 comes back surrogate-escaped; escape its bad bytes as \xNN instead.
+        name = os.fsencode(rel).decode("utf-8", "backslashreplace")
+        reason, unit = evaluate_file(rel, full.read_bytes()) if name == rel else ("undecodable", None)
         stats["total"] += 1
         if reason is None:
             stats["kept"] += 1
             kept.append(FileRecord(rel, unit))
-            verdicts.append(FileVerdict(rel, True, None))
         else:
             stats["rejected"][reason] += 1
-            verdicts.append(FileVerdict(rel, False, reason))
+        verdicts.append(FileVerdict(name, reason))
     return FilterOutcome(kept, verdicts, stats)

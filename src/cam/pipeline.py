@@ -17,8 +17,9 @@ Layout under the work directory:
   state/<owner>__<name>.json per-repository stage status
   filtered/<key>.json        filter verdicts and counters (measure stage)
   rows/<key>.csv, .meta.json per-repository metric rows (measure stage)
-  out/                       merged CSVs, manifest, column reference
-  dataset.zip                the deliverable archive
+  out/                       manifest.json and schema.md (pack stage)
+  dataset.zip                the deliverable (pack stage): rows/<key>.csv
+                             as data/<key>.csv, and data/all.csv
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+# Unused here; perfbench/tracing.py wraps this name, and fails without it.
+from cam.dataset import read_csv_rows  # noqa: F401
 from cam.dataset import (
     build_manifest,
     canonical_json,
     generated_at,
     pack_archive,
-    read_csv_rows,
     rows_to_csv_bytes,
     write_bytes_atomic,
     write_json_atomic,
@@ -60,7 +62,7 @@ from cam.repos import (
     discover,
 )
 
-STAGES = ("discover", "clone", "measure", "aggregate", "pack")
+STAGES = ("discover", "clone", "measure", "pack")
 REPO_STAGES = ("clone", "measure")
 
 
@@ -105,7 +107,7 @@ class _Progress:
         self.ok = 0
         self.failed = 0
 
-    def repo_done(self, repo: str, success: bool) -> None:
+    def repo_done(self, success: bool) -> None:
         with self._lock:
             if success:
                 self.ok += 1
@@ -174,28 +176,21 @@ class Pipeline:
         if "discover" in self.config.stages:
             self._stage_discover()
 
-        specs = self._load_pins() if self._needs_pins() else []
+        specs = self._load_pins() if set(self.config.stages) - {"discover"} else []
 
         repo_ok = 0
-        repo_failed = 0
         requested_repo_stages = [s for s in self.config.stages if s in REPO_STAGES]
         if requested_repo_stages:
             with ThreadPoolExecutor(max_workers=self.config.jobs) as pool:
                 results = list(pool.map(self._process_repo, specs))
             repo_ok = sum(1 for ok in results if ok)
-            repo_failed = len(results) - repo_ok
 
-        if "aggregate" in self.config.stages:
-            self._stage_aggregate(specs)
         if "pack" in self.config.stages:
             self._stage_pack(specs)
 
         if requested_repo_stages and repo_ok == 0:
             return 1
         return 0
-
-    def _needs_pins(self) -> bool:
-        return any(s in self.config.stages for s in REPO_STAGES + ("aggregate", "pack"))
 
     def _load_pins(self) -> list[RepoSpec]:
         path = self._pins_path()
@@ -239,6 +234,12 @@ class Pipeline:
             if state["stages"].get(stage) == "done" and not self.config.force:
                 continue
             self._progress.emit(spec.full_name, stage, "start")
+            # What this stage and later ones made before is stale from now on.
+            for later in REPO_STAGES[REPO_STAGES.index(stage):]:
+                state["stages"].pop(later, None)
+            self._save_state(spec, state)
+            for path in (self._filtered_path(spec), self._rows_path(spec), self._meta_path(spec)):
+                path.unlink(missing_ok=True)
             reason = None
             try:
                 if stage == "clone":
@@ -263,7 +264,7 @@ class Pipeline:
                 state["failure"] = None
             self._save_state(spec, state)
             self._progress.emit(spec.full_name, stage, "done")
-        self._progress.repo_done(spec.full_name, success)
+        self._progress.repo_done(success)
         return success
 
     def _stage_clone(self, spec: RepoSpec) -> None:
@@ -312,26 +313,9 @@ class Pipeline:
             },
         )
 
-    def _stage_aggregate(self, specs: list[RepoSpec]) -> None:
-        self._progress.emit("-", "aggregate", "start")
-        merged: list[dict] = []
-        out_dir = self.workdir / "out"
-        for spec in specs:
-            rows_path = self._rows_path(spec)
-            if not rows_path.exists():
-                continue
-            rows = read_csv_rows(rows_path)
-            merged.extend(rows)
-            write_bytes_atomic(out_dir / f"{spec.key}.csv", rows_to_csv_bytes(rows))
-        write_bytes_atomic(out_dir / "all.csv", rows_to_csv_bytes(merged))
-        self._progress.emit("-", "aggregate", "done", f"rows={len(merged)}")
-
     def _stage_pack(self, specs: list[RepoSpec]) -> None:
         self._progress.emit("-", "pack", "start")
         out_dir = self.workdir / "out"
-        all_csv = out_dir / "all.csv"
-        if not all_csv.exists():
-            raise StageError("missing-aggregate")
 
         repo_entries = []
         global_stats = empty_stats()
@@ -357,16 +341,11 @@ class Pipeline:
                 entry["inheritance_cycles"] = []
             repo_entries.append(entry)
 
-        discovery_info = (
-            self._pins_metadata()
-            if self._pins_path().exists()
-            else {"cap_exceeded": False, "total_available": 0}
-        )
         manifest = build_manifest(
             self.config.criteria.to_dict(),
             repo_entries,
             global_stats,
-            discovery_info,
+            self._pins_metadata(),
             self.config.reproducible,
             generated_at(self.config.reproducible, specs),
         )
@@ -375,14 +354,19 @@ class Pipeline:
         write_bytes_atomic(out_dir / "manifest.json", manifest_bytes)
         write_bytes_atomic(out_dir / "schema.md", schema_bytes)
 
-        members: dict[str, bytes] = {
-            "data/all.csv": all_csv.read_bytes(),
-            "manifest.json": manifest_bytes,
-            "schema.md": schema_bytes,
-        }
-        for spec in specs:
-            per_repo = out_dir / f"{spec.key}.csv"
-            if per_repo.exists():
-                members[f"data/{spec.key}.csv"] = per_repo.read_bytes()
+        # Each rows file is already sorted and starts with the header, so
+        # all.csv is the header plus their bodies in full_name order.
+        header = rows_to_csv_bytes([])
+        all_parts = [header]
+        members = {"data/all.csv": all_parts, "manifest.json": [manifest_bytes], "schema.md": [schema_bytes]}
+        for spec in sorted(specs, key=lambda s: s.full_name):
+            rows_path = self._rows_path(spec)
+            if not rows_path.exists():
+                continue
+            with open(rows_path, "rb") as handle:
+                if handle.read(len(header)) != header:
+                    raise StageError(f"stale-rows:{spec.key}")
+            all_parts.append((rows_path, len(header)))
+            members[f"data/{spec.key}.csv"] = [(rows_path, 0)]
         pack_archive(self.workdir / "dataset.zip", members)
         self._progress.emit("-", "pack", "done", f"members={len(members)}")

@@ -105,7 +105,7 @@ def test_generated_at_policies():
 
 
 def test_pack_archive_is_deterministic(tmp_path):
-    members = {"b.txt": b"bee", "a/one.csv": b"x,y\n", "a.txt": b"ay"}
+    members = {"b.txt": [b"bee"], "a/one.csv": [b"x,", b"y\n"], "a.txt": [b"ay"]}
     first = tmp_path / "one.zip"
     second = tmp_path / "two.zip"
     pack_archive(first, members)
@@ -119,6 +119,23 @@ def test_pack_archive_is_deterministic(tmp_path):
             assert info.external_attr >> 16 == 0o644
             assert info.create_system == 3
         assert zf.read("a/one.csv") == b"x,y\n"
+
+
+def test_pack_archive_streams_parts_as_writestr_would(tmp_path):
+    body = b"".join(b"row,%d\n" % i for i in range(50_000))
+    source = tmp_path / "rows.csv"
+    source.write_bytes(b"head\n" + body)
+    streamed = tmp_path / "streamed.zip"
+    pack_archive(streamed, {"all.csv": [b"top\n", (source, 5), b"end\n"], "one.csv": [(source, 0)], "e": []})
+
+    written = tmp_path / "written.zip"
+    with zipfile.ZipFile(written, "w") as archive:
+        for name, data in (("all.csv", b"top\n" + body + b"end\n"), ("e", b""), ("one.csv", source.read_bytes())):
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.external_attr = 0o644 << 16
+            info.create_system = 3
+            archive.writestr(info, data, compress_type=zipfile.ZIP_DEFLATED, compresslevel=6)
+    assert streamed.read_bytes() == written.read_bytes()
 
 
 def test_build_manifest_shape():

@@ -183,6 +183,16 @@ def test_filter_tree_skips_symlinks(tmp_path):
     assert outcome.stats["total"] == 1
 
 
+def test_filter_tree_non_utf8_name_is_undecodable(tmp_path):
+    (tmp_path / "A.java").write_bytes(GOOD)
+    (tmp_path / "sub").mkdir()
+    open(os.path.join(os.fsencode(tmp_path / "sub"), b"Caf\xe9.java"), "wb").close()
+    outcome = filter_tree(tmp_path)
+    assert [(v.path, v.reason) for v in outcome.verdicts] == [("A.java", None), ("sub/Caf\\xe9.java", "undecodable")]
+    assert [rec.path for rec in outcome.kept] == ["A.java"]
+    assert outcome.stats["rejected"]["undecodable"] == 1
+
+
 def test_stats_merge():
     total = empty_stats()
     one = empty_stats()

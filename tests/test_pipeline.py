@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import json
+import os
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -13,10 +17,11 @@ import cam.gitstats
 import cam.javasrc.parser
 import cam.pipeline
 from cam.cli import main
-from cam.dataset import HEADER, read_csv_rows
+from cam.dataset import HEADER, read_csv_rows, rows_to_csv_bytes, write_json_atomic
+from cam.metrics.schema import COLUMNS
 from cam.pipeline import STAGES, ConfigError, Pipeline, PipelineConfig
-from cam.repos import DiscoveryCriteria
-from conftest import build_replay_dir, single_commit_repo
+from cam.repos import DiscoveryCriteria, RepoSpec
+from conftest import build_replay_dir, commit_all, init_repo, single_commit_repo
 
 MAIN_JAVA = """\
 class Main {
@@ -270,7 +275,7 @@ def test_untracked_file_is_skipped_not_fatal(tmp_path):
     loose = work / "github" / "beta" / "app" / "app" / "Loose.java"
     loose.write_text("class Loose {}\n", encoding="utf-8")
     args = ["run", "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
-    assert main(args + ["--stages", "measure,aggregate,pack", "--force"]) == 0
+    assert main(args + ["--stages", "measure,pack", "--force"]) == 0
 
     meta = json.loads((work / "rows" / "beta__app.meta.json").read_text(encoding="utf-8"))
     assert meta["untracked"] == ["app/Loose.java"]
@@ -400,15 +405,123 @@ def test_measure_without_clone_fails(tmp_path, capsys):
     assert state["failure"] == "missing-clone"
 
 
-def test_pack_without_aggregate_fails(tmp_path, capsys):
+def test_pack_alone_after_measure_matches_run(tmp_path, capsys):
     replay, work = make_world(tmp_path)
-    for stage in ("discover", "clone", "measure"):
-        assert main([stage, "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
+    for stage in ("discover", "clone", "measure", "pack"):
+        assert main([stage, "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]) == 0
+    assert run_cli(tmp_path / "whole", replay) == 0
+    assert (work / "dataset.zip").read_bytes() == (tmp_path / "whole" / "dataset.zip").read_bytes()
+    assert sorted(path.name for path in (work / "out").iterdir()) == ["manifest.json", "schema.md"]
+
+    assert run_cli(work, replay, "--stages", "measure,aggregate,pack") == 2
+    assert "unknown stages: aggregate" in capsys.readouterr().err
+
+
+def test_pack_refuses_rows_under_another_header(tmp_path, capsys):
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay) == 0
+    rows = work / "rows" / "beta__app.csv"
+    rows.write_bytes(b"repo,path,class_name\n" + rows.read_bytes().split(b"\n", 1)[1])
     assert main(["pack", "--workdir", str(work), "--quiet"]) == 2
-    assert "missing-aggregate" in capsys.readouterr().err
-    for stage in ("aggregate", "pack"):
-        assert main([stage, "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
-    assert (work / "dataset.zip").exists()
+    assert "stale-rows:beta__app" in capsys.readouterr().err
+
+
+def test_forced_rerun_drops_a_failed_repositorys_old_results(tmp_path):
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay) == 0
+    remotes = json.loads((replay / "remotes.json").read_text(encoding="utf-8"))
+    remotes["alpha/lib"] = str(tmp_path / "remotes" / "gone")
+    (replay / "remotes.json").write_text(json.dumps(remotes), encoding="utf-8")
+    assert run_cli(work, replay, "--force") == 0
+
+    with zipfile.ZipFile(work / "dataset.zip") as archive:
+        names = archive.namelist()
+        manifest = json.loads(archive.read("manifest.json"))
+        all_csv = archive.read("data/all.csv").decode("utf-8")
+    alpha_entry = manifest["repos"][0]
+    assert (alpha_entry["status"], alpha_entry["failure"], alpha_entry["classes"]) == ("failed", "clone-error", 0)
+    assert alpha_entry["filter_stats"]["total"] == 0
+    assert "data/alpha__lib.csv" not in names
+    assert [line.split(",")[:3] for line in all_csv.split("\n")[1:] if line] == [
+        ["beta/app", "app/App.java", "App"]
+    ]
+
+
+def test_odd_file_names_end_to_end(tmp_path):
+    files = {
+        b"src/New\nLine.java": b"class NewLine {}\n",
+        b"src/Tab\tName.java": b"class TabName {}\n",
+        b"src/Com,ma.java": b"class Comma {}\n",
+        b'src/Qu"ote.java': b"class Quote {}\n",
+        b"src/Bom.java": b"\xef\xbb\xbfclass Bom {}\n",
+        b"src/Empty.java": b"",
+        b"src/X.java/Inner.java": b"class Inner {}\n",
+        b"src/Case.java": b"class Upper {}\n",
+        b"src/case.java": b"class Lower {}\n",
+        b"src/Caf\xe9.java": b"class Cafe {}\n",
+    }
+    remote = init_repo(tmp_path / "remotes" / "odd")
+    for rel, data in files.items():
+        target = os.path.join(os.fsencode(remote), rel)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        with open(target, "wb") as handle:
+            handle.write(data)
+    os.symlink("Case.java", remote / "src" / "Link.java")
+    sha = commit_all(remote, "odd names")
+    replay = build_replay_dir(tmp_path / "replay", DiscoveryCriteria(), [("odd/lib", 200, 400, remote, sha)])
+    work = tmp_path / "work"
+    assert run_cli(work, replay) == 0
+
+    verdicts = json.loads((work / "filtered" / "odd__lib.json").read_text(encoding="utf-8"))["verdicts"]
+    assert sorted(path for path, _reason in verdicts) == sorted(rel.decode("utf-8", "backslashreplace") for rel in files)
+    assert {path: reason for path, reason in verdicts if reason} == {
+        "src/Bom.java": "unparseable",
+        "src/Caf\\xe9.java": "undecodable",
+    }
+    with zipfile.ZipFile(work / "dataset.zip") as archive:
+        manifest = json.loads(archive.read("manifest.json"))
+        tables = {
+            name: list(csv.reader(io.StringIO(archive.read(name).decode("utf-8"), newline="")))
+            for name in ("data/all.csv", "data/odd__lib.csv")
+        }
+    assert [(e["status"], e["classes"]) for e in manifest["repos"]] == [("ok", 7)]
+    for table in tables.values():
+        assert table[0] == list(HEADER)
+        assert all(len(row) == len(HEADER) for row in table)
+        assert [(row[1], row[2]) for row in table[1:]] == [
+            ("src/Case.java", "Upper"),
+            ("src/Com,ma.java", "Comma"),
+            ("src/New\nLine.java", "NewLine"),
+            ('src/Qu"ote.java', "Quote"),
+            ("src/Tab\tName.java", "TabName"),
+            ("src/X.java/Inner.java", "Inner"),
+            ("src/case.java", "Lower"),
+        ]
+
+
+@pytest.mark.parametrize("rows_per_repo", [100, 1000])
+def test_pack_memory_does_not_grow_with_rows(tmp_path, rows_per_repo):
+    work = tmp_path / "work"
+    specs = [RepoSpec(f"owner{i:02d}/lib", 2000, 400, "main", f"{i:040x}", "2020-01-04T10:00:00Z") for i in range(20)]
+    write_json_atomic(work / "pins.json", {"repos": [spec.to_dict() for spec in specs]})
+    for spec in specs:
+        rows = [
+            {"repo": spec.full_name, "path": f"src/C{n}.java", "class_name": f"C{n}", **{c.name: n for c in COLUMNS}}
+            for n in range(rows_per_repo)
+        ]
+        (work / "rows").mkdir(exist_ok=True)
+        (work / "rows" / f"{spec.key}.csv").write_bytes(rows_to_csv_bytes(rows))
+        write_json_atomic(work / "state" / f"{spec.key}.json", {"stages": {"measure": "done"}, "failure": None})
+
+    tracemalloc.start()
+    try:
+        assert main(["pack", "--workdir", str(work), "--reproducible", "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with zipfile.ZipFile(work / "dataset.zip") as archive:
+        assert archive.read("data/all.csv").count(b"\n") == 1 + 20 * rows_per_repo
+    assert peak < 2 << 20
 
 
 # ---- garbage collection -------------------------------------------------
@@ -483,7 +596,7 @@ def test_cli_rejects_bad_criteria(tmp_path, capsys):
 
 def test_cli_stage_subcommands_exist():
     parser_stages = set(STAGES)
-    assert parser_stages == {"discover", "clone", "measure", "aggregate", "pack"}
+    assert parser_stages == {"discover", "clone", "measure", "pack"}
 
 
 def test_cli_discover_subcommand_writes_pins_only(tmp_path):
