@@ -16,10 +16,11 @@ followed by a digit or a non-ASCII character does not match either.
 
 A position the regex does not take goes to `_scan_fallback`, which scans
 one token a character at a time: other numbers (hex, binary, floats and
-ints with '_', a suffix or Unicode digits), identifiers that hold or
-precede a non-ASCII character, a '.' before a non-ASCII character, and
-every error (unterminated comment, string, char or escape, malformed
-number, illegal character). Line and column come from a line count and
+ints with '_' or a suffix), identifiers that hold or precede a non-ASCII
+character, a '.' before a non-ASCII character, and every error
+(unterminated comment, string, char or escape, malformed number, illegal
+character). As in Java, a number takes ASCII digits only: a digit from any
+other script, or a superscript, is an illegal character. Line and column come from a line count and
 the offset where the line starts, which move only past a newline in
 whitespace, in a block comment or in an escaped newline of a literal.
 """
@@ -80,6 +81,9 @@ _IDENT = 4
 _MULTILINE = 7
 
 _HEX = "0123456789abcdefABCDEF_"
+# Java numbers take ASCII digits only; any other digit is an illegal character.
+_DIGITS = "0123456789"
+_DIGITS_ = _DIGITS + "_"
 
 
 class LexError(Exception):
@@ -174,7 +178,7 @@ def _scan_fallback(source: str, i: int, line: int, col: int) -> tuple[str, int]:
             j += 1
         raise LexError(line, col, f"unterminated {what} literal")
 
-    if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+    if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
         return _scan_number(source, i, line, col)
 
     if _ident_start(ch):
@@ -212,7 +216,7 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
             i += 1
             if i < n and source[i] in "+-":
                 i += 1
-            while i < n and (source[i].isdigit() or source[i] == "_"):
+            while i < n and source[i] in _DIGITS_:
                 i += 1
     elif source[i] == "0" and i + 1 < n and source[i + 1] in "bB":
         prefixed = True
@@ -223,21 +227,21 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
         if i == digits:
             raise LexError(line, col, "malformed binary literal")
     else:
-        while i < n and (source[i].isdigit() or source[i] == "_"):
+        while i < n and source[i] in _DIGITS_:
             i += 1
         if i < n and source[i] == ".":
             kind = "literal-float"
             i += 1
-            while i < n and (source[i].isdigit() or source[i] == "_"):
+            while i < n and source[i] in _DIGITS_:
                 i += 1
         if i < n and source[i] in "eE":
             j = i + 1
             if j < n and source[j] in "+-":
                 j += 1
-            if j < n and source[j].isdigit():
+            if j < n and source[j] in _DIGITS:
                 kind = "literal-float"
                 i = j
-                while i < n and (source[i].isdigit() or source[i] == "_"):
+                while i < n and source[i] in _DIGITS_:
                     i += 1
 
     if i < n and source[i] in "fFdD" and (kind == "literal-float" or not prefixed):

@@ -10,24 +10,38 @@ enums, annotation types, try-with-resources, multi-catch, method references.
 Later syntax (records, sealed types, `var`, arrow switches) fails with
 JavaSyntaxError, which is the pipeline's exclusion signal.
 
-Binary operators are parsed by precedence climbing over one table
-(`_BINARY_PREC`), so a level of parentheses costs six Python frames, not one
-per precedence level. An `else if` chain is parsed in a loop and kept flat:
-each chained arm and the final `else` sit, in order, in the head `if`
-node's else_children, so a chain of any length costs no recursion. The
-false branches of a conditional chain (`a ? b : c ? d : e`) are taken by
-the expression loop, so they cost no recursion either. Nesting deeper than
-the interpreter's recursion limit raises RecursionError, which the filter
-rules map to the unparseable verdict.
+The cursor is an index into two parallel lists made once per file: the
+lexemes and the kinds of the code tokens, padded with end-of-file entries
+so a lookahead needs no bounds test. A token test is one list lookup and
+one string compare; the end-of-file lexeme is empty, so it matches no
+expected token. The Token objects are read only for an error's line and
+column and for the token slices of classes and methods. When a '>' is
+split off a glued '>>' (generics), `expect_gt` rewrites the lexeme and the
+token at that index together.
+
+Binary operators are taken by one loop over an operator table
+(`_BINARY_PREC`): precedence changes no recorded figure, since logical
+operators are counted and logged in source order, so the loop keeps only
+the one rule precedence imposes on acceptance (after `instanceof Type` no
+tighter operator may follow). Prefix operators and casts are taken in a
+loop too, and a primary and its postfix chain are one method. So a level
+of parentheses costs three Python frames (parse_expression, _parse_binary,
+_parse_operand), every operand one, and a nested lambda three
+(parse_expression, _try_lambda, _parse_expr_group). An `else if` chain is
+parsed in a loop and kept flat: each chained arm and the final `else` sit,
+in order, in the head `if` node's else_children, so a chain of any length
+costs no recursion. The false branches of a conditional chain
+(`a ? b : c ? d : e`) are taken by the expression loop, so they cost no
+recursion either. At Python's default recursion limit of 1000 a method
+body holds about 315 levels of parentheses (328 when the parse starts at
+the top of a script's stack; tests/test_filters.py measures it). Nesting
+deeper than the interpreter's recursion limit raises RecursionError, which
+the filter rules map to the unparseable verdict.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterator
-from contextlib import contextmanager
-
-from cam.javasrc.lexer import LexError, Token, tokenize
+from cam.javasrc.lexer import Token, tokenize
 from cam.javasrc.model import (
     ClassModel,
     CompilationUnit,
@@ -45,10 +59,17 @@ MODIFIER_WORDS = frozenset(
 PRIMITIVES = frozenset("boolean byte short int long char float double".split())
 
 _GT_REMAINDERS = {">>": ">", ">>>": ">>", ">=": "=", ">>=": ">=", ">>>=": ">>="}
+_GT_RUNS = frozenset([">", ">>", ">>>"])
 
+_LITERAL_KINDS = frozenset(["literal-int", "literal-float", "literal-string", "literal-char"])
+_PREFIX_OPS = frozenset(["+", "-", "++", "--", "!", "~"])
+_POSTFIX_STARTS = frozenset([".", "[", "++", "--", "::"])
 # Tokens that may open the operand of a reference-type cast; '+'/'-' must
 # not, or '(a) - b' would parse as a cast.
 _CAST_FOLLOW_LEXEMES = frozenset(["(", "!", "~", "this", "super", "new"]) | PRIMITIVES
+_CAST_FOLLOW_KINDS = _LITERAL_KINDS | {"identifier"}
+# What may sit between the '<' and '>' of type arguments besides names.
+_TYPE_ARG_LEXEMES = frozenset([",", ".", "?", "[", "]", "@", "&", "extends", "super"]) | PRIMITIVES
 
 # Binding strength of each binary operator, loosest first; every lexeme here
 # is an operator token except the keyword 'instanceof', whose right side is
@@ -65,8 +86,13 @@ _BINARY_PREC = {
     "+": 9, "-": 9,
     "*": 10, "/": 10, "%": 10,
 }
+_TIGHTEST = max(_BINARY_PREC.values())
 
 _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="])
+
+_COMMENT_KINDS = frozenset(["comment-line", "comment-block"])
+# Lookahead reaches at most two tokens past the cursor.
+_PAD = 2
 
 
 class JavaSyntaxError(Exception):
@@ -84,19 +110,8 @@ class _MethodCtx:
     def __init__(self) -> None:
         self.candidates: set[str] = set()
         self.invoked: set[str] = set()
-        self.decisions: Counter = Counter()
+        self.decisions: dict[str, int] = {}
         self.scopes: list[set[str]] = [set()]
-
-    def in_scope(self, name: str) -> bool:
-        return any(name in s for s in self.scopes)
-
-
-class _ExprCollect:
-    __slots__ = ("ops", "nodes")
-
-    def __init__(self) -> None:
-        self.ops: list[str] = []
-        self.nodes: list[Stmt] = []
 
 
 class _ClassCtx:
@@ -110,61 +125,56 @@ class _ClassCtx:
         self.pending_access: list[tuple[MethodModel, set[str]]] = []
 
 
-class _TypeInfo:
-    __slots__ = ("erased", "names", "primitive")
-
-    def __init__(self, erased: str, names: set[str], primitive: bool):
-        self.erased = erased
-        self.names = names
-        self.primitive = primitive
-
-
 class _Parser:
+    """One file's parse.
+
+    A syntax error abandons the whole parse, so the context stacks are
+    pushed and popped without try/finally. The one place that recovers
+    from an error is `_try_type`, and a type touches none of them.
+    """
+
     def __init__(self, code_tokens: list[Token]):
         self.orig = code_tokens
         self.toks = list(code_tokens)
+        self.lex = [t.lexeme for t in code_tokens] + [""] * _PAD
+        self.kinds = [t.kind for t in code_tokens] + ["eof"] * _PAD
         self.i = 0
         self.ncss = 0
         self._classes: list[_ClassCtx] = []
-        self._methods: list[_MethodCtx] = []
-        self._collect: list[_ExprCollect] = []
+        # Where decisions, calls, names and scopes go; outside any method
+        # body they go to this context, which nothing reads.
+        self._method = _MethodCtx()
         self._base_depth: list[int] = [0]
+        # The open expression group: its logical-operator run and the list
+        # its ternary and lambda nodes join (None when no group is open),
+        # and the depth those nodes get.
+        self._ops: list[str] | None = None
+        self._nodes: list[Stmt] | None = None
         self._depth = 0
 
     # ---- cursor helpers -------------------------------------------------
 
-    def cur(self) -> Token:
-        return self.toks[self.i]
-
-    def peek(self, k: int = 1) -> Token:
-        j = self.i + k
-        return self.toks[j] if j < len(self.toks) else self.toks[-1]
-
     def at(self, lexeme: str) -> bool:
-        return self.toks[self.i].lexeme == lexeme and self.toks[self.i].kind != "eof"
-
-    def at_ident(self) -> bool:
-        return self.toks[self.i].kind == "identifier"
+        return self.lex[self.i] == lexeme
 
     def accept(self, lexeme: str) -> bool:
-        if self.at(lexeme):
+        if self.lex[self.i] == lexeme:
             self.i += 1
             return True
         return False
 
-    def expect(self, lexeme: str) -> Token:
-        t = self.toks[self.i]
-        if t.lexeme != lexeme or t.kind == "eof":
-            self.error(f"expected {lexeme!r}, found {t.lexeme!r}" if t.kind != "eof" else f"expected {lexeme!r}, found end of file")
+    def expect(self, lexeme: str) -> None:
+        if self.lex[self.i] != lexeme:
+            found = "end of file" if self.kinds[self.i] == "eof" else repr(self.lex[self.i])
+            self.error(f"expected {lexeme!r}, found {found}")
         self.i += 1
-        return t
 
     def expect_ident(self) -> str:
-        t = self.toks[self.i]
-        if t.kind != "identifier":
-            self.error(f"expected identifier, found {t.lexeme!r}")
-        self.i += 1
-        return t.lexeme
+        i = self.i
+        if self.kinds[i] != "identifier":
+            self.error(f"expected identifier, found {self.lex[i]!r}")
+        self.i = i + 1
+        return self.lex[i]
 
     def error(self, message: str) -> None:
         t = self.toks[self.i]
@@ -172,92 +182,48 @@ class _Parser:
 
     def expect_gt(self) -> None:
         """Consume one '>' even when the lexer glued several together."""
-        t = self.toks[self.i]
-        if t.lexeme == ">":
-            self.i += 1
+        i = self.i
+        lexeme = self.lex[i]
+        if lexeme == ">":
+            self.i = i + 1
             return
-        rem = _GT_REMAINDERS.get(t.lexeme)
+        rem = _GT_REMAINDERS.get(lexeme)
         if rem is None:
-            self.error(f"expected '>', found {t.lexeme!r}")
-        self.toks[self.i] = Token("operator", rem, t.line, t.column + 1, "")
+            self.error(f"expected '>', found {lexeme!r}")
+        t = self.toks[i]
+        self.toks[i] = Token("operator", rem, t.line, t.column + 1, "")
+        self.lex[i] = rem
 
     # ---- expression side-effect plumbing --------------------------------
 
-    def _mctx(self) -> _MethodCtx | None:
-        return self._methods[-1] if self._methods else None
-
-    def _record_access(self, name: str, via_this: bool) -> None:
-        ctx = self._mctx()
-        if ctx is None:
-            return
-        if via_this or not ctx.in_scope(name):
-            ctx.candidates.add(name)
-
-    def _record_invoke(self, name: str) -> None:
-        ctx = self._mctx()
-        if ctx is not None:
-            ctx.invoked.add(name)
-
-    def _record_decision(self, kind: str) -> None:
-        ctx = self._mctx()
-        if ctx is not None:
-            ctx.decisions[kind] += 1
+    def _decide(self, kind: str) -> None:
+        decisions = self._method.decisions
+        decisions[kind] = decisions.get(kind, 0) + 1
 
     def _record_refs(self, names: set[str]) -> None:
         if self._classes:
             self._classes[-1].model.referenced_type_names |= names
 
-    def _push_scope(self) -> None:
-        ctx = self._mctx()
-        if ctx is not None:
-            ctx.scopes.append(set())
-
-    def _pop_scope(self) -> None:
-        ctx = self._mctx()
-        if ctx is not None:
-            ctx.scopes.pop()
-
     def _declare_local(self, name: str) -> None:
-        ctx = self._mctx()
-        if ctx is not None:
-            ctx.scopes[-1].add(name)
+        self._method.scopes[-1].add(name)
 
-    def _log_op(self, op: str) -> None:
-        if self._collect:
-            self._collect[-1].ops.append(op)
+    def _parse_expr_group(self, node: Stmt, depth: int, parse=None) -> None:
+        """Parse one expression group of *node* at *depth*, with *parse*
+        (parse_expression when None).
 
-    def _log_node(self, node: Stmt) -> None:
-        if self._collect:
-            self._collect[-1].nodes.append(node)
-
-    @contextmanager
-    def _collecting(self, depth: int | None = None) -> Iterator[_ExprCollect]:
-        """Gather the logical-operator run and the ternary/lambda nodes of
-        the expression parsed inside the `with`, optionally at *depth*.
-
-        A context manager, not a wrapper around the parse call, so nesting
-        costs no extra stack frame per level."""
-        saved = self._depth
-        if depth is not None:
-            self._depth = depth
-        coll = _ExprCollect()
-        self._collect.append(coll)
-        try:
-            yield coll
-        finally:
-            self._collect.pop()
-            self._depth = saved
-
-    def _parse_expr_group(self, depth: int) -> _ExprCollect:
-        with self._collecting(depth) as coll:
+        The group's ternary and lambda nodes join node.children as they are
+        parsed, and its logical operators become one of node.op_groups."""
+        outer = (self._ops, self._nodes, self._depth)
+        ops = self._ops = []
+        self._nodes = node.children
+        self._depth = depth
+        if parse is None:
             self.parse_expression()
-        return coll
-
-    @staticmethod
-    def _attach(node: Stmt, coll: _ExprCollect) -> None:
-        if coll.ops:
-            node.op_groups.append(coll.ops)
-        node.children.extend(coll.nodes)
+        else:
+            parse()
+        if ops:
+            node.op_groups.append(ops)
+        self._ops, self._nodes, self._depth = outer
 
     # ---- compilation unit -----------------------------------------------
 
@@ -289,17 +255,18 @@ class _Parser:
             self.expect(";")
             self.ncss += 1
             imports.append(ImportDecl(name, wildcard, static))
-        while self.toks[self.i].kind != "eof":
+        while self.kinds[self.i] != "eof":
             if self.accept(";"):
                 continue
             types.append(self.parse_type_decl())
         return CompilationUnit(package, imports, types, self.ncss, raw_tokens)
 
     def _qualified_name(self) -> str:
+        lex, kinds = self.lex, self.kinds
         parts = [self.expect_ident()]
-        while self.at(".") and self.peek().kind == "identifier":
-            self.i += 1
-            parts.append(self.expect_ident())
+        while lex[self.i] == "." and kinds[self.i + 1] == "identifier":
+            parts.append(lex[self.i + 1])
+            self.i += 2
         return ".".join(parts)
 
     # ---- annotations and modifiers --------------------------------------
@@ -308,123 +275,129 @@ class _Parser:
         self.expect("@")
         self._qualified_name()
         if self.at("("):
+            lex, kinds = self.lex, self.kinds
             depth = 0
             while True:
-                t = self.toks[self.i]
-                if t.kind == "eof":
+                if kinds[self.i] == "eof":
                     self.error("unterminated annotation arguments")
-                if t.lexeme == "(":
+                if lex[self.i] == "(":
                     depth += 1
-                elif t.lexeme == ")":
+                elif lex[self.i] == ")":
                     depth -= 1
                 self.i += 1
                 if depth == 0:
                     break
 
-    def _skip_annotations(self) -> int:
-        count = 0
-        while self.at("@") and self.peek().lexeme != "interface":
+    def _skip_annotations(self) -> None:
+        lex = self.lex
+        while lex[self.i] == "@" and lex[self.i + 1] != "interface":
             self._skip_annotation()
-            count += 1
-        return count
 
     def parse_modifiers(self) -> tuple[set[str], int]:
+        lex = self.lex
         mods: set[str] = set()
         anns = 0
         while True:
-            if self.at("@") and self.peek().lexeme != "interface":
+            lexeme = lex[self.i]
+            if lexeme == "@" and lex[self.i + 1] != "interface":
                 self._skip_annotation()
                 anns += 1
-                continue
-            t = self.toks[self.i]
-            if t.kind == "keyword" and t.lexeme in MODIFIER_WORDS:
-                mods.add(t.lexeme)
+            elif lexeme in MODIFIER_WORDS:
+                mods.add(lexeme)
                 self.i += 1
-                continue
-            return mods, anns
+            else:
+                return mods, anns
 
     # ---- types ----------------------------------------------------------
 
-    def parse_type(self, allow_void: bool = False) -> _TypeInfo:
-        while self.at("@") and self.peek().lexeme != "interface":
-            self._skip_annotation()
-        t = self.toks[self.i]
-        names: set[str] = set()
-        if t.kind == "keyword" and (t.lexeme in PRIMITIVES or (allow_void and t.lexeme == "void")):
-            erased = t.lexeme
-            primitive = True
-            self.i += 1
-        elif t.kind == "identifier":
-            parts = [t.lexeme]
-            self.i += 1
-            self._maybe_type_args(names)
-            while self.at(".") and self.peek().kind == "identifier":
-                self.i += 1
-                parts.append(self.expect_ident())
-                self._maybe_type_args(names)
-            erased = ".".join(parts)
+    def parse_type(self, names: set[str] | None = None, allow_void: bool = False) -> str:
+        """Consume a type; return its erased name with '[]' per dimension.
+
+        The class types it names, those in its type arguments included, go
+        into *names* when a set is given."""
+        lex, kinds = self.lex, self.kinds
+        if lex[self.i] == "@":
+            self._skip_annotations()
+        i = self.i
+        erased = lex[i]
+        if kinds[i] == "identifier":
+            self.i = i + 1
+            if lex[i + 1] == "<":
+                self._type_args(names)
+            while lex[self.i] == "." and kinds[self.i + 1] == "identifier":
+                erased += "." + lex[self.i + 1]
+                self.i += 2
+                if lex[self.i] == "<":
+                    self._type_args(names)
             if erased == "var":
                 self.error("'var' is not a Java 8 type")
-            names.add(erased)
-            primitive = False
+            if names is not None:
+                names.add(erased)
+        elif erased in PRIMITIVES or (allow_void and erased == "void"):
+            self.i = i + 1
         else:
-            self.error(f"expected a type, found {t.lexeme!r}")
-        dims = 0
+            self.error(f"expected a type, found {erased!r}")
         while True:
-            while self.at("@") and self.peek().lexeme != "interface":
-                self._skip_annotation()
-            if self.at("[") and self.peek().lexeme == "]":
+            if lex[self.i] == "@":
+                self._skip_annotations()
+            if lex[self.i] == "[" and lex[self.i + 1] == "]":
                 self.i += 2
-                dims += 1
+                erased += "[]"
             else:
-                break
-        return _TypeInfo(erased + "[]" * dims, names, primitive and dims == 0)
+                return erased
 
-    def _maybe_type_args(self, names: set[str]) -> None:
-        if not self.at("<"):
-            return
+    def _type_args(self, names: set[str] | None) -> None:
+        """Type arguments, entered at their '<'."""
+        lex = self.lex
         self.i += 1
-        if self.at(">") or self.toks[self.i].lexeme in _GT_REMAINDERS:
+        if lex[self.i] == ">" or lex[self.i] in _GT_REMAINDERS:
             self.expect_gt()  # diamond
             return
         while True:
-            while self.at("@") and self.peek().lexeme != "interface":
-                self._skip_annotation()
-            if self.accept("?"):
-                if self.at("extends") or self.at("super"):
+            if lex[self.i] == "@":
+                self._skip_annotations()
+            if lex[self.i] == "?":
+                self.i += 1
+                if lex[self.i] == "extends" or lex[self.i] == "super":
                     self.i += 1
-                    inner = self.parse_type()
-                    names |= inner.names
+                    self.parse_type(names)
             else:
-                inner = self.parse_type()
-                names |= inner.names
-                while self.accept("&"):
-                    inner = self.parse_type()
-                    names |= inner.names
-            if self.accept(","):
+                self.parse_type(names)
+                while lex[self.i] == "&":
+                    self.i += 1
+                    self.parse_type(names)
+            if lex[self.i] == ",":
+                self.i += 1
                 continue
             self.expect_gt()
             return
 
-    def try_parse_type(self, allow_void: bool = False) -> _TypeInfo | None:
-        saved_i = self.i
+    def _try_type(self) -> str | None:
+        """parse_type, or None with the cursor left alone when no type is here."""
+        saved = self.i
         try:
-            return self.parse_type(allow_void)
+            return self.parse_type()
         except JavaSyntaxError:
-            self.i = saved_i
+            self.i = saved
             return None
 
+    def _type_then_name(self) -> bool:
+        """Whether a type followed by a name is at the cursor; on True the
+        type is consumed, on False the cursor is past a type or where it was."""
+        return self._try_type() is not None and self.kinds[self.i] == "identifier"
+
     def _skip_type_params(self) -> None:
+        lex, kinds = self.lex, self.kinds
         self.expect("<")
         depth = 1
         while depth > 0:
-            t = self.toks[self.i]
-            if t.kind == "eof" or t.lexeme in ("{", "}", ";"):
+            lexeme = lex[self.i]
+            if kinds[self.i] == "eof" or lexeme in ("{", "}", ";"):
                 self.error("unterminated type parameter list")
-            if t.lexeme == "<":
+            if lexeme == "<":
                 depth += 1
-            elif set(t.lexeme) == {">"}:
-                depth -= len(t.lexeme)
+            elif lexeme in _GT_RUNS:
+                depth -= len(lexeme)
                 if depth < 0:
                     self.error("unbalanced type parameter list")
             self.i += 1
@@ -436,35 +409,31 @@ class _Parser:
             start = self.i
             mods, anns = self.parse_modifiers()
         assert anns is not None and start is not None
-        t = self.toks[self.i]
-        if t.lexeme == "class":
+        lexeme = self.lex[self.i]
+        if lexeme == "class":
             self.i += 1
             return self._class_decl("class", mods, anns, start)
-        if t.lexeme == "interface":
+        if lexeme == "interface":
             self.i += 1
             return self._class_decl("interface", mods, anns, start)
-        if t.lexeme == "enum":
+        if lexeme == "enum":
             self.i += 1
             return self._enum_decl(mods, anns, start)
-        if t.lexeme == "@" and self.peek().lexeme == "interface":
+        if lexeme == "@" and self.lex[self.i + 1] == "interface":
             self.i += 2
             return self._class_decl("annotation", mods, anns, start)
-        self.error(f"expected a type declaration, found {t.lexeme!r}")
+        self.error(f"expected a type declaration, found {lexeme!r}")
         raise AssertionError
-
-    def _new_class(self, name: str, kind: str, mods: set[str], anns: int) -> ClassModel:
-        return ClassModel(name=name, kind=kind, modifiers=mods, annotation_count=anns)
 
     def _class_decl(self, kind: str, mods: set[str], anns: int, start: int) -> ClassModel:
         name = self.expect_ident()
         self.ncss += 1
-        model = self._new_class(name, kind, mods, anns)
+        model = ClassModel(name=name, kind=kind, modifiers=mods, annotation_count=anns)
         if self.at("<"):
             self._skip_type_params()
         if kind == "class":
             if self.accept("extends"):
-                sup = self.parse_type()
-                model.extends_name = sup.erased.rstrip("[]")
+                model.extends_name = self.parse_type().rstrip("[]")
             if self.accept("implements"):
                 model.implements_names = self._type_name_list()
         elif kind == "interface":
@@ -477,31 +446,29 @@ class _Parser:
     def _enum_decl(self, mods: set[str], anns: int, start: int) -> ClassModel:
         name = self.expect_ident()
         self.ncss += 1
-        model = self._new_class(name, "enum", mods, anns)
+        model = ClassModel(name=name, kind="enum", modifiers=mods, annotation_count=anns)
         if self.accept("implements"):
             model.implements_names = self._type_name_list()
         ctx = _ClassCtx(model)
         self._classes.append(ctx)
-        try:
-            self.expect("{")
-            if not self.at(";") and not self.at("}"):
-                while True:
-                    self._skip_annotations()
-                    if self.at("}") or self.at(";"):
-                        break
-                    self.expect_ident()
-                    if self.at("("):
-                        self._throwaway_args()
-                    if self.at("{"):
-                        self._anonymous_body(base_depth=0)
-                    if not self.accept(","):
-                        break
-            if self.accept(";"):
-                while not self.at("}"):
-                    self._parse_member(ctx)
-            self.expect("}")
-        finally:
-            self._classes.pop()
+        self.expect("{")
+        if not self.at(";") and not self.at("}"):
+            while True:
+                self._skip_annotations()
+                if self.at("}") or self.at(";"):
+                    break
+                self.expect_ident()
+                if self.at("("):
+                    self._throwaway_args()
+                if self.at("{"):
+                    self._anonymous_body(base_depth=0)
+                if not self.accept(","):
+                    break
+        if self.accept(";"):
+            while not self.at("}"):
+                self._parse_member(ctx)
+        self.expect("}")
+        self._classes.pop()
         self._resolve_access(ctx)
         model.tokens = self.orig[start : self.i]
         return model
@@ -509,21 +476,18 @@ class _Parser:
     def _type_name_list(self) -> list[str]:
         names = []
         while True:
-            t = self.parse_type()
-            names.append(t.erased.rstrip("[]"))
+            names.append(self.parse_type().rstrip("[]"))
             if not self.accept(","):
                 return names
 
     def parse_class_body(self, model: ClassModel) -> None:
         ctx = _ClassCtx(model)
         self._classes.append(ctx)
-        try:
-            self.expect("{")
-            while not self.at("}"):
-                self._parse_member(ctx)
-            self.expect("}")
-        finally:
-            self._classes.pop()
+        self.expect("{")
+        while not self.at("}"):
+            self._parse_member(ctx)
+        self.expect("}")
+        self._classes.pop()
         self._resolve_access(ctx)
 
     def _resolve_access(self, ctx: _ClassCtx) -> None:
@@ -532,60 +496,62 @@ class _Parser:
             method.accessed_field_names = candidates & field_names
 
     def _parse_member(self, ctx: _ClassCtx) -> None:
+        lex, kinds = self.lex, self.kinds
         if self.accept(";"):
             return
         if self.at("{"):
             self._initializer_block()
             return
-        if self.at("static") and self.peek().lexeme == "{":
+        if self.at("static") and lex[self.i + 1] == "{":
             self.i += 1
             self._initializer_block()
             return
 
         start = self.i
         mods, anns = self.parse_modifiers()
-        t = self.toks[self.i]
-        if t.lexeme in ("class", "interface", "enum") or (t.lexeme == "@" and self.peek().lexeme == "interface"):
+        lexeme = lex[self.i]
+        if lexeme in ("class", "interface", "enum") or (lexeme == "@" and lex[self.i + 1] == "interface"):
             ctx.model.nested.append(self.parse_type_decl(mods, anns, start))
             return
-        if self.at("<"):
+        if lexeme == "<":
             self._skip_type_params()
-        if self.at_ident() and self.cur().lexeme == ctx.model.name and self.peek().lexeme == "(":
-            self._method_decl(ctx, mods, None, constructor=True)
+        i = self.i
+        if kinds[i] == "identifier" and lex[i] == ctx.model.name and lex[i + 1] == "(":
+            self._method_decl(ctx, mods, constructor=True)
             return
-        rtype = self.parse_type(allow_void=True)
-        if self.at_ident() and self.peek().lexeme == "(":
-            self._record_refs(rtype.names)
-            self._method_decl(ctx, mods, rtype, constructor=False)
+        names: set[str] = set()
+        rtype = self.parse_type(names, allow_void=True)
+        i = self.i
+        if kinds[i] == "identifier" and lex[i + 1] == "(":
+            self._record_refs(names)
+            self._method_decl(ctx, mods, constructor=False)
             return
-        if not self.at_ident():
-            self.error(f"expected a member declaration, found {self.cur().lexeme!r}")
-        self._field_decl(ctx, mods, rtype)
+        if kinds[i] != "identifier":
+            self.error(f"expected a member declaration, found {lex[i]!r}")
+        self._field_decl(ctx, mods, rtype, names)
 
     def _initializer_block(self) -> None:
-        self._methods.append(_MethodCtx())
-        try:
-            self.parse_block(self._base_depth[-1])
-        finally:
-            self._methods.pop()
+        outer = self._method
+        self._method = _MethodCtx()
+        self.parse_block(self._base_depth[-1])
+        self._method = outer
 
-    def _field_decl(self, ctx: _ClassCtx, mods: set[str], ftype: _TypeInfo) -> None:
-        self._record_refs(ftype.names)
+    def _field_decl(self, ctx: _ClassCtx, mods: set[str], ftype: str, names: set[str]) -> None:
+        self._record_refs(names)
         implicit_static = ctx.model.kind in ("interface", "annotation")
         is_static = "static" in mods or implicit_static
         while True:
             name = self.expect_ident()
             dims = 0
-            while self.at("[") and self.peek().lexeme == "]":
+            while self.at("[") and self.lex[self.i + 1] == "]":
                 self.i += 2
                 dims += 1
-            ctx.model.fields.append(FieldModel(name, ftype.erased + "[]" * dims, is_static))
+            ctx.model.fields.append(FieldModel(name, ftype + "[]" * dims, is_static))
             if self.accept("="):
-                self._methods.append(_MethodCtx())
-                try:
-                    self._parse_variable_init()
-                finally:
-                    self._methods.pop()
+                outer = self._method
+                self._method = _MethodCtx()
+                self._parse_variable_init()
+                self._method = outer
             if not self.accept(","):
                 break
         self.expect(";")
@@ -602,33 +568,31 @@ class _Parser:
             return "public"
         return "package"
 
-    def _method_decl(self, ctx: _ClassCtx, mods: set[str], rtype: _TypeInfo | None, constructor: bool) -> None:
+    def _method_decl(self, ctx: _ClassCtx, mods: set[str], constructor: bool) -> None:
         name = self.expect_ident()
         self.ncss += 1
-        mctx = _MethodCtx()
-        self._methods.append(mctx)
-        try:
-            params = self._parse_params()
-            while self.at("[") and self.peek().lexeme == "]":
-                self.i += 2
-            if self.accept("throws"):
-                while True:
-                    self.parse_type()
-                    if not self.accept(","):
-                        break
-            if self.at("default"):  # annotation member default value
-                self.i += 1
-                self._parse_element_value()
-            body = None
-            body_tokens: list[Token] = []
-            if self.at("{"):
-                body_start = self.i
-                body = self.parse_block(self._base_depth[-1])
-                body_tokens = self.orig[body_start : self.i]
-            else:
-                self.expect(";")
-        finally:
-            self._methods.pop()
+        outer = self._method
+        mctx = self._method = _MethodCtx()
+        params = self._parse_params()
+        while self.at("[") and self.lex[self.i + 1] == "]":
+            self.i += 2
+        if self.accept("throws"):
+            while True:
+                self.parse_type()
+                if not self.accept(","):
+                    break
+        if self.at("default"):  # annotation member default value
+            self.i += 1
+            self._parse_element_value()
+        body = None
+        body_tokens: list[Token] = []
+        if self.at("{"):
+            body_start = self.i
+            body = self.parse_block(self._base_depth[-1])
+            body_tokens = self.orig[body_start : self.i]
+        else:
+            self.expect(";")
+        self._method = outer
         method = MethodModel(
             name=name,
             is_constructor=constructor,
@@ -637,36 +601,36 @@ class _Parser:
             parameter_type_names=params,
             body=body,
             invoked_method_names=mctx.invoked,
-            decision_tokens=dict(mctx.decisions),
+            decision_tokens=mctx.decisions,
             body_tokens=body_tokens,
         )
         ctx.model.methods.append(method)
         ctx.pending_access.append((method, mctx.candidates))
 
     def _parse_params(self) -> list[str]:
+        lex = self.lex
         self.expect("(")
         params: list[str] = []
         if self.accept(")"):
             return params
         while True:
             self.parse_modifiers()  # 'final' and annotations
-            ptype = self.parse_type()
+            names: set[str] = set()
+            ptype = self.parse_type(names)
             varargs = self.accept("...")
             if self.at("this"):
                 self.i += 1  # receiver parameter, not a real one
+            elif self.kinds[self.i] == "identifier" and lex[self.i + 1] == "." and lex[self.i + 2] == "this":
+                self.i += 3  # qualified receiver
             else:
-                if self.at_ident() and self.peek().lexeme == "." and self.peek(2).lexeme == "this":
-                    self.i += 3  # qualified receiver
-                else:
-                    pname = self.expect_ident()
-                    dims = 0
-                    while self.at("[") and self.peek().lexeme == "]":
-                        self.i += 2
-                        dims += 1
-                    erased = ptype.erased + "[]" * dims + ("[]" if varargs else "")
-                    params.append(erased)
-                    self._record_refs(ptype.names)
-                    self._declare_local(pname)
+                pname = self.expect_ident()
+                dims = 0
+                while self.at("[") and lex[self.i + 1] == "]":
+                    self.i += 2
+                    dims += 1
+                params.append(ptype + "[]" * dims + ("[]" if varargs else ""))
+                self._record_refs(names)
+                self._declare_local(pname)
             if self.accept(","):
                 continue
             self.expect(")")
@@ -684,27 +648,33 @@ class _Parser:
                     break
             self.expect("}")
             return
-        with self._collecting():
-            self.parse_ternary()
+        self._parse_expr_group(Stmt("statement", self._depth), self._depth, self.parse_ternary)
 
     # ---- statements ------------------------------------------------------
 
     def parse_block(self, depth: int) -> Stmt:
         node = Stmt("block", depth)
+        children = node.children
+        lex = self.lex
         self.expect("{")
-        self._push_scope()
-        try:
-            while not self.at("}"):
-                node.children.append(self.parse_statement(depth))
-            self.expect("}")
-        finally:
-            self._pop_scope()
+        scopes = self._method.scopes
+        scopes.append(set())
+        while lex[self.i] != "}":
+            children.append(self.parse_statement(depth))
+        self.i += 1
+        scopes.pop()
         return node
 
     def parse_statement(self, d: int) -> Stmt:
-        t = self.toks[self.i]
-        lex = t.lexeme
-        if t.kind == "eof":
+        i = self.i
+        lex = self.lex[i]
+        kind = self.kinds[i]
+        if kind == "identifier":
+            if self.lex[i + 1] == ":":
+                self.i = i + 2
+                return self.parse_statement(d)
+            return self._local_decl_or_expr(d, force_decl=False)
+        if kind == "eof":
             self.error("unexpected end of file in statement")
         if lex == "{":
             return self.parse_block(d)
@@ -728,20 +698,20 @@ class _Parser:
             self.i += 1
             node = Stmt("statement", d)
             if not self.at(";"):
-                self._attach(node, self._parse_expr_group(d))
+                self._parse_expr_group(node, d)
             self.expect(";")
             self.ncss += 1
             return node
         if lex == "throw":
             self.i += 1
             node = Stmt("statement", d)
-            self._attach(node, self._parse_expr_group(d))
+            self._parse_expr_group(node, d)
             self.expect(";")
             self.ncss += 1
             return node
         if lex == "break" or lex == "continue":
             self.i += 1
-            labeled = self.at_ident()
+            labeled = self.kinds[self.i] == "identifier"
             if labeled:
                 self.i += 1
             self.expect(";")
@@ -750,9 +720,9 @@ class _Parser:
         if lex == "assert":
             self.i += 1
             node = Stmt("statement", d)
-            self._attach(node, self._parse_expr_group(d))
+            self._parse_expr_group(node, d)
             if self.accept(":"):
-                self._attach(node, self._parse_expr_group(d))
+                self._parse_expr_group(node, d)
             self.expect(";")
             self.ncss += 1
             return node
@@ -760,61 +730,57 @@ class _Parser:
             self.i += 1
             node = Stmt("statement", d)
             self.expect("(")
-            self._attach(node, self._parse_expr_group(d))
+            self._parse_expr_group(node, d)
             self.expect(")")
             node.children.append(self.parse_block(d))
             return node
         if lex in ("class", "interface", "enum", "abstract", "final", "static", "strictfp") or (
-            lex == "@" and self.peek().lexeme == "interface"
+            lex == "@" and self.lex[i + 1] == "interface"
         ):
-            saved = self.i
             mods, anns = self.parse_modifiers()
-            if self.at("class") or self.at("interface") or self.at("enum") or (self.at("@") and self.peek().lexeme == "interface"):
+            lexeme = self.lex[self.i]
+            if lexeme in ("class", "interface", "enum") or (lexeme == "@" and self.lex[self.i + 1] == "interface"):
                 self._base_depth.append(d + 1)
-                try:
-                    local = self.parse_type_decl(mods, anns, saved)
-                finally:
-                    self._base_depth.pop()
+                local = self.parse_type_decl(mods, anns, i)
+                self._base_depth.pop()
                 if self._classes:
                     self._classes[-1].model.nested.append(local)
                 return Stmt("statement", d)
             # 'final' (or annotations) opening a local variable declaration
-            self.i = saved
+            self.i = i
             return self._local_decl_or_expr(d, force_decl=True)
-        if t.kind == "identifier" and self.peek().lexeme == ":":
-            self.i += 2
-            return self.parse_statement(d)
         return self._local_decl_or_expr(d, force_decl=False)
 
     def _local_decl_or_expr(self, d: int, force_decl: bool) -> Stmt:
         saved = self.i
+        node = Stmt("statement", d)
         if force_decl:
             self.parse_modifiers()
-        dtype = self.try_parse_type()
-        if dtype is not None and self.at_ident():
-            node = Stmt("statement", d)
-            while True:
-                name = self.expect_ident()
-                self._declare_local(name)
-                while self.at("[") and self.peek().lexeme == "]":
-                    self.i += 2
-                if self.accept("="):
-                    with self._collecting(d) as coll:
-                        self._parse_variable_init()
-                    self._attach(node, coll)
-                if not self.accept(","):
-                    break
-            self.expect(";")
-            self.ncss += 1
-            return node
-        if force_decl:
-            self.error("expected a declaration")
-        self.i = saved
-        node = Stmt("statement", d)
-        self._attach(node, self._parse_expr_group(d))
+        if self._type_then_name():
+            self._declarators(node, d)
+        else:
+            if force_decl:
+                self.error("expected a declaration")
+            self.i = saved
+            self._parse_expr_group(node, d)
         self.expect(";")
         self.ncss += 1
         return node
+
+    def _declarators(self, node: Stmt, d: int) -> None:
+        """Names of a local declaration whose type was just consumed, each
+        with its dimensions and initializer, up to the ';' or ':'."""
+        lex = self.lex
+        while True:
+            self._declare_local(self.expect_ident())
+            while lex[self.i] == "[" and lex[self.i + 1] == "]":
+                self.i += 2
+            if lex[self.i] == "=":
+                self.i += 1
+                self._parse_expr_group(node, d, self._parse_variable_init)
+            if lex[self.i] != ",":
+                return
+            self.i += 1
 
     def _parse_variable_init(self) -> None:
         if self.at("{"):
@@ -835,10 +801,10 @@ class _Parser:
         while True:
             self.expect("if")
             self.ncss += 1
-            self._record_decision("if")
+            self._decide("if")
             node = Stmt("if", d, chained=head is not None)
             self.expect("(")
-            self._attach(node, self._parse_expr_group(d))
+            self._parse_expr_group(node, d)
             self.expect(")")
             node.children.append(self.parse_statement(d + 1))
             if head is None:
@@ -858,79 +824,65 @@ class _Parser:
         self.expect("for")
         self.ncss += 1
         self.expect("(")
-        self._push_scope()
-        try:
-            foreach = self._try_foreach_header()
-            if foreach is not None:
-                self._record_decision("foreach")
-                node = Stmt("foreach", d)
-                self._attach(node, self._parse_expr_group(d))
-                self.expect(")")
-            else:
-                self._record_decision("for")
-                node = Stmt("for", d)
-                if not self.at(";"):
-                    self._for_init(node, d)
-                self.expect(";")
-                if not self.at(";"):
-                    self._attach(node, self._parse_expr_group(d))
-                self.expect(";")
-                if not self.at(")"):
-                    while True:
-                        self._attach(node, self._parse_expr_group(d))
-                        if not self.accept(","):
-                            break
-                self.expect(")")
-            node.children.append(self.parse_statement(d + 1))
-        finally:
-            self._pop_scope()
+        scopes = self._method.scopes
+        scopes.append(set())
+        if self._foreach_header():
+            self._decide("foreach")
+            node = Stmt("foreach", d)
+            self._parse_expr_group(node, d)
+            self.expect(")")
+        else:
+            self._decide("for")
+            node = Stmt("for", d)
+            if not self.at(";"):
+                self._for_init(node, d)
+            self.expect(";")
+            if not self.at(";"):
+                self._parse_expr_group(node, d)
+            self.expect(";")
+            if not self.at(")"):
+                while True:
+                    self._parse_expr_group(node, d)
+                    if not self.accept(","):
+                        break
+            self.expect(")")
+        node.children.append(self.parse_statement(d + 1))
+        scopes.pop()
         return node
 
-    def _try_foreach_header(self) -> bool | None:
+    def _foreach_header(self) -> bool:
+        """Consume 'Type name :' of an enhanced for, or nothing."""
         saved = self.i
+        lex = self.lex
         self.parse_modifiers()
-        vtype = self.try_parse_type()
-        if vtype is not None and self.at_ident():
-            name_tok = self.cur()
-            nxt = self.peek().lexeme
-            if nxt == ":" and self.peek(2).lexeme != ":":
-                self.i += 1
-                self.expect(":")
-                self._declare_local(name_tok.lexeme)
+        if self._type_then_name():
+            i = self.i
+            if lex[i + 1] == ":" and lex[i + 2] != ":":
+                self.i = i + 2
+                self._declare_local(lex[i])
                 return True
         self.i = saved
-        return None
+        return False
 
     def _for_init(self, node: Stmt, d: int) -> None:
         saved = self.i
         self.parse_modifiers()
-        dtype = self.try_parse_type()
-        if dtype is not None and self.at_ident():
-            while True:
-                name = self.expect_ident()
-                self._declare_local(name)
-                while self.at("[") and self.peek().lexeme == "]":
-                    self.i += 2
-                if self.accept("="):
-                    with self._collecting(d) as coll:
-                        self._parse_variable_init()
-                    self._attach(node, coll)
-                if not self.accept(","):
-                    return
-        else:
-            self.i = saved
-            while True:
-                self._attach(node, self._parse_expr_group(d))
-                if not self.accept(","):
-                    return
+        if self._type_then_name():
+            self._declarators(node, d)
+            return
+        self.i = saved
+        while True:
+            self._parse_expr_group(node, d)
+            if not self.accept(","):
+                return
 
     def _while_stmt(self, d: int) -> Stmt:
         self.expect("while")
         self.ncss += 1
-        self._record_decision("while")
+        self._decide("while")
         node = Stmt("while", d)
         self.expect("(")
-        self._attach(node, self._parse_expr_group(d))
+        self._parse_expr_group(node, d)
         self.expect(")")
         node.children.append(self.parse_statement(d + 1))
         return node
@@ -938,12 +890,12 @@ class _Parser:
     def _do_stmt(self, d: int) -> Stmt:
         self.expect("do")
         self.ncss += 1
-        self._record_decision("do")
+        self._decide("do")
         node = Stmt("do", d)
         node.children.append(self.parse_statement(d + 1))
         self.expect("while")
         self.expect("(")
-        self._attach(node, self._parse_expr_group(d))
+        self._parse_expr_group(node, d)
         self.expect(")")
         self.expect(";")
         return node
@@ -953,7 +905,7 @@ class _Parser:
         self.ncss += 1
         node = Stmt("switch", d)
         self.expect("(")
-        self._attach(node, self._parse_expr_group(d))
+        self._parse_expr_group(node, d)
         self.expect(")")
         self.expect("{")
         current: Stmt | None = None
@@ -961,11 +913,9 @@ class _Parser:
             if self.at("case"):
                 self.i += 1
                 self.ncss += 1
-                self._record_decision("case")
-                with self._collecting() as coll:
-                    self.parse_ternary()
+                self._decide("case")
                 current = Stmt("case-label", d + 1)
-                self._attach(current, coll)
+                self._parse_expr_group(current, self._depth, self.parse_ternary)
                 node.children.append(current)
                 self.expect(":")
                 continue
@@ -985,46 +935,41 @@ class _Parser:
         self.expect("try")
         self.ncss += 1
         node = Stmt("try", d)
-        self._push_scope()
-        try:
-            if self.at("("):
-                self.i += 1
-                while True:
-                    self.parse_modifiers()
-                    self.parse_type()
-                    rname = self.expect_ident()
-                    self._declare_local(rname)
-                    self.expect("=")
-                    self._attach(node, self._parse_expr_group(d))
-                    if self.accept(";"):
-                        if self.at(")"):
-                            break
-                        continue
-                    break
-                self.expect(")")
-            node.children.append(self.parse_block(d))
-        finally:
-            self._pop_scope()
+        scopes = self._method.scopes
+        scopes.append(set())
+        if self.at("("):
+            self.i += 1
+            while True:
+                self.parse_modifiers()
+                self.parse_type()
+                self._declare_local(self.expect_ident())
+                self.expect("=")
+                self._parse_expr_group(node, d)
+                if self.accept(";"):
+                    if self.at(")"):
+                        break
+                    continue
+                break
+            self.expect(")")
+        node.children.append(self.parse_block(d))
+        scopes.pop()
         while self.at("catch"):
             self.i += 1
             self.ncss += 1
-            self._record_decision("catch")
+            self._decide("catch")
             catch = Stmt("catch", d)
             self.expect("(")
-            self._push_scope()
-            try:
-                self.parse_modifiers()
-                ctype = self.parse_type()
-                self._record_refs(ctype.names)
-                while self.accept("|"):
-                    ctype = self.parse_type()
-                    self._record_refs(ctype.names)
-                cname = self.expect_ident()
-                self._declare_local(cname)
-                self.expect(")")
-                catch.children.append(self.parse_block(d + 1))
-            finally:
-                self._pop_scope()
+            scopes.append(set())
+            self.parse_modifiers()
+            names: set[str] = set()
+            self.parse_type(names)
+            while self.accept("|"):
+                self.parse_type(names)
+            self._record_refs(names)
+            self._declare_local(self.expect_ident())
+            self.expect(")")
+            catch.children.append(self.parse_block(d + 1))
+            scopes.pop()
             node.children.append(catch)
         if self.accept("finally"):
             self.ncss += 1
@@ -1036,51 +981,73 @@ class _Parser:
     def parse_expression(self) -> None:
         """A lambda, or a ternary; assignments and ternary false branches
         chain to the right in this loop, so a long chain costs no recursion."""
-        while not self._try_lambda():
-            self._parse_binary(1)
-            if self._ternary_head():
+        lex, kinds = self.lex, self.kinds
+        while True:
+            i = self.i
+            if (lex[i] == "(" or (kinds[i] == "identifier" and lex[i + 1] == "->")) and self._try_lambda():
+                return
+            self._parse_binary()
+            if lex[self.i] == "?":
+                self._ternary_head()
                 continue
-            t = self.toks[self.i]
-            if t.kind != "operator" or t.lexeme not in _ASSIGN_OPS:
+            if lex[self.i] not in _ASSIGN_OPS:
                 return
             self.i += 1
 
     def _try_lambda(self) -> bool:
-        t = self.toks[self.i]
-        if t.kind == "identifier" and self.peek().lexeme == "->":
-            name = t.lexeme
-            self.i += 2
-            self._lambda_body([name])
-            return True
-        if t.lexeme == "(":
-            end = self._matching_paren(self.i)
-            if end is not None and self.toks[end + 1].lexeme == "->" and self.toks[end + 1].kind != "eof":
-                self._lambda_params_and_body()
-                return True
-        return False
+        """Parse a lambda when one starts at the cursor.
+
+        Its body is a group of its own, one level deeper; the parameters
+        are locals of the body."""
+        lex = self.lex
+        i = self.i
+        if self.kinds[i] == "identifier" and lex[i + 1] == "->":
+            self.i = i + 2
+            names = [lex[i]]
+        else:
+            end = self._matching_paren(i) if lex[i] == "(" else None
+            if end is None or lex[end + 1] != "->":
+                return False
+            names = self._lambda_params()
+        node = Stmt("lambda-body", self._depth)
+        if self._nodes is not None:
+            self._nodes.append(node)
+        scopes = self._method.scopes
+        scopes.append(set(names))
+        depth = self._depth + 1
+        if self.at("{"):
+            outer = self._depth
+            self._depth = depth
+            node.children.extend(self.parse_block(depth).children)
+            self._depth = outer
+        else:
+            self._parse_expr_group(node, depth)
+        scopes.pop()
+        return True
 
     def _matching_paren(self, start: int) -> int | None:
+        lex, kinds = self.lex, self.kinds
         depth = 0
         j = start
-        while j < len(self.toks):
-            lex = self.toks[j].lexeme
-            kind = self.toks[j].kind
-            if kind == "eof":
-                return None
-            if lex == "(":
+        while True:
+            lexeme = lex[j]
+            if lexeme == "(":
                 depth += 1
-            elif lex == ")":
+            elif lexeme == ")":
                 depth -= 1
                 if depth == 0:
                     return j
+            elif kinds[j] == "eof":
+                return None
             j += 1
-        return None
 
-    def _lambda_params_and_body(self) -> None:
+    def _lambda_params(self) -> list[str]:
+        """Names of a parenthesised lambda's parameters, through its '->'."""
+        lex = self.lex
         self.expect("(")
         names: list[str] = []
         if not self.at(")"):
-            if self.at_ident() and self.peek().lexeme in (",", ")"):
+            if self.kinds[self.i] == "identifier" and lex[self.i + 1] in (",", ")"):
                 while True:
                     names.append(self.expect_ident())
                     if not self.accept(","):
@@ -1090,161 +1057,185 @@ class _Parser:
                     self.parse_modifiers()
                     self.parse_type()
                     names.append(self.expect_ident())
-                    while self.at("[") and self.peek().lexeme == "]":
+                    while self.at("[") and lex[self.i + 1] == "]":
                         self.i += 2
                     if not self.accept(","):
                         break
         self.expect(")")
         self.expect("->")
-        self._lambda_body(names)
-
-    def _lambda_body(self, param_names: list[str]) -> None:
-        node = Stmt("lambda-body", self._depth)
-        self._log_node(node)
-        self._push_scope()
-        for name in param_names:
-            self._declare_local(name)
-        saved = self._depth
-        self._depth += 1
-        try:
-            if self.at("{"):
-                body = self.parse_block(self._depth)
-                node.children.extend(body.children)
-            else:
-                with self._collecting() as coll:
-                    self.parse_expression()
-                self._attach(node, coll)
-        finally:
-            self._depth = saved
-            self._pop_scope()
+        return names
 
     def parse_ternary(self) -> None:
-        self._parse_binary(1)
-        if self._ternary_head():
+        self._parse_binary()
+        if self.at("?"):
+            self._ternary_head()
             self.parse_expression()
 
-    def _ternary_head(self) -> bool:
+    def _ternary_head(self) -> None:
         """'? true-branch :' after a condition; the caller parses the false branch."""
-        if not self.at("?"):
-            return False
         self.i += 1
-        self._record_decision("ternary")
-        self._log_node(Stmt("conditional-expr", self._depth))
+        self._decide("ternary")
+        if self._nodes is not None:
+            self._nodes.append(Stmt("conditional-expr", self._depth))
         self.parse_expression()
         self.expect(":")
-        return True
 
-    def _parse_binary(self, min_prec: int) -> None:
-        """Precedence climbing over the left-associative binary operators.
+    def _parse_binary(self) -> None:
+        """Operands joined by left-associative binary operators, in one loop.
 
-        After an operator only one as loose or looser may follow: the right
-        operand took every tighter one, except after 'instanceof', whose
-        right side is a type, so 'a instanceof T * b' is rejected."""
-        self.parse_unary()
-        ceiling = _BINARY_PREC["*"]
+        Logical operators are counted and logged in source order, so
+        precedence changes no recorded figure. The one rule it imposes on
+        acceptance is kept: after 'instanceof Type' only an operator as
+        loose as 'instanceof' may follow, so 'a instanceof T * b' is
+        rejected."""
+        lex = self.lex
+        self._parse_operand()
+        ceiling = _TIGHTEST
         while True:
-            t = self.toks[self.i]
-            prec = _BINARY_PREC.get(t.lexeme, 0)
-            if not min_prec <= prec <= ceiling:
+            op = lex[self.i]
+            prec = _BINARY_PREC.get(op)
+            if prec is None or prec > ceiling:
                 return
             self.i += 1
-            ceiling = prec
-            if t.lexeme == "instanceof":
+            if op == "instanceof":
                 self.parse_type()
+                ceiling = prec
                 continue
             if prec <= 2:
-                self._record_decision("or" if prec == 1 else "and")
-                self._log_op(t.lexeme)
-            self._parse_binary(prec + 1)
+                self._decide("or" if prec == 1 else "and")
+                if self._ops is not None:
+                    self._ops.append(op)
+            ceiling = _TIGHTEST
+            self._parse_operand()
 
-    def parse_unary(self) -> None:
-        t = self.toks[self.i]
-        if t.kind == "operator" and t.lexeme in ("+", "-", "++", "--", "!", "~"):
-            self.i += 1
-            self.parse_unary()
-            return
-        if t.lexeme == "(" and self._try_cast():
-            return
-        self._parse_postfix()
-
-    def _try_cast(self) -> bool:
+    def _cast_head(self) -> bool:
+        """At '(': consume '(Type)' and return True when it opens a cast."""
+        lex, kinds = self.lex, self.kinds
         saved = self.i
-        self.i += 1
-        ctype = self.try_parse_type()
+        self.i = saved + 1
+        ctype = self._try_type()
         if ctype is not None:
-            while self.at("&"):
+            while lex[self.i] == "&":
                 self.i += 1
-                extra = self.try_parse_type()
-                if extra is None:
+                if self._try_type() is None:
                     self.i = saved
                     return False
-            if self.at(")"):
-                nxt = self.peek()
-                ok = (
-                    ctype.primitive
-                    and (nxt.kind in ("identifier", "literal-int", "literal-float", "literal-string", "literal-char") or nxt.lexeme in _CAST_FOLLOW_LEXEMES or (nxt.kind == "operator" and nxt.lexeme in ("+", "-", "++", "--", "!", "~")))
-                ) or (
-                    not ctype.primitive
-                    and (nxt.kind in ("identifier", "literal-int", "literal-float", "literal-string", "literal-char") or nxt.lexeme in _CAST_FOLLOW_LEXEMES)
-                )
-                if ok:
-                    self.i += 1  # the ')'
-                    if not self._try_lambda():
-                        self.parse_unary()
+            if lex[self.i] == ")":
+                j = self.i + 1
+                nxt = lex[j]
+                if kinds[j] in _CAST_FOLLOW_KINDS or nxt in _CAST_FOLLOW_LEXEMES or (ctype in PRIMITIVES and nxt in _PREFIX_OPS):
+                    self.i = j
                     return True
         self.i = saved
         return False
 
-    def _parse_postfix(self) -> None:
-        bare_this = self._parse_primary()
+    def _parse_operand(self) -> None:
+        """One unary expression: prefix operators and casts, a primary,
+        then the primary's selectors, calls, indexes and postfix operators."""
+        lex, kinds = self.lex, self.kinds
+        i = self.i
+        lexeme = lex[i]
+        while lexeme in _PREFIX_OPS or lexeme == "(":
+            if lexeme != "(":
+                self.i += 1
+            elif not self._cast_head():
+                break
+            elif self._try_lambda():
+                return
+            lexeme = lex[self.i]
+
+        # The primary; bare_this is True for a lone `this`, whose field
+        # selections count as accesses.
+        i = self.i
+        kind = kinds[i]
+        bare_this = False
+        if kind == "identifier":
+            self.i = i + 1
+            after = lex[i + 1]
+            if after == "(":
+                self._method.invoked.add(lexeme)
+                self._parse_args()
+            else:
+                end = self._scan_type_args(i + 1) if after == "<" else None
+                if end is not None and lex[end] == "::":
+                    self.i = i + 2
+                    self._committed_type_args()
+                else:
+                    ctx = self._method
+                    for scope in ctx.scopes:
+                        if lexeme in scope:
+                            break
+                    else:
+                        ctx.candidates.add(lexeme)
+        elif kind in _LITERAL_KINDS:
+            self.i = i + 1
+        elif lexeme == "(":
+            self.i = i + 1
+            self.parse_expression()
+            self.expect(")")
+        elif kind == "keyword":
+            self.i = i + 1
+            if lexeme == "this":
+                if lex[i + 1] == "(":
+                    self._parse_args()  # constructor delegation
+                else:
+                    bare_this = True
+            elif lexeme == "super":
+                if lex[i + 1] == "(":
+                    self._parse_args()
+            elif lexeme == "new":
+                self._parse_creator()
+            elif lexeme in PRIMITIVES or lexeme == "void":
+                # int.class, int[].class, double[][]::new
+                while self.at("[") and lex[self.i + 1] == "]":
+                    self.i += 2
+                if self.at("::"):
+                    self.i += 1
+                    self.expect("new")
+                else:
+                    self.expect(".")
+                    self.expect("class")
+            elif lexeme not in ("true", "false", "null"):
+                self.i = i
+                self.error(f"unexpected keyword {lexeme!r} in expression")
+        else:
+            self.error(f"unexpected token {lexeme!r} in expression")
+
         while True:
-            t = self.toks[self.i]
-            lex = t.lexeme
-            if lex == "." and t.kind == "separator":
-                nxt = self.peek()
-                if nxt.lexeme == "new":
+            lexeme = lex[self.i]
+            if lexeme not in _POSTFIX_STARTS:
+                return
+            if lexeme == ".":
+                nxt = lex[self.i + 1]
+                if nxt == "new":
                     self.i += 2
                     self._parse_creator()
-                    bare_this = False
-                    continue
-                if nxt.lexeme == "this":
+                elif nxt == "this" or nxt == "class":
                     self.i += 2
-                    bare_this = False
-                    continue
-                if nxt.lexeme == "super":
+                elif nxt == "super":
                     self.i += 2
                     self.expect(".")
                     name = self.expect_ident()
                     if self.at("("):
-                        self._record_invoke(name)
+                        self._method.invoked.add(name)
                         self._parse_args()
-                    bare_this = False
-                    continue
-                if nxt.lexeme == "class":
-                    self.i += 2
-                    bare_this = False
-                    continue
-                if nxt.lexeme == "<":
+                elif nxt == "<":
                     self.i += 2
                     self._committed_type_args()
+                    self._method.invoked.add(self.expect_ident())
+                    self._parse_args()
+                else:
+                    self.i += 1
                     name = self.expect_ident()
-                    self._record_invoke(name)
-                    self._parse_args()
-                    bare_this = False
-                    continue
-                self.i += 1
-                name = self.expect_ident()
-                if self.at("("):
-                    self._record_invoke(name)
-                    self._parse_args()
-                elif bare_this:
-                    self._record_access(name, via_this=True)
-                bare_this = False
-                continue
-            if lex == "[" and t.kind == "separator":
-                if self.peek().lexeme == "]":
+                    if self.at("("):
+                        self._method.invoked.add(name)
+                        self._parse_args()
+                    elif bare_this:
+                        self._method.candidates.add(name)
+            elif lexeme == "[":
+                if lex[self.i + 1] == "]":
                     # an array type mention: String[]::new or String[].class
-                    while self.at("[") and self.peek().lexeme == "]":
+                    while self.at("[") and lex[self.i + 1] == "]":
                         self.i += 2
                     if self.at("::"):
                         self.i += 1
@@ -1252,18 +1243,13 @@ class _Parser:
                     else:
                         self.expect(".")
                         self.expect("class")
-                    bare_this = False
-                    continue
+                else:
+                    self.i += 1
+                    self.parse_expression()
+                    self.expect("]")
+            elif lexeme == "++" or lexeme == "--":
                 self.i += 1
-                self.parse_expression()
-                self.expect("]")
-                bare_this = False
-                continue
-            if lex in ("++", "--") and t.kind == "operator":
-                self.i += 1
-                bare_this = False
-                continue
-            if lex == "::" and t.kind == "separator":
+            else:  # '::'
                 self.i += 1
                 if self.at("<"):
                     self._committed_type_args()
@@ -1271,16 +1257,14 @@ class _Parser:
                     self.i += 1
                 else:
                     self.expect_ident()
-                bare_this = False
-                continue
-            return
+            bare_this = False
 
     def _committed_type_args(self) -> None:
         """Parse type arguments when context has already committed to them.
 
         Entered with the cursor just past '<'."""
-        names: set[str] = set()
-        if self.at(">") or self.toks[self.i].lexeme in _GT_REMAINDERS:
+        lex = self.lex
+        if lex[self.i] == ">" or lex[self.i] in _GT_REMAINDERS:
             self.expect_gt()
             return
         while True:
@@ -1298,122 +1282,53 @@ class _Parser:
     def _scan_type_args(self, start: int) -> int | None:
         """Lookahead from a '<' at *start*; index just past the closing '>'
         run, or None when this cannot be a type-argument list."""
+        lex, kinds = self.lex, self.kinds
         depth = 0
         j = start
-        while j < len(self.toks):
-            t = self.toks[j]
-            lex = t.lexeme
-            if t.kind == "eof":
-                return None
-            if lex == "<":
+        while True:
+            lexeme = lex[j]
+            if lexeme == "<":
                 depth += 1
-            elif lex and set(lex) == {">"}:
-                depth -= len(lex)
+            elif lexeme in _GT_RUNS:
+                depth -= len(lexeme)
                 if depth < 0:
                     return None
                 if depth == 0:
                     return j + 1
-            elif t.kind == "identifier" or lex in (",", ".", "?", "[", "]", "@", "&", "extends", "super") or lex in PRIMITIVES:
-                pass
-            else:
+            elif kinds[j] != "identifier" and lexeme not in _TYPE_ARG_LEXEMES:
                 return None
             j += 1
-        return None
-
-    def _parse_primary(self) -> bool:
-        """Parse a primary expression; True when it was a bare `this`."""
-        t = self.toks[self.i]
-        kind = t.kind
-        lex = t.lexeme
-
-        if kind in ("literal-int", "literal-float", "literal-string", "literal-char"):
-            self.i += 1
-            return False
-        if kind == "keyword":
-            if lex in ("true", "false", "null"):
-                self.i += 1
-                return False
-            if lex == "this":
-                self.i += 1
-                if self.at("("):
-                    self._parse_args()  # constructor delegation
-                    return False
-                return True
-            if lex == "super":
-                self.i += 1
-                if self.at("("):
-                    self._parse_args()
-                    return False
-                return False
-            if lex == "new":
-                self.i += 1
-                self._parse_creator()
-                return False
-            if lex in PRIMITIVES or lex == "void":
-                # int.class, int[].class, double[][]::new
-                self.i += 1
-                while self.at("[") and self.peek().lexeme == "]":
-                    self.i += 2
-                if self.at("::"):
-                    self.i += 1
-                    self.expect("new")
-                else:
-                    self.expect(".")
-                    self.expect("class")
-                return False
-            self.error(f"unexpected keyword {lex!r} in expression")
-        if lex == "(":
-            self.i += 1
-            self.parse_expression()
-            self.expect(")")
-            return False
-        if kind == "identifier":
-            name = lex
-            self.i += 1
-            if self.at("("):
-                self._record_invoke(name)
-                self._parse_args()
-                return False
-            if self.at("<"):
-                end = self._scan_type_args(self.i)
-                if end is not None and end < len(self.toks) and self.toks[end].lexeme == "::":
-                    self.i += 1
-                    self._committed_type_args()
-                    return False
-            self._record_access(name, via_this=False)
-            return False
-        self.error(f"unexpected token {lex!r} in expression")
-        return False
 
     def _parse_args(self) -> None:
+        lex = self.lex
         self.expect("(")
-        if self.accept(")"):
+        if lex[self.i] == ")":
+            self.i += 1
             return
         while True:
             self.parse_expression()
-            if self.accept(","):
-                continue
-            self.expect(")")
-            return
+            if lex[self.i] != ",":
+                break
+            self.i += 1
+        self.expect(")")
 
     def _throwaway_args(self) -> None:
-        self._methods.append(_MethodCtx())
-        try:
-            self._parse_args()
-        finally:
-            self._methods.pop()
+        outer = self._method
+        self._method = _MethodCtx()
+        self._parse_args()
+        self._method = outer
 
     def _parse_creator(self) -> None:
         if self.at("<"):
             self._skip_type_params()
-        ctype = self.parse_type()
-        created = ctype.erased.rstrip("[]")
-        refs = set(ctype.names)
+        refs: set[str] = set()
+        erased = self.parse_type(refs)
+        created = erased.rstrip("[]")
         if created not in PRIMITIVES:
             refs.add(created)
+        self._record_refs(refs)
         if self.at("["):
             # array creation; the element type counts as a created reference
-            self._record_refs(refs)
             while self.at("["):
                 self.i += 1
                 if not self.at("]"):
@@ -1422,12 +1337,10 @@ class _Parser:
             if self.at("{"):
                 self._parse_variable_init()
             return
-        if ctype.erased.endswith("[]"):
-            self._record_refs(refs)
+        if erased.endswith("[]"):
             if self.at("{"):
                 self._parse_variable_init()
             return
-        self._record_refs(refs)
         self._parse_args()
         if self.at("{"):
             self._anonymous_body(base_depth=self._depth + 1)
@@ -1439,10 +1352,8 @@ class _Parser:
         owner.anon_seq += 1
         model = ClassModel(name=f"{owner.model.name}${owner.anon_seq}", kind="class")
         self._base_depth.append(base_depth)
-        try:
-            self.parse_class_body(model)
-        finally:
-            self._base_depth.pop()
+        self.parse_class_body(model)
+        self._base_depth.pop()
         owner.model.nested.append(model)
 
 
@@ -1454,7 +1365,7 @@ def parse(source: str) -> CompilationUnit:
     verdict.
     """
     raw = tokenize(source)
-    code = [t for t in raw if t.kind not in ("comment-line", "comment-block")]
+    code = [t for t in raw if t.kind not in _COMMENT_KINDS]
     unit = _Parser(code).run(raw)
     unit.source = source
     return unit

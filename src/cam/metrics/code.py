@@ -69,30 +69,26 @@ class Halstead:
         return self.difficulty * self.volume
 
 
-def _is_operand(tok: Token) -> bool:
-    return tok.kind == "identifier" or tok.kind.startswith("literal-")
-
-
-def _is_operator(tok: Token) -> bool:
-    if tok.kind == "keyword":
-        return tok.lexeme not in _EXCLUDED_KEYWORDS
-    if tok.kind == "operator":
-        return True
-    if tok.kind == "separator":
-        return tok.lexeme in _COUNTED_SEPARATORS
-    return False
+_LITERAL_KINDS = frozenset(["literal-int", "literal-float", "literal-string", "literal-char"])
 
 
 def halstead(tokens: list[Token]) -> Halstead:
+    """Identifiers and literals are operands; operators, keywords other
+    than the excluded ones and the counted separators are operators."""
     operators: set[str] = set()
     operands: set[str] = set()
     total_ops = 0
     total_rands = 0
     for tok in tokens:
-        if _is_operand(tok):
+        kind = tok.kind
+        if kind == "identifier" or kind in _LITERAL_KINDS:
             operands.add(tok.lexeme)
             total_rands += 1
-        elif _is_operator(tok):
+        elif (
+            kind == "operator"
+            or (kind == "keyword" and tok.lexeme not in _EXCLUDED_KEYWORDS)
+            or (kind == "separator" and tok.lexeme in _COUNTED_SEPARATORS)
+        ):
             operators.add(tok.lexeme)
             total_ops += 1
     return Halstead(len(operators), len(operands), total_ops, total_rands)

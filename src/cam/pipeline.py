@@ -233,6 +233,11 @@ class Pipeline:
                 continue
             if state["stages"].get(stage) == "done" and not self.config.force:
                 continue
+            if stage == "measure" and state["stages"].get("clone") == "failed":
+                # This run does not retry the failed clone; its reason stands.
+                self._progress.emit(spec.full_name, stage, "skip", state["failure"])
+                success = False
+                break
             self._progress.emit(spec.full_name, stage, "start")
             # What this stage and later ones made before is stale from now on.
             for later in REPO_STAGES[REPO_STAGES.index(stage):]:

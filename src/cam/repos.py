@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import time
 import urllib.parse
@@ -332,7 +333,9 @@ def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> None
     """Clone a repository and check out its pinned commit.
 
     dest must not already contain anything; the pin must resolve inside the
-    cloned history or the clone is reported as pin-unreachable.
+    cloned history or the clone is reported as pin-unreachable. A clone
+    that fails leaves no directory at dest, so no later stage can mistake
+    it for a checkout of the pin.
     """
     dest = Path(dest)
     if dest.exists() and any(dest.iterdir()):
@@ -340,6 +343,14 @@ def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> None
     dest.parent.mkdir(parents=True, exist_ok=True)
     if url is None:
         url = f"https://github.com/{spec.full_name}.git"
+    try:
+        _clone_at_pin(spec, dest, url)
+    except CloneFailed:
+        shutil.rmtree(dest, ignore_errors=True)
+        raise
+
+
+def _clone_at_pin(spec: RepoSpec, dest: Path, url: str) -> None:
     proc = subprocess.run(
         ["git", "clone", "--quiet", url, str(dest)],
         capture_output=True,

@@ -2,8 +2,10 @@
 
 The production lexer in `cam.javasrc.lexer` scans with one master regular
 expression. This is the lexer it replaced, copied unchanged apart from
-this header and the imports, so that `tests/test_lexer_differential.py` can
-check that both give the same tokens, or the same error, on any input.
+this header, the imports and one deliberate verdict change made in both
+(numbers take ASCII digits only, so `1²` and `١٢` are illegal characters),
+so that `tests/test_lexer_differential.py` can check that both give the
+same tokens, or the same error, on any input.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ for _lex, _kind in _SYMBOLS:
 _SYM_LENGTHS = sorted(_SYM_BY_LEN, reverse=True)
 
 _HEX = "0123456789abcdefABCDEF_"
+# Java numbers take ASCII digits only; any other digit is an illegal character.
+_DIGITS = "0123456789"
+_DIGITS_ = _DIGITS + "_"
 
 
 
@@ -144,7 +149,7 @@ def tokenize(source: str) -> list[Token]:
             i = j
             continue
 
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             kind, j = _scan_number(source, i, tline, tcol)
             lexeme = source[i:j]
             toks.append(Token(kind, lexeme, tline, tcol, preceding))
@@ -200,7 +205,7 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
             i += 1
             if i < n and source[i] in "+-":
                 i += 1
-            while i < n and (source[i].isdigit() or source[i] == "_"):
+            while i < n and source[i] in _DIGITS_:
                 i += 1
     elif source[i] == "0" and i + 1 < n and source[i + 1] in "bB":
         prefixed = True
@@ -211,21 +216,21 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
         if i == digits:
             raise LexError(line, col, "malformed binary literal")
     else:
-        while i < n and (source[i].isdigit() or source[i] == "_"):
+        while i < n and source[i] in _DIGITS_:
             i += 1
         if i < n and source[i] == ".":
             kind = "literal-float"
             i += 1
-            while i < n and (source[i].isdigit() or source[i] == "_"):
+            while i < n and source[i] in _DIGITS_:
                 i += 1
         if i < n and source[i] in "eE":
             j = i + 1
             if j < n and source[j] in "+-":
                 j += 1
-            if j < n and source[j].isdigit():
+            if j < n and source[j] in _DIGITS:
                 kind = "literal-float"
                 i = j
-                while i < n and (source[i].isdigit() or source[i] == "_"):
+                while i < n and source[i] in _DIGITS_:
                     i += 1
 
     if i < n and source[i] in "fFdD" and (kind == "literal-float" or not prefixed):

@@ -57,6 +57,9 @@ def test_kept_file():
         ("src/Broken.java", b"class {", "unparseable"),
         ("src/Records.java", b"record P(int x) {}\n", "unparseable"),
         ("src/Cr.java", b"class A { // c\r garbage garbage\n }", "unparseable"),
+        ("src/Sup.java", "class A { int x = 1²; }".encode(), "unparseable"),
+        ("src/Arabic.java", "class A { int x = ١٢; }".encode(), "unparseable"),
+        ("src/Dot.java", "class A { double x = .١; }".encode(), "unparseable"),
     ],
 )
 def test_rejections(path, data, reason):
@@ -118,6 +121,24 @@ def test_deep_valid_nesting_is_kept_and_measured(source):
     assert reason is None
     rows = measure_repo("deep/lib", {"src/Deep.java": unit}, {"src/Deep.java": synthetic_git(1)}).rows
     assert [row["class_name"] for row in rows] == ["Deep"]
+
+
+def test_parenthesis_depth_limit():
+    """The deepest parenthesised expression that still parses, found by
+    bisection; 400 levels stay beyond the default recursion limit."""
+    def kept(n):
+        return evaluate_file("src/Deep.java", _parens(n).encode())[0] is None
+
+    low, high = 1, 400
+    while low < high:
+        mid = (low + high + 1) // 2
+        if kept(mid):
+            low = mid
+        else:
+            high = mid - 1
+    print(f"deepest parentheses kept: {low}")
+    assert 250 <= low < 400
+    assert evaluate_file("src/Deep.java", _parens(400).encode()) == ("unparseable", None)
 
 
 def test_rule_order_extension_beats_test_dir():

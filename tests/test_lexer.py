@@ -118,6 +118,11 @@ LEX_ERRORS = [
     ("`tick`", 1, 1, "illegal character '`'"),
     ("#define", 1, 1, "illegal character '#'"),
     ('"esc\\', 1, 1, "unterminated escape"),
+    # A number takes ASCII digits only, as javac's does.
+    ("class A { int x = 1²; }", 1, 20, "illegal character '²'"),
+    ("class A { int x = ١٢; }", 1, 19, "illegal character '١'"),
+    ("class A { double x = .١; }", 1, 23, "illegal character '١'"),
+    ("0x1p٣", 1, 5, "illegal character '٣'"),
 ]
 
 

@@ -7,11 +7,14 @@ import gc
 import io
 import json
 import os
+import tempfile
 import tracemalloc
 import zipfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cam.gitstats
 import cam.javasrc.parser
@@ -21,7 +24,7 @@ from cam.dataset import HEADER, read_csv_rows, rows_to_csv_bytes, write_json_ato
 from cam.metrics.schema import COLUMNS
 from cam.pipeline import STAGES, ConfigError, Pipeline, PipelineConfig
 from cam.repos import DiscoveryCriteria, RepoSpec
-from conftest import build_replay_dir, commit_all, init_repo, single_commit_repo
+from conftest import build_replay_dir, commit_all, git, init_repo, single_commit_repo
 
 MAIN_JAVA = """\
 class Main {
@@ -396,6 +399,21 @@ def test_too_deep_nesting_is_unparseable_not_a_failure(tmp_path):
     ]
 
 
+def test_measure_only_run_keeps_a_failed_clones_reason(tmp_path, capsys):
+    replay, work = make_world(tmp_path, beta_sha="0" * 40)
+    assert run_cli(work, replay) == 0
+    assert not (work / "github" / "beta" / "app").exists()
+    capsys.readouterr()
+
+    assert run_cli(work, replay, "--stages", "measure,pack") == 0
+    assert "Traceback" not in capsys.readouterr().err
+    state = json.loads((work / "state" / "beta__app.json").read_text(encoding="utf-8"))
+    assert (state["stages"]["clone"], state["failure"]) == ("failed", "pin-unreachable")
+    manifest = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))
+    beta_entry = next(e for e in manifest["repos"] if e["full_name"] == "beta/app")
+    assert (beta_entry["status"], beta_entry["failure"], beta_entry["classes"]) == ("failed", "pin-unreachable", 0)
+
+
 def test_measure_without_clone_fails(tmp_path, capsys):
     replay, work = make_world(tmp_path)
     assert main(["discover", "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
@@ -447,56 +465,125 @@ def test_forced_rerun_drops_a_failed_repositorys_old_results(tmp_path):
     ]
 
 
-def test_odd_file_names_end_to_end(tmp_path):
-    files = {
-        b"src/New\nLine.java": b"class NewLine {}\n",
-        b"src/Tab\tName.java": b"class TabName {}\n",
-        b"src/Com,ma.java": b"class Comma {}\n",
-        b'src/Qu"ote.java': b"class Quote {}\n",
-        b"src/Bom.java": b"\xef\xbb\xbfclass Bom {}\n",
-        b"src/Empty.java": b"",
-        b"src/X.java/Inner.java": b"class Inner {}\n",
-        b"src/Case.java": b"class Upper {}\n",
-        b"src/case.java": b"class Lower {}\n",
-        b"src/Caf\xe9.java": b"class Cafe {}\n",
+# File contents by kind: bytes (a class body takes its name from {}), the
+# expected verdict, and whether the file holds one class.
+_CONTENTS = {
+    "class": (b"class {} {{ int f; }}\n", None, True),
+    "empty": (b"", None, False),
+    "bom": (b"\xef\xbb\xbfclass Bom {}\n", "unparseable", False),
+    "broken": (b"class {", "unparseable", False),
+    "latin-1": (b'class L { String s = "\xe9"; }\n', "undecodable", False),
+}
+# No 't', 'e' or 's', so no drawn name trips the test-file rules.
+_NAME_TEXT = st.text("abxAB\n\t,\"' \u00e9", min_size=1, max_size=5).map(str.encode)
+_SEGMENT = st.one_of(_NAME_TEXT, _NAME_TEXT.map(lambda name: name + b"\xe9"))
+_PATH = st.builds(
+    lambda dirs, stem, ext: b"/".join([*dirs, stem + ext]),
+    st.lists(st.one_of(_SEGMENT, _SEGMENT.map(lambda name: name + b".java")), max_size=2),
+    _SEGMENT,
+    st.sampled_from([b".java", b".txt"]),
+)
+
+
+@st.composite
+def odd_trees(draw) -> dict[bytes, str]:
+    """Relative file paths mapped to a content kind; a name may have a twin
+    that differs only in case, and no file sits where a directory is."""
+    files = draw(st.dictionaries(_PATH, st.sampled_from(sorted(_CONTENTS)), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        path = sorted(files)[0]
+        files.setdefault(path.swapcase(), files[path])
+    dirs = {path[:k] for path in files for k in range(len(path)) if path[k : k + 1] == b"/"}
+    return {path: kind for path, kind in files.items() if path not in dirs}
+
+
+def expected_verdict(path: bytes, kind: str) -> str | None:
+    try:
+        path.decode("utf-8")
+    except UnicodeDecodeError:
+        return "undecodable"
+    if not path.endswith(b".java"):
+        return "not-java-ext"
+    return _CONTENTS[kind][1]
+
+
+@example(
+    {
+        b"src/New\nLine.java": "class",
+        b"src/Tab\tName.java": "class",
+        b"src/Com,ma.java": "class",
+        b'src/Qu"ote.java': "class",
+        b"src/Bom.java": "bom",
+        b"src/Empty.java": "empty",
+        b"src/X.java/Inner.java": "class",
+        b"src/Case.java": "class",
+        b"src/case.java": "class",
+        b"src/Caf\xe9.java": "class",
+        b"notes.txt": "broken",
     }
-    remote = init_repo(tmp_path / "remotes" / "odd")
-    for rel, data in files.items():
-        target = os.path.join(os.fsencode(remote), rel)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        with open(target, "wb") as handle:
-            handle.write(data)
-    os.symlink("Case.java", remote / "src" / "Link.java")
-    sha = commit_all(remote, "odd names")
-    replay = build_replay_dir(tmp_path / "replay", DiscoveryCriteria(), [("odd/lib", 200, 400, remote, sha)])
+)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(odd_trees())
+def test_odd_file_names_end_to_end(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        remote = init_repo(tmp_path / "remotes" / "odd")
+        classes = {}
+        for n, (rel, kind) in enumerate(sorted(files.items())):
+            data, _reason, has_class = _CONTENTS[kind]
+            if has_class:
+                classes[rel] = f"K{n}"
+            target = os.path.join(os.fsencode(remote), rel)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            with open(target, "wb") as handle:
+                handle.write(data.replace(b"{}", classes.get(rel, "").encode(), 1) if has_class else data)
+        os.symlink("Missing.java", remote / "Link.java")
+        sha = commit_all(remote, "odd names")
+        replay = build_replay_dir(tmp_path / "replay", DiscoveryCriteria(), [("odd/lib", 200, 400, remote, sha)])
+        work = tmp_path / "work"
+        assert run_cli(work, replay) == 0
+
+        verdicts = json.loads((work / "filtered" / "odd__lib.json").read_text(encoding="utf-8"))["verdicts"]
+        with zipfile.ZipFile(work / "dataset.zip") as archive:
+            manifest = json.loads(archive.read("manifest.json"))
+            tables = [
+                list(csv.reader(io.StringIO(archive.read(name).decode("utf-8"), newline="")))
+                for name in ("data/all.csv", "data/odd__lib.csv")
+            ]
+
+    # Verdicts come in the order of the walk, which sorts the decoded names.
+    ordered = sorted(files, key=os.fsdecode)
+    assert verdicts == [[rel.decode("utf-8", "backslashreplace"), expected_verdict(rel, files[rel])] for rel in ordered]
+    kept = [(rel.decode(), name) for rel, name in sorted(classes.items()) if expected_verdict(rel, files[rel]) is None]
+    assert [(e["status"], e["classes"]) for e in manifest["repos"]] == [("ok", len(kept))]
+    for table in tables:
+        assert table[0] == list(HEADER)
+        assert all(len(row) == len(HEADER) for row in table)
+        assert [(row[1], row[2]) for row in table[1:]] == sorted(kept)
+
+
+def test_submodule_gitlinks_get_no_verdict(tmp_path):
+    remote = init_repo(tmp_path / "remotes" / "sub")
+    (remote / "src").mkdir()
+    (remote / "src" / "Main.java").write_text(MAIN_JAVA, encoding="utf-8")
+    first = commit_all(remote, "main")
+    # Gitlinks (mode 160000) as an uninitialised submodule leaves them: one
+    # named like a Java file, one like a directory of sources.
+    git(remote, "update-index", "--add", "--cacheinfo", f"160000,{first},vendor/Dep.java")
+    git(remote, "update-index", "--add", "--cacheinfo", f"160000,{first},vendor/lib")
+    git(remote, "commit", "-q", "-m", "gitlinks")
+    sha = git(remote, "rev-parse", "HEAD")
+    entries = [line.split(" ", 1)[0] + " " + line.split("\t", 1)[1] for line in git(remote, "ls-tree", "-r", sha).split("\n")]
+    assert entries == ["100644 src/Main.java", "160000 vendor/Dep.java", "160000 vendor/lib"]
+    replay = build_replay_dir(tmp_path / "replay", DiscoveryCriteria(), [("sub/lib", 200, 400, remote, sha)])
     work = tmp_path / "work"
     assert run_cli(work, replay) == 0
 
-    verdicts = json.loads((work / "filtered" / "odd__lib.json").read_text(encoding="utf-8"))["verdicts"]
-    assert sorted(path for path, _reason in verdicts) == sorted(rel.decode("utf-8", "backslashreplace") for rel in files)
-    assert {path: reason for path, reason in verdicts if reason} == {
-        "src/Bom.java": "unparseable",
-        "src/Caf\\xe9.java": "undecodable",
-    }
-    with zipfile.ZipFile(work / "dataset.zip") as archive:
-        manifest = json.loads(archive.read("manifest.json"))
-        tables = {
-            name: list(csv.reader(io.StringIO(archive.read(name).decode("utf-8"), newline="")))
-            for name in ("data/all.csv", "data/odd__lib.csv")
-        }
-    assert [(e["status"], e["classes"]) for e in manifest["repos"]] == [("ok", 7)]
-    for table in tables.values():
-        assert table[0] == list(HEADER)
-        assert all(len(row) == len(HEADER) for row in table)
-        assert [(row[1], row[2]) for row in table[1:]] == [
-            ("src/Case.java", "Upper"),
-            ("src/Com,ma.java", "Comma"),
-            ("src/New\nLine.java", "NewLine"),
-            ('src/Qu"ote.java', "Quote"),
-            ("src/Tab\tName.java", "TabName"),
-            ("src/X.java/Inner.java", "Inner"),
-            ("src/case.java", "Lower"),
-        ]
+    filtered = json.loads((work / "filtered" / "sub__lib.json").read_text(encoding="utf-8"))
+    assert filtered["verdicts"] == [["src/Main.java", None]]
+    assert (filtered["stats"]["total"], filtered["stats"]["kept"]) == (1, 1)
+    manifest = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert [(e["status"], e["failure"], e["classes"]) for e in manifest["repos"]] == [("ok", None, 1)]
 
 
 @pytest.mark.parametrize("rows_per_repo", [100, 1000])

@@ -274,6 +274,19 @@ def test_clone_repo_rejects_unreachable_pin(tmp_path):
     assert info.value.reason == "pin-unreachable"
 
 
+@pytest.mark.parametrize("reason", ["pin-unreachable", "clone-error"])
+def test_failed_clone_leaves_no_directory(tmp_path, reason):
+    src = init_repo(tmp_path / "src")
+    (src / "A.java").write_text("class A {}\n")
+    pin = commit_all(src, "one")
+    url = str(src) if reason == "pin-unreachable" else str(tmp_path / "nowhere")
+    dest = tmp_path / "github" / "owner" / "name"
+    with pytest.raises(CloneFailed) as info:
+        clone_repo(spec_for(src, "0" * 40 if reason == "pin-unreachable" else pin), dest, url=url)
+    assert info.value.reason == reason
+    assert not dest.exists()
+
+
 def test_clone_repo_rejects_dirty_dest(tmp_path):
     src = init_repo(tmp_path / "src")
     (src / "A.java").write_text("class A {}\n")
