@@ -20,14 +20,20 @@ ints with '_' or a suffix), identifiers that hold or precede a non-ASCII
 character, a '.' before a non-ASCII character, and every error
 (unterminated comment, string, char or escape, malformed number, illegal
 character). As in Java, a number takes ASCII digits only: a digit from any
-other script, or a superscript, is an illegal character. Line and column come from a line count and
-the offset where the line starts, which move only past a newline in
-whitespace, in a block comment or in an escaped newline of a literal.
+other script, or a superscript, is an illegal character, and an '_' must
+sit between two digits (`1_` and `0x_1` are malformed). Names follow
+Java's identifier rule by Unicode category, so `€x` and `Ⅷ` are names and
+`x²` is the name `x` and an illegal character.
+
+Line and column come from a line count and the offset where the line
+starts, which move only past a newline in whitespace, in a block comment
+or in an escaped newline of a literal.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
 KEYWORDS = frozenset(
@@ -105,12 +111,31 @@ class Token:
     preceding: str = field(default="", repr=False, compare=False)
 
 
+# Java's Character.isJavaIdentifierStart and isJavaIdentifierPart, by
+# Unicode category: letters, letter numbers, currency symbols ('$') and
+# connectors ('_') start a name; digits, combining marks and format
+# characters may follow.
+_IDENT_START = frozenset(["Lu", "Ll", "Lt", "Lm", "Lo", "Nl", "Sc", "Pc"])
+_IDENT_PART = _IDENT_START | {"Nd", "Mn", "Mc", "Cf"}
+
+
 def _ident_start(ch: str) -> bool:
-    return ch == "_" or ch == "$" or ch.isalpha()
+    return unicodedata.category(ch) in _IDENT_START
 
 
 def _ident_part(ch: str) -> bool:
-    return ch == "_" or ch == "$" or ch.isalnum()
+    return unicodedata.category(ch) in _IDENT_PART
+
+
+def _digit_run(source: str, i: int, digits: str, line: int, col: int) -> int:
+    """End of the run of *digits* (which include '_') at *i*; the run may
+    not start or end with an '_'."""
+    j = i
+    while j < len(source) and source[j] in digits:
+        j += 1
+    if j > i and (source[i] == "_" or source[j - 1] == "_"):
+        raise LexError(line, col, "malformed numeric literal")
+    return j
 
 
 def tokenize(source: str) -> list[Token]:
@@ -202,47 +227,37 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
         prefixed = True
         i += 2
         digits = i
-        while i < n and source[i] in _HEX:
-            i += 1
+        i = _digit_run(source, i, _HEX, line, col)
         if i == digits:
             raise LexError(line, col, "malformed hex literal")
         if i < n and source[i] == ".":
             kind = "literal-float"
-            i += 1
-            while i < n and source[i] in _HEX:
-                i += 1
+            i = _digit_run(source, i + 1, _HEX, line, col)
         if i < n and source[i] in "pP":
             kind = "literal-float"
             i += 1
             if i < n and source[i] in "+-":
                 i += 1
-            while i < n and source[i] in _DIGITS_:
-                i += 1
+            i = _digit_run(source, i, _DIGITS_, line, col)
     elif source[i] == "0" and i + 1 < n and source[i + 1] in "bB":
         prefixed = True
         i += 2
         digits = i
-        while i < n and source[i] in "01_":
-            i += 1
+        i = _digit_run(source, i, "01_", line, col)
         if i == digits:
             raise LexError(line, col, "malformed binary literal")
     else:
-        while i < n and source[i] in _DIGITS_:
-            i += 1
+        i = _digit_run(source, i, _DIGITS_, line, col)
         if i < n and source[i] == ".":
             kind = "literal-float"
-            i += 1
-            while i < n and source[i] in _DIGITS_:
-                i += 1
+            i = _digit_run(source, i + 1, _DIGITS_, line, col)
         if i < n and source[i] in "eE":
             j = i + 1
             if j < n and source[j] in "+-":
                 j += 1
             if j < n and source[j] in _DIGITS:
                 kind = "literal-float"
-                i = j
-                while i < n and source[i] in _DIGITS_:
-                    i += 1
+                i = _digit_run(source, j, _DIGITS_, line, col)
 
     if i < n and source[i] in "fFdD" and (kind == "literal-float" or not prefixed):
         kind = "literal-float"

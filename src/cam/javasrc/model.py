@@ -3,6 +3,10 @@
 A ClassModel is the unit everything downstream measures. Nested, local and
 anonymous classes hang off their enclosing class's ``nested`` list and never
 appear among a CompilationUnit's top-level types.
+
+A MethodModel's ``cognitive`` score is added up by the parser as it parses
+(see `cam.javasrc.parser` for the rules and which method a score goes to);
+``has_body`` tells an abstract or interface method from one with a body.
 """
 
 from __future__ import annotations
@@ -21,33 +25,6 @@ class ImportDecl:
 
 
 @dataclass
-class Stmt:
-    """One node of a method body's statement tree.
-
-    kind is one of: if, for, foreach, while, do, switch, case-label, try,
-    catch, block, statement, lambda-body, conditional-expr, break, continue,
-    labeled-jump.
-
-    depth is the 0-based nesting depth under the cognitive-complexity rules:
-    children of if/switch/loop/catch constructs and of lambda or inner-body
-    class bodies sit one deeper than the construct itself; plain blocks,
-    try bodies and ternaries do not add depth.
-
-    else_children is set only on the head `if` of an if statement: its
-    `else if` arms, each an `if` node with chained=True, then the final
-    `else` statement, in source order. A chained arm keeps its own
-    condition and body but never has else_children of its own.
-    """
-
-    kind: str
-    depth: int
-    children: list["Stmt"] = field(default_factory=list)
-    else_children: Optional[list["Stmt"]] = None
-    chained: bool = False
-    op_groups: list[list[str]] = field(default_factory=list)
-
-
-@dataclass
 class FieldModel:
     name: str
     declared_type_name: str
@@ -61,11 +38,11 @@ class MethodModel:
     is_static: bool = False
     visibility: str = "package"
     parameter_type_names: list[str] = field(default_factory=list)
-    body: Optional[Stmt] = None
+    has_body: bool = False
+    cognitive: int = 0
     accessed_field_names: set[str] = field(default_factory=set)
     invoked_method_names: set[str] = field(default_factory=set)
     decision_tokens: dict[str, int] = field(default_factory=dict)
-    body_tokens: list[Token] = field(default_factory=list)
 
     @property
     def is_public(self) -> bool:

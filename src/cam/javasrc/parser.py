@@ -1,9 +1,9 @@
 """Recursive-descent parser for Java 8 class files.
 
 Builds ClassModel/MethodModel structures with everything the metric layers
-need: statement trees with cognitive nesting depths, per-method decision
-token counts, accessed-field and invoked-method names, referenced type
-names, and a file-level statement count.
+need: per-method cognitive scores and decision token counts, accessed-field
+and invoked-method names, referenced type names, and a file-level
+statement count.
 
 Grammar coverage is Java 8: generics, lambdas, anonymous and local classes,
 enums, annotation types, try-with-resources, multi-catch, method references.
@@ -15,9 +15,26 @@ lexemes and the kinds of the code tokens, padded with end-of-file entries
 so a lookahead needs no bounds test. A token test is one list lookup and
 one string compare; the end-of-file lexeme is empty, so it matches no
 expected token. The Token objects are read only for an error's line and
-column and for the token slices of classes and methods. When a '>' is
-split off a glued '>>' (generics), `expect_gt` rewrites the lexeme and the
-token at that index together.
+column and for the token slices of classes. When a '>' is split off a
+glued '>>' (generics), `expect_gt` rewrites the lexeme and the token at
+that index together.
+
+The cognitive score (after Campbell, 2018) is added up while parsing. An
+`if` head, a loop, a `switch` and a `catch` score 1 plus their depth, each
+`else` (an `else if` arm or the final one) and each labelled jump 1, all
+in the statement sink: the method whose body holds them, or nowhere in an
+initializer block. An expression group (a
+condition, an expression statement, an initializer, a `case` label) is
+owned by the sink where it opens. Each ternary, each change between `&&`
+and `||`, and a lambda body's statements, one level deeper, score in the
+owner of the innermost open group, or nowhere when none is open. A field
+initializer opens no group, so a ternary in a field of an anonymous class
+created in method `f` scores in `f`, and one in a class-level field
+nowhere. Depth grows inside an if, a loop, a switch, a catch and a lambda
+body, not in a block, `synchronized` or `try`. A method body starts at 0,
+or one level under the expression that creates its anonymous class or the
+statement that declares its local class; a member class starts where its
+enclosing class does.
 
 Binary operators are taken by one loop over an operator table
 (`_BINARY_PREC`): precedence changes no recorded figure, since logical
@@ -28,13 +45,12 @@ loop too, and a primary and its postfix chain are one method. So a level
 of parentheses costs three Python frames (parse_expression, _parse_binary,
 _parse_operand), every operand one, and a nested lambda three
 (parse_expression, _try_lambda, _parse_expr_group). An `else if` chain is
-parsed in a loop and kept flat: each chained arm and the final `else` sit,
-in order, in the head `if` node's else_children, so a chain of any length
-costs no recursion. The false branches of a conditional chain
-(`a ? b : c ? d : e`) are taken by the expression loop, so they cost no
-recursion either. At Python's default recursion limit of 1000 a method
-body holds about 315 levels of parentheses (328 when the parse starts at
-the top of a script's stack; tests/test_filters.py measures it). Nesting
+parsed in a loop, so a chain of any length costs no recursion. The false
+branches of a conditional chain (`a ? b : c ? d : e`) are taken by the
+expression loop, so they cost no recursion either. At Python's default
+recursion limit of 1000 a method body holds about 315 levels of
+parentheses (327 when the parse starts at the top of a script's stack;
+tests/test_filters.py measures it). Nesting
 deeper than the interpreter's recursion limit raises RecursionError, which
 the filter rules map to the unparseable verdict.
 """
@@ -48,7 +64,6 @@ from cam.javasrc.model import (
     FieldModel,
     ImportDecl,
     MethodModel,
-    Stmt,
 )
 
 MODIFIER_WORDS = frozenset(
@@ -105,13 +120,14 @@ class JavaSyntaxError(Exception):
 
 
 class _MethodCtx:
-    __slots__ = ("candidates", "invoked", "decisions", "scopes")
+    __slots__ = ("candidates", "invoked", "decisions", "scopes", "cognitive")
 
     def __init__(self) -> None:
         self.candidates: set[str] = set()
         self.invoked: set[str] = set()
         self.decisions: dict[str, int] = {}
         self.scopes: list[set[str]] = [set()]
+        self.cognitive = 0
 
 
 class _ClassCtx:
@@ -145,11 +161,11 @@ class _Parser:
         # body they go to this context, which nothing reads.
         self._method = _MethodCtx()
         self._base_depth: list[int] = [0]
-        # The open expression group: its logical-operator run and the list
-        # its ternary and lambda nodes join (None when no group is open),
-        # and the depth those nodes get.
-        self._ops: list[str] | None = None
-        self._nodes: list[Stmt] | None = None
+        # The statement sink and the open group's owner take cognitive
+        # scores; outside any method body and any group both are the context
+        # above. The group's last logical operator and depth go with it.
+        self._sink = self._owner = self._method
+        self._last_op = ""
         self._depth = 0
 
     # ---- cursor helpers -------------------------------------------------
@@ -207,23 +223,18 @@ class _Parser:
     def _declare_local(self, name: str) -> None:
         self._method.scopes[-1].add(name)
 
-    def _parse_expr_group(self, node: Stmt, depth: int, parse=None) -> None:
-        """Parse one expression group of *node* at *depth*, with *parse*
-        (parse_expression when None).
-
-        The group's ternary and lambda nodes join node.children as they are
-        parsed, and its logical operators become one of node.op_groups."""
-        outer = (self._ops, self._nodes, self._depth)
-        ops = self._ops = []
-        self._nodes = node.children
+    def _parse_expr_group(self, depth: int, parse=None) -> None:
+        """Parse one expression group at *depth*, with *parse*
+        (parse_expression when None), owned by the statement sink."""
+        outer = (self._owner, self._last_op, self._depth)
+        self._owner = self._sink
+        self._last_op = ""
         self._depth = depth
         if parse is None:
             self.parse_expression()
         else:
             parse()
-        if ops:
-            node.op_groups.append(ops)
-        self._ops, self._nodes, self._depth = outer
+        self._owner, self._last_op, self._depth = outer
 
     # ---- compilation unit -----------------------------------------------
 
@@ -531,10 +542,10 @@ class _Parser:
         self._field_decl(ctx, mods, rtype, names)
 
     def _initializer_block(self) -> None:
-        outer = self._method
-        self._method = _MethodCtx()
+        outer = self._method, self._sink
+        self._method = self._sink = _MethodCtx()
         self.parse_block(self._base_depth[-1])
-        self._method = outer
+        self._method, self._sink = outer
 
     def _field_decl(self, ctx: _ClassCtx, mods: set[str], ftype: str, names: set[str]) -> None:
         self._record_refs(names)
@@ -571,7 +582,7 @@ class _Parser:
     def _method_decl(self, ctx: _ClassCtx, mods: set[str], constructor: bool) -> None:
         name = self.expect_ident()
         self.ncss += 1
-        outer = self._method
+        outer = self._method, self._sink
         mctx = self._method = _MethodCtx()
         params = self._parse_params()
         while self.at("[") and self.lex[self.i + 1] == "]":
@@ -581,28 +592,27 @@ class _Parser:
                 self.parse_type()
                 if not self.accept(","):
                     break
-        if self.at("default"):  # annotation member default value
+        if self.at("default"):  # annotation member default value, which scores nowhere
             self.i += 1
+            self._sink = _MethodCtx()
             self._parse_element_value()
-        body = None
-        body_tokens: list[Token] = []
-        if self.at("{"):
-            body_start = self.i
-            body = self.parse_block(self._base_depth[-1])
-            body_tokens = self.orig[body_start : self.i]
+        has_body = self.at("{")
+        if has_body:
+            self._sink = mctx
+            self.parse_block(self._base_depth[-1])
         else:
             self.expect(";")
-        self._method = outer
+        self._method, self._sink = outer
         method = MethodModel(
             name=name,
             is_constructor=constructor,
             is_static="static" in mods,
             visibility=self._visibility(mods, ctx),
             parameter_type_names=params,
-            body=body,
+            has_body=has_body,
+            cognitive=mctx.cognitive,
             invoked_method_names=mctx.invoked,
             decision_tokens=mctx.decisions,
-            body_tokens=body_tokens,
         )
         ctx.model.methods.append(method)
         ctx.pending_access.append((method, mctx.candidates))
@@ -648,93 +658,81 @@ class _Parser:
                     break
             self.expect("}")
             return
-        self._parse_expr_group(Stmt("statement", self._depth), self._depth, self.parse_ternary)
+        self._parse_expr_group(self._depth, self.parse_ternary)
 
     # ---- statements ------------------------------------------------------
 
-    def parse_block(self, depth: int) -> Stmt:
-        node = Stmt("block", depth)
-        children = node.children
+    def parse_block(self, depth: int) -> None:
         lex = self.lex
         self.expect("{")
         scopes = self._method.scopes
         scopes.append(set())
         while lex[self.i] != "}":
-            children.append(self.parse_statement(depth))
+            self.parse_statement(depth)
         self.i += 1
         scopes.pop()
-        return node
 
-    def parse_statement(self, d: int) -> Stmt:
+    def parse_statement(self, d: int) -> None:
         i = self.i
         lex = self.lex[i]
         kind = self.kinds[i]
         if kind == "identifier":
             if self.lex[i + 1] == ":":
                 self.i = i + 2
-                return self.parse_statement(d)
-            return self._local_decl_or_expr(d, force_decl=False)
-        if kind == "eof":
+                self.parse_statement(d)
+            else:
+                self._local_decl_or_expr(d, force_decl=False)
+        elif kind == "eof":
             self.error("unexpected end of file in statement")
-        if lex == "{":
-            return self.parse_block(d)
-        if lex == ";":
+        elif lex == "{":
+            self.parse_block(d)
+        elif lex == ";":
             self.i += 1
             self.ncss += 1
-            return Stmt("statement", d)
-        if lex == "if":
-            return self._if_stmt(d)
-        if lex == "for":
-            return self._for_stmt(d)
-        if lex == "while":
-            return self._while_stmt(d)
-        if lex == "do":
-            return self._do_stmt(d)
-        if lex == "switch":
-            return self._switch_stmt(d)
-        if lex == "try":
-            return self._try_stmt(d)
-        if lex == "return":
+        elif lex == "if":
+            self._if_stmt(d)
+        elif lex == "for":
+            self._for_stmt(d)
+        elif lex == "while":
+            self._while_stmt(d)
+        elif lex == "do":
+            self._do_stmt(d)
+        elif lex == "switch":
+            self._switch_stmt(d)
+        elif lex == "try":
+            self._try_stmt(d)
+        elif lex == "return":
             self.i += 1
-            node = Stmt("statement", d)
             if not self.at(";"):
-                self._parse_expr_group(node, d)
+                self._parse_expr_group(d)
             self.expect(";")
             self.ncss += 1
-            return node
-        if lex == "throw":
+        elif lex == "throw":
             self.i += 1
-            node = Stmt("statement", d)
-            self._parse_expr_group(node, d)
+            self._parse_expr_group(d)
             self.expect(";")
             self.ncss += 1
-            return node
-        if lex == "break" or lex == "continue":
+        elif lex == "break" or lex == "continue":
             self.i += 1
-            labeled = self.kinds[self.i] == "identifier"
-            if labeled:
+            if self.kinds[self.i] == "identifier":
                 self.i += 1
+                self._sink.cognitive += 1
             self.expect(";")
             self.ncss += 1
-            return Stmt("labeled-jump" if labeled else lex, d)
-        if lex == "assert":
+        elif lex == "assert":
             self.i += 1
-            node = Stmt("statement", d)
-            self._parse_expr_group(node, d)
+            self._parse_expr_group(d)
             if self.accept(":"):
-                self._parse_expr_group(node, d)
+                self._parse_expr_group(d)
             self.expect(";")
             self.ncss += 1
-            return node
-        if lex == "synchronized":
+        elif lex == "synchronized":
             self.i += 1
-            node = Stmt("statement", d)
             self.expect("(")
-            self._parse_expr_group(node, d)
+            self._parse_expr_group(d)
             self.expect(")")
-            node.children.append(self.parse_block(d))
-            return node
-        if lex in ("class", "interface", "enum", "abstract", "final", "static", "strictfp") or (
+            self.parse_block(d)
+        elif lex in ("class", "interface", "enum", "abstract", "final", "static", "strictfp") or (
             lex == "@" and self.lex[i + 1] == "interface"
         ):
             mods, anns = self.parse_modifiers()
@@ -745,29 +743,28 @@ class _Parser:
                 self._base_depth.pop()
                 if self._classes:
                     self._classes[-1].model.nested.append(local)
-                return Stmt("statement", d)
-            # 'final' (or annotations) opening a local variable declaration
-            self.i = i
-            return self._local_decl_or_expr(d, force_decl=True)
-        return self._local_decl_or_expr(d, force_decl=False)
+            else:
+                # 'final' (or annotations) opening a local variable declaration
+                self.i = i
+                self._local_decl_or_expr(d, force_decl=True)
+        else:
+            self._local_decl_or_expr(d, force_decl=False)
 
-    def _local_decl_or_expr(self, d: int, force_decl: bool) -> Stmt:
+    def _local_decl_or_expr(self, d: int, force_decl: bool) -> None:
         saved = self.i
-        node = Stmt("statement", d)
         if force_decl:
             self.parse_modifiers()
         if self._type_then_name():
-            self._declarators(node, d)
+            self._declarators(d)
         else:
             if force_decl:
                 self.error("expected a declaration")
             self.i = saved
-            self._parse_expr_group(node, d)
+            self._parse_expr_group(d)
         self.expect(";")
         self.ncss += 1
-        return node
 
-    def _declarators(self, node: Stmt, d: int) -> None:
+    def _declarators(self, d: int) -> None:
         """Names of a local declaration whose type was just consumed, each
         with its dimensions and initializer, up to the ';' or ':'."""
         lex = self.lex
@@ -777,7 +774,7 @@ class _Parser:
                 self.i += 2
             if lex[self.i] == "=":
                 self.i += 1
-                self._parse_expr_group(node, d, self._parse_variable_init)
+                self._parse_expr_group(d, self._parse_variable_init)
             if lex[self.i] != ",":
                 return
             self.i += 1
@@ -793,62 +790,54 @@ class _Parser:
             return
         self.parse_expression()
 
-    def _if_stmt(self, d: int) -> Stmt:
-        """An if statement and its whole else-if chain, parsed in a loop
-        (see Stmt.else_children)."""
-        head = None
-        arms: list[Stmt] = []
+    def _if_stmt(self, d: int) -> None:
+        """An if statement and its whole else-if chain, parsed in a loop.
+        The head `if` scores 1 plus its depth, and each `else` 1, be it an
+        `else if` arm or the final one."""
+        self._sink.cognitive += 1 + d
         while True:
             self.expect("if")
             self.ncss += 1
             self._decide("if")
-            node = Stmt("if", d, chained=head is not None)
             self.expect("(")
-            self._parse_expr_group(node, d)
+            self._parse_expr_group(d)
             self.expect(")")
-            node.children.append(self.parse_statement(d + 1))
-            if head is None:
-                head = node
-            else:
-                arms.append(node)
+            self.parse_statement(d + 1)
             if not self.accept("else"):
-                break
+                return
             self.ncss += 1
+            self._sink.cognitive += 1
             if not self.at("if"):
-                arms.append(self.parse_statement(d + 1))
-                break
-        head.else_children = arms or None
-        return head
+                self.parse_statement(d + 1)
+                return
 
-    def _for_stmt(self, d: int) -> Stmt:
+    def _for_stmt(self, d: int) -> None:
         self.expect("for")
         self.ncss += 1
+        self._sink.cognitive += 1 + d
         self.expect("(")
         scopes = self._method.scopes
         scopes.append(set())
         if self._foreach_header():
             self._decide("foreach")
-            node = Stmt("foreach", d)
-            self._parse_expr_group(node, d)
+            self._parse_expr_group(d)
             self.expect(")")
         else:
             self._decide("for")
-            node = Stmt("for", d)
             if not self.at(";"):
-                self._for_init(node, d)
+                self._for_init(d)
             self.expect(";")
             if not self.at(";"):
-                self._parse_expr_group(node, d)
+                self._parse_expr_group(d)
             self.expect(";")
             if not self.at(")"):
                 while True:
-                    self._parse_expr_group(node, d)
+                    self._parse_expr_group(d)
                     if not self.accept(","):
                         break
             self.expect(")")
-        node.children.append(self.parse_statement(d + 1))
+        self.parse_statement(d + 1)
         scopes.pop()
-        return node
 
     def _foreach_header(self) -> bool:
         """Consume 'Type name :' of an enhanced for, or nothing."""
@@ -864,77 +853,70 @@ class _Parser:
         self.i = saved
         return False
 
-    def _for_init(self, node: Stmt, d: int) -> None:
+    def _for_init(self, d: int) -> None:
         saved = self.i
         self.parse_modifiers()
         if self._type_then_name():
-            self._declarators(node, d)
+            self._declarators(d)
             return
         self.i = saved
         while True:
-            self._parse_expr_group(node, d)
+            self._parse_expr_group(d)
             if not self.accept(","):
                 return
 
-    def _while_stmt(self, d: int) -> Stmt:
+    def _while_stmt(self, d: int) -> None:
         self.expect("while")
         self.ncss += 1
         self._decide("while")
-        node = Stmt("while", d)
+        self._sink.cognitive += 1 + d
         self.expect("(")
-        self._parse_expr_group(node, d)
+        self._parse_expr_group(d)
         self.expect(")")
-        node.children.append(self.parse_statement(d + 1))
-        return node
+        self.parse_statement(d + 1)
 
-    def _do_stmt(self, d: int) -> Stmt:
+    def _do_stmt(self, d: int) -> None:
         self.expect("do")
         self.ncss += 1
         self._decide("do")
-        node = Stmt("do", d)
-        node.children.append(self.parse_statement(d + 1))
+        self._sink.cognitive += 1 + d
+        self.parse_statement(d + 1)
         self.expect("while")
         self.expect("(")
-        self._parse_expr_group(node, d)
+        self._parse_expr_group(d)
         self.expect(")")
         self.expect(";")
-        return node
 
-    def _switch_stmt(self, d: int) -> Stmt:
+    def _switch_stmt(self, d: int) -> None:
         self.expect("switch")
         self.ncss += 1
-        node = Stmt("switch", d)
+        self._sink.cognitive += 1 + d
         self.expect("(")
-        self._parse_expr_group(node, d)
+        self._parse_expr_group(d)
         self.expect(")")
         self.expect("{")
-        current: Stmt | None = None
+        labelled = False
         while not self.at("}"):
             if self.at("case"):
                 self.i += 1
                 self.ncss += 1
                 self._decide("case")
-                current = Stmt("case-label", d + 1)
-                self._parse_expr_group(current, self._depth, self.parse_ternary)
-                node.children.append(current)
+                self._parse_expr_group(self._depth, self.parse_ternary)
                 self.expect(":")
-                continue
-            if self.at("default"):
+                labelled = True
+            elif self.at("default"):
                 self.i += 1
-                current = Stmt("case-label", d + 1)
-                node.children.append(current)
                 self.expect(":")
-                continue
-            if current is None:
+                labelled = True
+            elif not labelled:
                 self.error("statement outside any switch label")
-            current.children.append(self.parse_statement(d + 1))
+            else:
+                self.parse_statement(d + 1)
         self.expect("}")
-        return node
 
-    def _try_stmt(self, d: int) -> Stmt:
+    def _try_stmt(self, d: int) -> None:
         self.expect("try")
         self.ncss += 1
-        node = Stmt("try", d)
         scopes = self._method.scopes
         scopes.append(set())
         if self.at("("):
@@ -944,20 +926,20 @@ class _Parser:
                 self.parse_type()
                 self._declare_local(self.expect_ident())
                 self.expect("=")
-                self._parse_expr_group(node, d)
+                self._parse_expr_group(d)
                 if self.accept(";"):
                     if self.at(")"):
                         break
                     continue
                 break
             self.expect(")")
-        node.children.append(self.parse_block(d))
+        self.parse_block(d)
         scopes.pop()
         while self.at("catch"):
             self.i += 1
             self.ncss += 1
             self._decide("catch")
-            catch = Stmt("catch", d)
+            self._sink.cognitive += 1 + d
             self.expect("(")
             scopes.append(set())
             self.parse_modifiers()
@@ -968,13 +950,11 @@ class _Parser:
             self._record_refs(names)
             self._declare_local(self.expect_ident())
             self.expect(")")
-            catch.children.append(self.parse_block(d + 1))
+            self.parse_block(d + 1)
             scopes.pop()
-            node.children.append(catch)
         if self.accept("finally"):
             self.ncss += 1
-            node.children.append(self.parse_block(d))
-        return node
+            self.parse_block(d)
 
     # ---- expressions -----------------------------------------------------
 
@@ -997,8 +977,8 @@ class _Parser:
     def _try_lambda(self) -> bool:
         """Parse a lambda when one starts at the cursor.
 
-        Its body is a group of its own, one level deeper; the parameters
-        are locals of the body."""
+        Its body sits one level deeper and scores with the group's owner;
+        the parameters are locals of the body."""
         lex = self.lex
         i = self.i
         if self.kinds[i] == "identifier" and lex[i + 1] == "->":
@@ -1009,19 +989,16 @@ class _Parser:
             if end is None or lex[end + 1] != "->":
                 return False
             names = self._lambda_params()
-        node = Stmt("lambda-body", self._depth)
-        if self._nodes is not None:
-            self._nodes.append(node)
         scopes = self._method.scopes
         scopes.append(set(names))
-        depth = self._depth + 1
+        outer = self._sink, self._depth
+        self._sink = self._owner
+        self._depth = depth = self._depth + 1
         if self.at("{"):
-            outer = self._depth
-            self._depth = depth
-            node.children.extend(self.parse_block(depth).children)
-            self._depth = outer
+            self.parse_block(depth)
         else:
-            self._parse_expr_group(node, depth)
+            self._parse_expr_group(depth)
+        self._sink, self._depth = outer
         scopes.pop()
         return True
 
@@ -1075,8 +1052,7 @@ class _Parser:
         """'? true-branch :' after a condition; the caller parses the false branch."""
         self.i += 1
         self._decide("ternary")
-        if self._nodes is not None:
-            self._nodes.append(Stmt("conditional-expr", self._depth))
+        self._owner.cognitive += 1
         self.parse_expression()
         self.expect(":")
 
@@ -1103,8 +1079,11 @@ class _Parser:
                 continue
             if prec <= 2:
                 self._decide("or" if prec == 1 else "and")
-                if self._ops is not None:
-                    self._ops.append(op)
+                # each change between '&&' and '||' in a group scores 1
+                if op != self._last_op:
+                    if self._last_op:
+                        self._owner.cognitive += 1
+                    self._last_op = op
             ceiling = _TIGHTEST
             self._parse_operand()
 
@@ -1370,7 +1349,3 @@ def parse(source: str) -> CompilationUnit:
     unit.source = source
     return unit
 
-
-def extract_classes(unit: CompilationUnit) -> list[ClassModel]:
-    """Top-level classes of a compilation unit, in source order."""
-    return list(unit.types)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from cam.javasrc.model import ClassModel, CompilationUnit
-from cam.javasrc.parser import extract_classes
 # Unused here; perfbench/tracing.py wraps this name, and fails without it.
 from cam.javasrc.parser import parse  # noqa: F401
 from cam.metrics.code import (
@@ -56,7 +55,7 @@ def measure_repo(
     the filter rules; git_columns maps the same paths to their five history
     values.
     """
-    files = [(path, extract_classes(units[path])) for path in sorted(units)]
+    files = [(path, units[path].types) for path in sorted(units)]
     graph = ClassGraph(files)
 
     result = RepoMeasurement()

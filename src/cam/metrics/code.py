@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from cam.javasrc.lexer import Token
-from cam.javasrc.model import ClassModel, MethodModel, Stmt
+from cam.javasrc.model import ClassModel, MethodModel
 
 NAN = float("nan")
 
@@ -109,38 +109,8 @@ def class_cyclomatic(model: ClassModel) -> int:
     return sum(method_cyclomatic(m) for m in model.all_methods())
 
 
-def _alternations(group: list[str]) -> int:
-    return sum(1 for a, b in zip(group, group[1:]) if a != b)
-
-
-def _cognitive_score(node: Stmt) -> int:
-    score = 0
-    kind = node.kind
-    if kind == "if":
-        score += 1 if node.chained else 1 + node.depth
-    elif kind in ("for", "foreach", "while", "do", "switch", "catch"):
-        score += 1 + node.depth
-    elif kind in ("conditional-expr", "labeled-jump"):
-        score += 1
-    for group in node.op_groups:
-        score += _alternations(group)
-    for child in node.children:
-        score += _cognitive_score(child)
-    for child in node.else_children or ():
-        if not child.chained:  # the final else; a chained arm scores its own 1
-            score += 1
-        score += _cognitive_score(child)
-    return score
-
-
-def method_cognitive(method: MethodModel) -> int:
-    if method.body is None:
-        return 0
-    return _cognitive_score(method.body)
-
-
 def class_cognitive(model: ClassModel) -> int:
-    return sum(method_cognitive(m) for m in model.all_methods())
+    return sum(m.cognitive for m in model.all_methods())
 
 
 @dataclass(frozen=True)

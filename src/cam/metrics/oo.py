@@ -40,7 +40,7 @@ def access_matrix(model: ClassModel) -> AccessMatrix:
         if method.is_constructor or method.is_static:
             continue
         matrix.rows.append(method.accessed_field_names & fieldset)
-        if method.is_public and method.body is not None:
+        if method.is_public and method.has_body:
             matrix.visible_rows.append(len(matrix.rows) - 1)
     return matrix
 

@@ -2,13 +2,17 @@
 
 The production lexer in `cam.javasrc.lexer` scans with one master regular
 expression. This is the lexer it replaced, copied unchanged apart from
-this header, the imports and one deliberate verdict change made in both
-(numbers take ASCII digits only, so `1²` and `١٢` are illegal characters),
-so that `tests/test_lexer_differential.py` can check that both give the
-same tokens, or the same error, on any input.
+this header, the imports and three deliberate verdict changes made in
+both: numbers take ASCII digits only, so `1²` and `١٢` are illegal
+characters; an '_' in a number must sit between two digits; and names
+follow Java's identifier rule by Unicode category. So
+`tests/test_lexer_differential.py` can check that both give the same
+tokens, or the same error, on any input.
 """
 
 from __future__ import annotations
+
+import unicodedata
 
 from cam.javasrc.lexer import KEYWORDS, LexError, Token
 
@@ -61,12 +65,31 @@ _DIGITS_ = _DIGITS + "_"
 
 
 
+# Java's Character.isJavaIdentifierStart and isJavaIdentifierPart, by
+# Unicode category: letters, letter numbers, currency symbols ('$') and
+# connectors ('_') start a name; digits, combining marks and format
+# characters may follow.
+_IDENT_START = frozenset(["Lu", "Ll", "Lt", "Lm", "Lo", "Nl", "Sc", "Pc"])
+_IDENT_PART = _IDENT_START | {"Nd", "Mn", "Mc", "Cf"}
+
+
 def _ident_start(ch: str) -> bool:
-    return ch == "_" or ch == "$" or ch.isalpha()
+    return unicodedata.category(ch) in _IDENT_START
 
 
 def _ident_part(ch: str) -> bool:
-    return ch == "_" or ch == "$" or ch.isalnum()
+    return unicodedata.category(ch) in _IDENT_PART
+
+
+def _digit_run(source: str, i: int, digits: str, line: int, col: int) -> int:
+    """End of the run of *digits* (which include '_') at *i*; the run may
+    not start or end with an '_'."""
+    j = i
+    while j < len(source) and source[j] in digits:
+        j += 1
+    if j > i and (source[i] == "_" or source[j - 1] == "_"):
+        raise LexError(line, col, "malformed numeric literal")
+    return j
 
 
 def tokenize(source: str) -> list[Token]:
@@ -191,47 +214,37 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
         prefixed = True
         i += 2
         digits = i
-        while i < n and source[i] in _HEX:
-            i += 1
+        i = _digit_run(source, i, _HEX, line, col)
         if i == digits:
             raise LexError(line, col, "malformed hex literal")
         if i < n and source[i] == ".":
             kind = "literal-float"
-            i += 1
-            while i < n and source[i] in _HEX:
-                i += 1
+            i = _digit_run(source, i + 1, _HEX, line, col)
         if i < n and source[i] in "pP":
             kind = "literal-float"
             i += 1
             if i < n and source[i] in "+-":
                 i += 1
-            while i < n and source[i] in _DIGITS_:
-                i += 1
+            i = _digit_run(source, i, _DIGITS_, line, col)
     elif source[i] == "0" and i + 1 < n and source[i + 1] in "bB":
         prefixed = True
         i += 2
         digits = i
-        while i < n and source[i] in "01_":
-            i += 1
+        i = _digit_run(source, i, "01_", line, col)
         if i == digits:
             raise LexError(line, col, "malformed binary literal")
     else:
-        while i < n and source[i] in _DIGITS_:
-            i += 1
+        i = _digit_run(source, i, _DIGITS_, line, col)
         if i < n and source[i] == ".":
             kind = "literal-float"
-            i += 1
-            while i < n and source[i] in _DIGITS_:
-                i += 1
+            i = _digit_run(source, i + 1, _DIGITS_, line, col)
         if i < n and source[i] in "eE":
             j = i + 1
             if j < n and source[j] in "+-":
                 j += 1
             if j < n and source[j] in _DIGITS:
                 kind = "literal-float"
-                i = j
-                while i < n and source[i] in _DIGITS_:
-                    i += 1
+                i = _digit_run(source, j, _DIGITS_, line, col)
 
     if i < n and source[i] in "fFdD" and (kind == "literal-float" or not prefixed):
         kind = "literal-float"

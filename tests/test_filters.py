@@ -60,12 +60,34 @@ def test_kept_file():
         ("src/Sup.java", "class A { int x = 1²; }".encode(), "unparseable"),
         ("src/Arabic.java", "class A { int x = ١٢; }".encode(), "unparseable"),
         ("src/Dot.java", "class A { double x = .١; }".encode(), "unparseable"),
+        ("src/Sup.java", "class A { int x² = 1; }".encode(), "unparseable"),
+        ("src/Under.java", b"class A { int x = 1_; }", "unparseable"),
+        ("src/Under.java", b"class A { double x = 1_.5; }", "unparseable"),
+        ("src/Under.java", b"class A { int x = 0x_1; }", "unparseable"),
+        ("src/Under.java", b"class A { int x = 0b_1; }", "unparseable"),
+        ("src/Under.java", b"class A { long x = 1_L; }", "unparseable"),
     ],
 )
 def test_rejections(path, data, reason):
     got, unit = evaluate_file(path, data)
     assert got == reason
     assert unit is None
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("class A { int €x; }", "€x"),
+        ("class A { int a\u0301; }", "a\u0301"),
+        ("class A { int Ⅷ; }", "Ⅷ"),
+        ("class A { int a\u200db; }", "a\u200db"),
+        ("class A { int x = 1__2 + 0_7; }", "x"),
+    ],
+)
+def test_valid_java_names_and_numbers_are_kept(source, name):
+    reason, unit = evaluate_file("src/A.java", source.encode())
+    assert reason is None
+    assert [f.name for f in unit.types[0].fields] == [name]
 
 
 def test_line_length_boundary():

@@ -54,6 +54,26 @@ def test_numeric_literal_kinds():
     for lex in ("1.5", "1e3", ".25", "2f", "3D", "0x1p3", "1_0.5"):
         assert kinds(lex) == [("literal-float", lex)]
     assert kinds("07")[0] == ("literal-int", "07")
+    # an '_' between two digits, alone or in a run
+    assert kinds("1__2 0_7 0x1_F 0b1_0") == [
+        ("literal-int", "1__2"),
+        ("literal-int", "0_7"),
+        ("literal-int", "0x1_F"),
+        ("literal-int", "0b1_0"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("int €x;", "€x"),  # a currency symbol starts a name
+        ("int a\u0301;", "a\u0301"),  # a combining mark goes on with one
+        ("int Ⅷ;", "Ⅷ"),  # a letter number starts one
+        ("int a\u200db;", "a\u200db"),  # so does a format character
+    ],
+)
+def test_java_identifier_rule(text, name):
+    assert kinds(text) == [("keyword", "int"), ("identifier", name), ("separator", ";")]
 
 
 def test_string_and_char_literals():
@@ -123,6 +143,16 @@ LEX_ERRORS = [
     ("class A { int x = ١٢; }", 1, 19, "illegal character '١'"),
     ("class A { double x = .١; }", 1, 23, "illegal character '١'"),
     ("0x1p٣", 1, 5, "illegal character '٣'"),
+    # A superscript digit (category No) is not part of a Java name.
+    ("class A { int x² = 1; }", 1, 16, "illegal character '²'"),
+    # An '_' in a number must sit between two digits.
+    ("1_", 1, 1, "malformed numeric literal"),
+    ("1_.5", 1, 1, "malformed numeric literal"),
+    ("0x_1", 1, 1, "malformed numeric literal"),
+    ("0b_1", 1, 1, "malformed numeric literal"),
+    ("1_L", 1, 1, "malformed numeric literal"),
+    ("x = 1._5;", 1, 5, "malformed numeric literal"),
+    ("1e5_", 1, 1, "malformed numeric literal"),
 ]
 
 

@@ -28,6 +28,7 @@ def assert_same(text):
 EXTRA_FRAGMENTS = [
     "café", "x²", "Ⅻ", "١٢", ".é", "é", "1_000", ".5", "3.", "1..2", "0x1p3",
     "1e", "07", "$x", "_", "\"\\\n\"", "/*\nx\n*/", "'\\\n'", "\f", "\\u0041",
+    "€", "\u0301", "\u200d", "0x_", "0b_", "_.", "L",
 ]
 soup = st.lists(st.sampled_from(FRAGMENTS + EXTRA_FRAGMENTS), max_size=60).map("".join)
 

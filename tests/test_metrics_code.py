@@ -14,7 +14,6 @@ from cam.metrics.code import (
     line_metrics,
     maintainability_index,
     member_counts,
-    method_cognitive,
     method_cyclomatic,
 )
 
@@ -171,13 +170,30 @@ COGNITIVE_TABLE = [
     ("void f(int x) { do { x--; } while (x > 0); }", 1),
     ("Runnable f(int x) { return () -> { if (x > 0) { g(); } }; }", 2),
     ("void f(int[] xs) { for (int x : xs) { if (x > 0) { g(); } } }", 3),
+    # A field initializer of an anonymous class passed inside f opens no
+    # expression group of its own, so its ternary, its '&&'/'||' change and
+    # its lambda body score in f; the lambda body sits one level under the
+    # return statement's group, so its if scores 2 and the while 3.
+    ("Object f(boolean a, boolean b, boolean c) { return g(new Object() { int v = a && b || c ? 1 : 2; }); }", 2),
+    ("Object f(int x) { return g(new Object() { Runnable r = () -> { if (x > 0) { while (x > 1) { x--; } } }; }); }", 5),
+    # An initializer block, an annotation element's default value and a
+    # field initializer with no expression group open around it belong to
+    # no method, so nothing gets their scores.
+    ("Object f(int x) { return g(new Object() { { if (x > 0) { x--; } int y = x > 0 ? 1 : 0; } }); }", 0),
+    ("Runnable r = () -> { if (h()) { g(); } }; void f() { g(); }", 0),
+    ("@interface A { int v() default B ? 1 : 2; } void f() { g(); }", 0),
+    ("void f(int x) { class L { int q = x > 0 ? 1 : 2; Runnable r = () -> { if (x > 0) {} }; } }", 0),
+    # A local class's method starts one level under the declaring statement.
+    ("void f(int x) { class L { void m(int y) { if (y > 0) {} } } }", 2),
 ]
 
 
 @pytest.mark.parametrize("snippet,score", COGNITIVE_TABLE)
 def test_method_cognitive(snippet, score):
-    m = first_method("class C { " + snippet + " void g() {} boolean h() { return true; } }")
-    assert method_cognitive(m) == score
+    """*score* is the class's sum over f, g, h and the methods of the
+    classes f declares; g and h score nothing."""
+    model = parse("class C { " + snippet + " void g() {} boolean h() { return true; } }").types[0]
+    assert class_cognitive(model) == score
 
 
 def test_long_else_if_chain_is_kept_and_scored():

@@ -1,15 +1,15 @@
 """The parser's whole output on a fixed set of inputs, pinned by a digest.
 
 `dump` writes every field of each parsed model in one canonical text form:
-statement trees with depths, else arms and op groups, decision counts,
-accessed and invoked names, referenced types, ncss and the token-slice
-bounds of each class and method. `SNAPSHOT_SHA256` is the digest of that
-dump over every fixture source, the deep-nesting shapes of the filter tests
-and the generated classes in `tests/data/` (written once by
-`perfbench/javagen.py` `java_class`, seeds 1000-1009, so a later change to
-the generator cannot move them). A change to the parser that is meant to
-leave its output alone must leave the digest alone; a deliberate change to
-the output records the new digest here.
+decision counts, cognitive scores, whether a method has a body, accessed
+and invoked names, referenced types, ncss and the token-slice bounds of
+each class. `SNAPSHOT_SHA256` is the digest of that dump over every fixture
+source, the deep-nesting shapes of the filter tests and the generated
+classes in `tests/data/` (written once by `perfbench/javagen.py`
+`java_class`, seeds 1000-1009, so a later change to the generator cannot
+move them). A change to the parser that is meant to leave its output alone
+must leave the digest alone; a deliberate change to the output records the
+new digest here.
 
 Rejected inputs are pinned one by one, with the line, column and message
 of their error.
@@ -28,23 +28,13 @@ from test_filters import _anonymous_classes, _else_if_chain, _lambdas, _parens
 
 DATA = Path(__file__).parent / "data"
 
-SNAPSHOT_SHA256 = "8e3fa9f43c76866831ae715375255fcacbb7d12d9fda9ac24bcdf9dbcfda30c0"
+SNAPSHOT_SHA256 = "8a6f76cc4cb2166beb30610821da260bba07c62f30bbbee5b3167ee8464172bc"
 
 
 def _slice(tokens, where) -> str:
     if not tokens:
         return "[]"
     return f"[{where[id(tokens[0])]}:{where[id(tokens[-1])] + 1}]/{len(tokens)}"
-
-
-def _stmt(node, indent: str, out: list[str]) -> None:
-    out.append(f"{indent}{node.kind} {node.depth}{' chained' if node.chained else ''} {node.op_groups}")
-    for child in node.children:
-        _stmt(child, indent + " ", out)
-    if node.else_children is not None:
-        out.append(f"{indent}else {len(node.else_children)}")
-        for child in node.else_children:
-            _stmt(child, indent + " ", out)
 
 
 def _class(model, indent: str, where, out: list[str]) -> None:
@@ -60,10 +50,8 @@ def _class(model, indent: str, where, out: list[str]) -> None:
             f"{indent} method {m.name} ctor={m.is_constructor} static={m.is_static} {m.visibility}"
             f" params={m.parameter_type_names} invoked={sorted(m.invoked_method_names)}"
             f" accessed={sorted(m.accessed_field_names)} decisions={list(m.decision_tokens.items())}"
-            f" body={_slice(m.body_tokens, where)}"
+            f" cognitive={m.cognitive} has_body={m.has_body}"
         )
-        if m.body is not None:
-            _stmt(m.body, indent + "  ", out)
     for inner in model.nested:
         _class(inner, indent + " ", where, out)
 

@@ -1,11 +1,10 @@
 import pytest
 
-from cam.javasrc.parser import JavaSyntaxError, extract_classes, parse
+from cam.javasrc.parser import JavaSyntaxError, parse
 
 
 def only_class(source):
-    unit = parse(source)
-    types = extract_classes(unit)
+    types = parse(source).types
     assert len(types) == 1
     return types[0]
 
@@ -47,7 +46,8 @@ def test_class_header_fields_and_methods():
     methods = {m.name: m for m in model.methods}
     assert methods["Shape"].is_constructor
     assert methods["Shape"].visibility == "public"
-    assert methods["draw"].body is None
+    assert not methods["draw"].has_body
+    assert methods["count"].has_body
     assert methods["count"].is_static
 
 
@@ -161,14 +161,9 @@ def test_chained_else_if_marks_chain():
         "    }\n"
         "}\n"
     )
-    body = model.methods[0].body
-    outer = next(s for s in body.children if s.kind == "if")
-    assert not outer.chained
-    assert outer.else_children[0].kind == "if"
-    assert outer.else_children[0].chained
-    # the chain is flat: each arm and the final else sit on the head
-    assert [s.kind for s in outer.else_children] == ["if", "block"]
-    assert outer.else_children[0].else_children is None
+    # the head if scores 1, the `else if` arm and the final else 1 each,
+    # whatever their nesting
+    assert model.methods[0].cognitive == 3
 
 
 def test_statement_depths_nest_on_control_flow_only():
@@ -189,23 +184,9 @@ def test_statement_depths_nest_on_control_flow_only():
         "    }\n"
         "}\n"
     )
-    body = model.methods[0].body
-    flat = []
-
-    def walk(node):
-        flat.append((node.kind, node.depth))
-        for child in list(node.children) + list(node.else_children or []):
-            walk(child)
-
-    walk(body)
-    pairs = {}
-    for kind, depth in flat:
-        pairs.setdefault(kind, []).append(depth)
-    assert pairs["if"] == [0, 0, 0]
-    assert pairs["while"] == [1]
-    # the x-- inside the while sits two levels deep; the synchronized
-    # statement itself is a flat node at depth 0
-    assert sorted(pairs["statement"]) == [0, 2]
+    # the three ifs sit at depth 0 and score 1 each, the while at depth 1
+    # scores 2: synchronized and try bodies add no depth
+    assert model.methods[0].cognitive == 5
 
 
 def test_field_access_and_invocations():
