@@ -1,9 +1,9 @@
 """Tokenizer for Java 8 source text.
 
-The token stream is lossless: every token records the whitespace that
-precedes it, and a final ``eof`` sentinel carries whatever trails the last
-real token, so concatenating ``preceding + lexeme`` over the stream gives
-back the input byte for byte (see :func:`reassemble`).
+`tokenize` returns `Tokens`: parallel kind, lexeme and start-offset
+columns for the code tokens, ending in one ``eof`` entry at the end of the
+source, and the comments as ``(start, text)`` pairs. Only whitespace lies
+between two tokens, so each lexeme is the source sliced at its start.
 
 One compiled master regular expression scans each token: a group for the
 whitespace before it, then one alternative per common token shape, most
@@ -12,29 +12,28 @@ ints, line and block comments, string and char literals). An identifier or
 int that goes on with a non-ASCII character must not match, and neither
 must a shorter prefix of one, so their lookaheads refuse both a non-ASCII
 character and any word character: `café` may not match as `ca`. A '.'
-followed by a digit or a non-ASCII character does not match either.
+followed by a digit or a non-ASCII character does not match either, and
+neither does an int of more than one digit that starts with '0'.
 
 A position the regex does not take goes to `_scan_fallback`, which scans
-one token a character at a time: other numbers (hex, binary, floats and
-ints with '_' or a suffix), identifiers that hold or precede a non-ASCII
-character, a '.' before a non-ASCII character, and every error
+one token a character at a time: other numbers (octal, hex, binary, floats
+and ints with '_' or a suffix), identifiers that hold or precede a
+non-ASCII character, a '.' before a non-ASCII character, and every error
 (unterminated comment, string, char or escape, malformed number, illegal
-character). As in Java, a number takes ASCII digits only: a digit from any
-other script, or a superscript, is an illegal character, and an '_' must
-sit between two digits (`1_` and `0x_1` are malformed). Names follow
-Java's identifier rule by Unicode category, so `€x` and `Ⅷ` are names and
-`x²` is the name `x` and an illegal character.
-
-Line and column come from a line count and the offset where the line
-starts, which move only past a newline in whitespace, in a block comment
-or in an escaped newline of a literal.
+character). Numbers follow JLS 3.10.1-3.10.2: ASCII digits only (`1²`
+is `1` and an illegal character), an '_' only between two digits, an int
+that starts with '0' is octal (`09` is malformed, `09.5` a float), and a
+hex float needs its binary exponent (`0x1.8` and `0x1p` are malformed).
+Names follow Java's identifier rule by Unicode category, so `€x` and `Ⅷ`
+are names and `x²` is the name `x` and an illegal character. A line and
+column are worked out from an offset (`position`) only for an error.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 KEYWORDS = frozenset(
     """
@@ -46,6 +45,7 @@ KEYWORDS = frozenset(
     true false null
     """.split()
 )
+LITERAL_KINDS = frozenset(["literal-int", "literal-float", "literal-string", "literal-char"])
 
 # `m.lastindex` names the alternative that matched; it is 1, the whitespace
 # group, when none did. Each symbol alternative takes the longest symbol that
@@ -59,7 +59,7 @@ _MASTER = re.compile(
       | ( >(?:>>?)?=? | <<?=? | -[>=-]? | \+[+=]? | &[&=]? | \|[|=]?
         | [=!*%^]=? | /(?![/*])=? | [~?:] )
       | ( [A-Za-z_$][A-Za-z0-9_$]* ) (?![\w$]|[^\x00-\x7f])
-      | ( [0-9]+ ) (?![\w$.]|[^\x00-\x7f])
+      | ( 0 | [1-9][0-9]* ) (?![\w$.]|[^\x00-\x7f])
       | ( //[^\n]* )
       | ( /\*.*?\*/ )
       | ( "[^"\\\n]*(?:\\.[^"\\\n]*)*" )
@@ -68,23 +68,12 @@ _MASTER = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-# Token kind by group number; None for the whole match, the whitespace and
-# an identifier, which may be a keyword.
-_GROUP_KIND = (
-    None,
-    None,
-    "separator",
-    "operator",
-    None,
-    "literal-int",
-    "comment-line",
-    "comment-block",
-    "literal-string",
-    "literal-char",
-)
+# The kind of the token each group matches; None for the whole match, the
+# whitespace, an identifier (which may be a keyword) and the two comments.
+_GROUP_KIND = (None, None, "separator", "operator", None, "literal-int", None, None, "literal-string", "literal-char")
 _IDENT = 4
-# From this group on a lexeme may hold a newline.
-_MULTILINE = 7
+_LINE_COMMENT = 6
+_BLOCK_COMMENT = 7
 
 _HEX = "0123456789abcdefABCDEF_"
 # Java numbers take ASCII digits only; any other digit is an illegal character.
@@ -92,23 +81,28 @@ _DIGITS = "0123456789"
 _DIGITS_ = _DIGITS + "_"
 
 
+class Tokens(NamedTuple):
+    """The code tokens as parallel columns, ending in one ``eof`` entry,
+    and the comments as ``(start, text)`` pairs."""
+
+    kinds: list[str]
+    lexemes: list[str]
+    starts: list[int]
+    comments: list[tuple[int, str]]
+
+
+def position(source: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of *offset* in *source*."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
 class LexError(Exception):
     """Raised when the scanner hits malformed or unterminated input."""
 
-    def __init__(self, line: int, column: int, reason: str):
-        super().__init__(f"line {line}, column {column}: {reason}")
-        self.line = line
-        self.column = column
+    def __init__(self, source: str, offset: int, reason: str):
+        self.line, self.column = position(source, offset)
+        super().__init__(f"line {self.line}, column {self.column}: {reason}")
         self.reason = reason
-
-
-@dataclass(slots=True)
-class Token:
-    kind: str
-    lexeme: str
-    line: int
-    column: int
-    preceding: str = field(default="", repr=False, compare=False)
 
 
 # Java's Character.isJavaIdentifierStart and isJavaIdentifierPart, by
@@ -119,51 +113,30 @@ _IDENT_START = frozenset(["Lu", "Ll", "Lt", "Lm", "Lo", "Nl", "Sc", "Pc"])
 _IDENT_PART = _IDENT_START | {"Nd", "Mn", "Mc", "Cf"}
 
 
-def _ident_start(ch: str) -> bool:
-    return unicodedata.category(ch) in _IDENT_START
-
-
-def _ident_part(ch: str) -> bool:
-    return unicodedata.category(ch) in _IDENT_PART
-
-
-def _digit_run(source: str, i: int, digits: str, line: int, col: int) -> int:
-    """End of the run of *digits* (which include '_') at *i*; the run may
-    not start or end with an '_'."""
-    j = i
-    while j < len(source) and source[j] in digits:
-        j += 1
-    if j > i and (source[i] == "_" or source[j - 1] == "_"):
-        raise LexError(line, col, "malformed numeric literal")
-    return j
-
-
-def tokenize(source: str) -> list[Token]:
-    """Scan *source* into tokens, ending with an ``eof`` sentinel.
+def tokenize(source: str) -> Tokens:
+    """Scan *source* into token columns.
 
     Raises LexError on unterminated strings/chars/comments, malformed
     numeric literals, and characters outside the language.
     """
-    toks: list[Token] = []
-    append = toks.append
+    kinds: list[str] = []
+    lexemes: list[str] = []
+    starts: list[int] = []
+    comments: list[tuple[int, str]] = []
     match = _MASTER.match
     n = len(source)
     pos = 0
-    line = 1
-    line_start = 0
     while True:
         m = match(source, pos)
-        preceding = m[1]
-        if "\n" in preceding:
-            line += preceding.count("\n")
-            line_start = pos + preceding.rindex("\n") + 1
-        start = pos + len(preceding)
+        start = m.end(1)
         group = m.lastindex
         if group == 1:
             if start == n:
-                append(Token("eof", "", line, start - line_start + 1, preceding))
-                return toks
-            kind, pos = _scan_fallback(source, start, line, start - line_start + 1)
+                kinds.append("eof")
+                lexemes.append("")
+                starts.append(n)
+                return Tokens(kinds, lexemes, starts, comments)
+            kind, pos = _scan_fallback(source, start)
             lexeme = source[start:pos]
         else:
             lexeme = m[group]
@@ -171,13 +144,15 @@ def tokenize(source: str) -> list[Token]:
             kind = _GROUP_KIND[group]
             if group == _IDENT:
                 kind = "keyword" if lexeme in KEYWORDS else "identifier"
-        append(Token(kind, lexeme, line, start - line_start + 1, preceding))
-        if group >= _MULTILINE and "\n" in lexeme:
-            line += lexeme.count("\n")
-            line_start = start + lexeme.rindex("\n") + 1
+            elif group == _LINE_COMMENT or group == _BLOCK_COMMENT:
+                comments.append((start, lexeme))
+                continue
+        kinds.append(kind)
+        lexemes.append(lexeme)
+        starts.append(start)
 
 
-def _scan_fallback(source: str, i: int, line: int, col: int) -> tuple[str, int]:
+def _scan_fallback(source: str, i: int) -> tuple[str, int]:
     """Kind and end of the token at *i* that the master regex does not take.
 
     That is a number the int alternative refuses, an identifier that holds
@@ -189,7 +164,7 @@ def _scan_fallback(source: str, i: int, line: int, col: int) -> tuple[str, int]:
 
     if ch == "/":
         # A terminated block comment and every other '/' token match the regex.
-        raise LexError(line, col, "unterminated block comment")
+        raise LexError(source, i, "unterminated block comment")
 
     if ch == '"' or ch == "'":
         # A terminated literal matches the regex; find which end it lacks.
@@ -198,66 +173,81 @@ def _scan_fallback(source: str, i: int, line: int, col: int) -> tuple[str, int]:
         while j < n and source[j] != "\n" and source[j] != ch:
             if source[j] == "\\":
                 if j + 1 >= n:
-                    raise LexError(line, col, "unterminated escape")
+                    raise LexError(source, i, "unterminated escape")
                 j += 1
             j += 1
-        raise LexError(line, col, f"unterminated {what} literal")
+        raise LexError(source, i, f"unterminated {what} literal")
 
     if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
-        return _scan_number(source, i, line, col)
+        return _scan_number(source, i)
 
-    if _ident_start(ch):
+    if unicodedata.category(ch) in _IDENT_START:
         j = i + 1
-        while j < n and _ident_part(source[j]):
+        while j < n and unicodedata.category(source[j]) in _IDENT_PART:
             j += 1
         return ("keyword" if source[i:j] in KEYWORDS else "identifier"), j
 
     if ch == ".":
         return "separator", i + 1
 
-    raise LexError(line, col, f"illegal character {ch!r}")
+    raise LexError(source, i, f"illegal character {ch!r}")
 
 
-def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
+def _digit_run(source: str, i: int, digits: str, start: int) -> int:
+    """End of the run of *digits* (which include '_') at *i*; the run may
+    not start or end with an '_'. *start* is where the number starts."""
+    j = i
+    while j < len(source) and source[j] in digits:
+        j += 1
+    if j > i and (source[i] == "_" or source[j - 1] == "_"):
+        raise LexError(source, start, "malformed numeric literal")
+    return j
+
+
+def _scan_number(source: str, start: int) -> tuple[str, int]:
     n = len(source)
     kind = "literal-int"
     prefixed = False
+    # The digits of a decimal int that starts with '0', which is octal.
+    octal = ""
+    i = start
 
     if source[i] == "0" and i + 1 < n and source[i + 1] in "xX":
         prefixed = True
-        i += 2
-        digits = i
-        i = _digit_run(source, i, _HEX, line, col)
-        if i == digits:
-            raise LexError(line, col, "malformed hex literal")
+        i = _digit_run(source, i + 2, _HEX, start)
         if i < n and source[i] == ".":
             kind = "literal-float"
-            i = _digit_run(source, i + 1, _HEX, line, col)
+            i = _digit_run(source, i + 1, _HEX, start)
+        if source[start + 2 : i] in ("", "."):
+            raise LexError(source, start, "malformed hex literal")
+        exponent = i  # where the binary exponent's digits start, if any
         if i < n and source[i] in "pP":
             kind = "literal-float"
-            i += 1
-            if i < n and source[i] in "+-":
-                i += 1
-            i = _digit_run(source, i, _DIGITS_, line, col)
+            exponent = i + 1 + (source[i + 1 : i + 2] in ("+", "-"))
+            i = _digit_run(source, exponent, _DIGITS_, start)
+        if kind == "literal-float" and i == exponent:
+            if source[i : i + 1].isdecimal():  # javac: "illegal non-ASCII digit"
+                raise LexError(source, i, f"illegal character {source[i]!r}")
+            raise LexError(source, start, "malformed floating-point literal")
     elif source[i] == "0" and i + 1 < n and source[i + 1] in "bB":
         prefixed = True
-        i += 2
-        digits = i
-        i = _digit_run(source, i, "01_", line, col)
-        if i == digits:
-            raise LexError(line, col, "malformed binary literal")
+        i = _digit_run(source, i + 2, "01_", start)
+        if i == start + 2:
+            raise LexError(source, start, "malformed binary literal")
     else:
-        i = _digit_run(source, i, _DIGITS_, line, col)
+        i = _digit_run(source, i, _DIGITS_, start)
+        if source[start] == "0":
+            octal = source[start:i]
         if i < n and source[i] == ".":
             kind = "literal-float"
-            i = _digit_run(source, i + 1, _DIGITS_, line, col)
+            i = _digit_run(source, i + 1, _DIGITS_, start)
         if i < n and source[i] in "eE":
             j = i + 1
             if j < n and source[j] in "+-":
                 j += 1
             if j < n and source[j] in _DIGITS:
                 kind = "literal-float"
-                i = _digit_run(source, j, _DIGITS_, line, col)
+                i = _digit_run(source, j, _DIGITS_, start)
 
     if i < n and source[i] in "fFdD" and (kind == "literal-float" or not prefixed):
         kind = "literal-float"
@@ -265,11 +255,8 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
     elif i < n and source[i] in "lL":
         i += 1
 
-    if i < n and _ident_start(source[i]):
-        raise LexError(line, col, "malformed numeric literal")
+    if i < n and unicodedata.category(source[i]) in _IDENT_START:
+        raise LexError(source, start, "malformed numeric literal")
+    if kind == "literal-int" and ("8" in octal or "9" in octal):
+        raise LexError(source, start, "malformed octal literal")
     return kind, i
-
-
-def reassemble(tokens: list[Token]) -> str:
-    """Rebuild the exact source text a token stream was scanned from."""
-    return "".join(t.preceding + t.lexeme for t in tokens)

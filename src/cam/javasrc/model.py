@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from cam.javasrc.lexer import Token
+from cam.javasrc.lexer import Tokens
 
 
 @dataclass
@@ -61,7 +61,7 @@ class ClassModel:
     nested: list["ClassModel"] = field(default_factory=list)
     referenced_type_names: set[str] = field(default_factory=set)
     annotation_count: int = 0
-    tokens: list[Token] = field(default_factory=list)
+    tokens: tuple[int, int] = (0, 0)  # (first, end) index range in the unit's columns; empty if anonymous
 
     def all_methods(self) -> list[MethodModel]:
         """Own methods plus those of every nested/anonymous class, depth first."""
@@ -86,6 +86,6 @@ class CompilationUnit:
     package_name: Optional[str]
     imports: list[ImportDecl]
     types: list[ClassModel]
-    ncss: int = 0
-    tokens: list[Token] = field(default_factory=list)
-    source: str = ""
+    ncss: int
+    tokens: Tokens
+    source: str

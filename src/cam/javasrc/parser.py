@@ -10,14 +10,12 @@ enums, annotation types, try-with-resources, multi-catch, method references.
 Later syntax (records, sealed types, `var`, arrow switches) fails with
 JavaSyntaxError, which is the pipeline's exclusion signal.
 
-The cursor is an index into two parallel lists made once per file: the
-lexemes and the kinds of the code tokens, padded with end-of-file entries
-so a lookahead needs no bounds test. A token test is one list lookup and
-one string compare; the end-of-file lexeme is empty, so it matches no
-expected token. The Token objects are read only for an error's line and
-column and for the token slices of classes. When a '>' is split off a
-glued '>>' (generics), `expect_gt` rewrites the lexeme and the token at
-that index together.
+The cursor is an index into the lexer's kind and lexeme columns, padded
+with end-of-file entries so a lookahead needs no bounds test. A token test
+is one list lookup and one string compare; the empty end-of-file lexeme
+matches no expected token. When a '>' is split off a glued '>>'
+(generics), `expect_gt` rewrites that lexeme, keeping the original, which
+a finished parse puts back as it drops the padding.
 
 The cognitive score (after Campbell, 2018) is added up while parsing. An
 `if` head, a loop, a `switch` and a `catch` score 1 plus their depth, each
@@ -57,7 +55,9 @@ the filter rules map to the unparseable verdict.
 
 from __future__ import annotations
 
-from cam.javasrc.lexer import Token, tokenize
+from typing import NoReturn
+
+from cam.javasrc.lexer import LITERAL_KINDS, Tokens, position, tokenize
 from cam.javasrc.model import (
     ClassModel,
     CompilationUnit,
@@ -76,13 +76,12 @@ PRIMITIVES = frozenset("boolean byte short int long char float double".split())
 _GT_REMAINDERS = {">>": ">", ">>>": ">>", ">=": "=", ">>=": ">=", ">>>=": ">>="}
 _GT_RUNS = frozenset([">", ">>", ">>>"])
 
-_LITERAL_KINDS = frozenset(["literal-int", "literal-float", "literal-string", "literal-char"])
 _PREFIX_OPS = frozenset(["+", "-", "++", "--", "!", "~"])
 _POSTFIX_STARTS = frozenset([".", "[", "++", "--", "::"])
 # Tokens that may open the operand of a reference-type cast; '+'/'-' must
 # not, or '(a) - b' would parse as a cast.
 _CAST_FOLLOW_LEXEMES = frozenset(["(", "!", "~", "this", "super", "new"]) | PRIMITIVES
-_CAST_FOLLOW_KINDS = _LITERAL_KINDS | {"identifier"}
+_CAST_FOLLOW_KINDS = LITERAL_KINDS | {"identifier"}
 # What may sit between the '<' and '>' of type arguments besides names.
 _TYPE_ARG_LEXEMES = frozenset([",", ".", "?", "[", "]", "@", "&", "extends", "super"]) | PRIMITIVES
 
@@ -105,7 +104,6 @@ _TIGHTEST = max(_BINARY_PREC.values())
 
 _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="])
 
-_COMMENT_KINDS = frozenset(["comment-line", "comment-block"])
 # Lookahead reaches at most two tokens past the cursor.
 _PAD = 2
 
@@ -113,10 +111,9 @@ _PAD = 2
 class JavaSyntaxError(Exception):
     """Input is outside the accepted Java 8 grammar."""
 
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+    def __init__(self, source: str, offset: int, message: str):
+        self.line, self.column = position(source, offset)
+        super().__init__(f"line {self.line}, column {self.column}: {message}")
 
 
 class _MethodCtx:
@@ -149,11 +146,15 @@ class _Parser:
     from an error is `_try_type`, and a type touches none of them.
     """
 
-    def __init__(self, code_tokens: list[Token]):
-        self.orig = code_tokens
-        self.toks = list(code_tokens)
-        self.lex = [t.lexeme for t in code_tokens] + [""] * _PAD
-        self.kinds = [t.kind for t in code_tokens] + ["eof"] * _PAD
+    def __init__(self, tokens: Tokens, source: str):
+        self.tokens = tokens
+        self.source = source
+        self.lex = tokens.lexemes
+        self.kinds = tokens.kinds
+        self.lex += [""] * _PAD
+        self.kinds += ["eof"] * _PAD
+        # The lexeme a split '>' came from, by index.
+        self.glued: dict[int, str] = {}
         self.i = 0
         self.ncss = 0
         self._classes: list[_ClassCtx] = []
@@ -192,9 +193,12 @@ class _Parser:
         self.i = i + 1
         return self.lex[i]
 
-    def error(self, message: str) -> None:
-        t = self.toks[self.i]
-        raise JavaSyntaxError(t.line, t.column, message)
+    def error(self, message: str) -> NoReturn:
+        i = self.i
+        offset = self.tokens.starts[i]
+        if i in self.glued:
+            offset += len(self.glued[i]) - len(self.lex[i])
+        raise JavaSyntaxError(self.source, offset, message)
 
     def expect_gt(self) -> None:
         """Consume one '>' even when the lexer glued several together."""
@@ -206,8 +210,7 @@ class _Parser:
         rem = _GT_REMAINDERS.get(lexeme)
         if rem is None:
             self.error(f"expected '>', found {lexeme!r}")
-        t = self.toks[i]
-        self.toks[i] = Token("operator", rem, t.line, t.column + 1, "")
+        self.glued.setdefault(i, lexeme)
         self.lex[i] = rem
 
     # ---- expression side-effect plumbing --------------------------------
@@ -238,7 +241,7 @@ class _Parser:
 
     # ---- compilation unit -----------------------------------------------
 
-    def run(self, raw_tokens: list[Token]) -> CompilationUnit:
+    def run(self) -> CompilationUnit:
         package = None
         imports: list[ImportDecl] = []
         types: list[ClassModel] = []
@@ -270,7 +273,10 @@ class _Parser:
             if self.accept(";"):
                 continue
             types.append(self.parse_type_decl())
-        return CompilationUnit(package, imports, types, self.ncss, raw_tokens)
+        del self.lex[-_PAD:], self.kinds[-_PAD:]
+        for i, lexeme in self.glued.items():
+            self.lex[i] = lexeme
+        return CompilationUnit(package, imports, types, self.ncss, self.tokens, self.source)
 
     def _qualified_name(self) -> str:
         lex, kinds = self.lex, self.kinds
@@ -421,22 +427,21 @@ class _Parser:
             mods, anns = self.parse_modifiers()
         assert anns is not None and start is not None
         lexeme = self.lex[self.i]
-        if lexeme == "class":
+        if lexeme == "class" or lexeme == "interface":
             self.i += 1
-            return self._class_decl("class", mods, anns, start)
-        if lexeme == "interface":
+            model = self._class_decl(lexeme, mods, anns)
+        elif lexeme == "enum":
             self.i += 1
-            return self._class_decl("interface", mods, anns, start)
-        if lexeme == "enum":
-            self.i += 1
-            return self._enum_decl(mods, anns, start)
-        if lexeme == "@" and self.lex[self.i + 1] == "interface":
+            model = self._enum_decl(mods, anns)
+        elif lexeme == "@" and self.lex[self.i + 1] == "interface":
             self.i += 2
-            return self._class_decl("annotation", mods, anns, start)
-        self.error(f"expected a type declaration, found {lexeme!r}")
-        raise AssertionError
+            model = self._class_decl("annotation", mods, anns)
+        else:
+            self.error(f"expected a type declaration, found {lexeme!r}")
+        model.tokens = (start, self.i)
+        return model
 
-    def _class_decl(self, kind: str, mods: set[str], anns: int, start: int) -> ClassModel:
+    def _class_decl(self, kind: str, mods: set[str], anns: int) -> ClassModel:
         name = self.expect_ident()
         self.ncss += 1
         model = ClassModel(name=name, kind=kind, modifiers=mods, annotation_count=anns)
@@ -451,10 +456,9 @@ class _Parser:
             if self.accept("extends"):
                 model.implements_names = self._type_name_list()
         self.parse_class_body(model)
-        model.tokens = self.orig[start : self.i]
         return model
 
-    def _enum_decl(self, mods: set[str], anns: int, start: int) -> ClassModel:
+    def _enum_decl(self, mods: set[str], anns: int) -> ClassModel:
         name = self.expect_ident()
         self.ncss += 1
         model = ClassModel(name=name, kind="enum", modifiers=mods, annotation_count=anns)
@@ -481,7 +485,6 @@ class _Parser:
         self.expect("}")
         self._classes.pop()
         self._resolve_access(ctx)
-        model.tokens = self.orig[start : self.i]
         return model
 
     def _type_name_list(self) -> list[str]:
@@ -1146,7 +1149,7 @@ class _Parser:
                             break
                     else:
                         ctx.candidates.add(lexeme)
-        elif kind in _LITERAL_KINDS:
+        elif kind in LITERAL_KINDS:
             self.i = i + 1
         elif lexeme == "(":
             self.i = i + 1
@@ -1343,9 +1346,5 @@ def parse(source: str) -> CompilationUnit:
     accepted grammar; the filter rules map either to the unparseable
     verdict.
     """
-    raw = tokenize(source)
-    code = [t for t in raw if t.kind not in _COMMENT_KINDS]
-    unit = _Parser(code).run(raw)
-    unit.source = source
-    return unit
+    return _Parser(tokenize(source), source).run()
 

@@ -61,11 +61,12 @@ def measure_repo(
     result = RepoMeasurement()
     for path, classes in files:
         history = git_columns[path]
-        file_row = _file_columns(units[path])
+        unit = units[path]
+        file_row = _file_columns(unit)
         for model in classes:
             row = {"repo": repo, "path": path, "class_name": model.name}
             row.update(file_row)
-            row.update(_class_columns(model, graph, (path, model.name), lines_of_file=file_row["loc"]))
+            row.update(_class_columns(model, unit, graph, (path, model.name), lines_of_file=file_row["loc"]))
             for name in GIT_COLUMNS:
                 row[name] = history[name]
             result.rows.append(row)
@@ -75,7 +76,7 @@ def measure_repo(
 
 
 def _file_columns(unit: CompilationUnit) -> dict:
-    lines = line_metrics(unit.source, unit.tokens)
+    lines = line_metrics(unit.source, unit.tokens.comments)
     return {
         "loc": lines.loc,
         "kloc": lines.kloc,
@@ -86,13 +87,13 @@ def _file_columns(unit: CompilationUnit) -> dict:
     }
 
 
-def _class_columns(model: ClassModel, graph: ClassGraph, key: tuple[str, str], lines_of_file: int) -> dict:
-    hal = halstead(model.tokens)
+def _class_columns(model: ClassModel, unit: CompilationUnit, graph: ClassGraph, key: tuple[str, str], lines_of_file: int) -> dict:
+    hal = halstead(unit.tokens, model.tokens)
     cyclomatic = class_cyclomatic(model)
     members = member_counts(model)
     access = access_matrix(model)
     params = param_type_matrix(model)
-    shape = structural_counts(model)
+    shape = structural_counts(model, unit.tokens)
     return {
         "cyclomatic": cyclomatic,
         "cognitive": class_cognitive(model),

@@ -1,16 +1,18 @@
-"""Token and statement based size and complexity metrics.
+"""Size and complexity metrics counted over tokens and statements.
 
 File-level figures (line counts, statement count) are computed once per
 source file and repeated on every class row of that file. Class-level
-figures work on the class's own token slice and parsed members.
+figures work on the class's own range of its unit's token columns and on
+its parsed members.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from cam.javasrc.lexer import Token
+from cam.javasrc.lexer import LITERAL_KINDS, Tokens
 from cam.javasrc.model import ClassModel, MethodModel
 
 NAN = float("nan")
@@ -29,7 +31,9 @@ class LineMetrics:
     comments: int
 
 
-def line_metrics(source: str, raw_tokens: list[Token]) -> LineMetrics:
+def line_metrics(source: str, comments: list[tuple[int, str]]) -> LineMetrics:
+    """Lines, blank lines and lines that hold part of a comment, where
+    *comments* are the ``(start, text)`` pairs of the lexer, in order."""
     if source == "":
         return LineMetrics(0, 0.0, 0, 0)
     lines = source.split("\n")
@@ -38,9 +42,12 @@ def line_metrics(source: str, raw_tokens: list[Token]) -> LineMetrics:
     loc = len(lines)
     blanks = sum(1 for line in lines if line.strip() == "")
     covered: set[int] = set()
-    for tok in raw_tokens:
-        if tok.kind in ("comment-line", "comment-block"):
-            covered.update(range(tok.line, tok.line + tok.lexeme.count("\n") + 1))
+    line = 1
+    counted = 0
+    for start, text in comments:
+        line += source.count("\n", counted, start)
+        counted = start
+        covered.update(range(line, line + text.count("\n") + 1))
     return LineMetrics(loc, loc / 1000.0, blanks, len(covered))
 
 
@@ -69,27 +76,24 @@ class Halstead:
         return self.difficulty * self.volume
 
 
-_LITERAL_KINDS = frozenset(["literal-int", "literal-float", "literal-string", "literal-char"])
-
-
-def halstead(tokens: list[Token]) -> Halstead:
-    """Identifiers and literals are operands; operators, keywords other
-    than the excluded ones and the counted separators are operators."""
+def halstead(tokens: Tokens, span: tuple[int, int]) -> Halstead:
+    """Over the tokens in the index range *span*: identifiers and literals
+    are operands; operators, keywords other than the excluded ones and the
+    counted separators are operators."""
     operators: set[str] = set()
     operands: set[str] = set()
     total_ops = 0
     total_rands = 0
-    for tok in tokens:
-        kind = tok.kind
-        if kind == "identifier" or kind in _LITERAL_KINDS:
-            operands.add(tok.lexeme)
+    for kind, lexeme in zip(islice(tokens.kinds, *span), islice(tokens.lexemes, *span)):
+        if kind == "identifier" or kind in LITERAL_KINDS:
+            operands.add(lexeme)
             total_rands += 1
         elif (
             kind == "operator"
-            or (kind == "keyword" and tok.lexeme not in _EXCLUDED_KEYWORDS)
-            or (kind == "separator" and tok.lexeme in _COUNTED_SEPARATORS)
+            or (kind == "keyword" and lexeme not in _EXCLUDED_KEYWORDS)
+            or (kind == "separator" and lexeme in _COUNTED_SEPARATORS)
         ):
-            operators.add(tok.lexeme)
+            operators.add(lexeme)
             total_ops += 1
     return Halstead(len(operators), len(operands), total_ops, total_rands)
 

@@ -1,10 +1,11 @@
-"""Declaration-shape counts taken from the class model and token slice."""
+"""Declaration-shape counts taken from the class model and its token range."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from cam.javasrc.lexer import Token
+from cam.javasrc.lexer import Tokens
 from cam.javasrc.model import ClassModel
 
 
@@ -25,7 +26,8 @@ class StructuralCounts:
     returns_count: int
 
 
-def structural_counts(model: ClassModel) -> StructuralCounts:
+def structural_counts(model: ClassModel, tokens: Tokens) -> StructuralCounts:
+    """*tokens* are the columns of the unit that holds *model*."""
     visibility = {"public": 0, "private": 0, "protected": 0, "package": 0}
     for method in model.methods:
         if not method.is_constructor:
@@ -34,15 +36,15 @@ def structural_counts(model: ClassModel) -> StructuralCounts:
     tries = 0
     catches = 0
     returns = 0
-    for tok in model.tokens:
-        if tok.kind == "operator" and tok.lexeme == "->":
+    for kind, lexeme in zip(islice(tokens.kinds, *model.tokens), islice(tokens.lexemes, *model.tokens)):
+        if kind == "operator" and lexeme == "->":
             lambdas += 1
-        elif tok.kind == "keyword":
-            if tok.lexeme == "try":
+        elif kind == "keyword":
+            if lexeme == "try":
                 tries += 1
-            elif tok.lexeme == "catch":
+            elif lexeme == "catch":
                 catches += 1
-            elif tok.lexeme == "return":
+            elif lexeme == "return":
                 returns += 1
     return StructuralCounts(
         interfaces_implemented=len(model.implements_names),

@@ -2,10 +2,14 @@
 
 The production lexer in `cam.javasrc.lexer` scans with one master regular
 expression. This is the lexer it replaced, copied unchanged apart from
-this header, the imports and three deliberate verdict changes made in
-both: numbers take ASCII digits only, so `1²` and `١٢` are illegal
-characters; an '_' in a number must sit between two digits; and names
-follow Java's identifier rule by Unicode category. So
+this header, its own `Token` and `LexError` (the production lexer has
+neither a token object nor eager positions any more) and four deliberate
+verdict changes made in both: numbers take ASCII digits only, so `1²` and
+`١٢` are illegal characters; an '_' in a number must sit between two
+digits; names follow Java's identifier rule by Unicode category; and
+numbers follow JLS 3.10.1-3.10.2, so an int that starts with '0' is octal
+(`09` is malformed) and a hex float needs its binary exponent (`0x1.8` and
+`0x1p` are malformed, `0x.8p1` is a float). So
 `tests/test_lexer_differential.py` can check that both give the same
 tokens, or the same error, on any input.
 """
@@ -13,8 +17,26 @@ tokens, or the same error, on any input.
 from __future__ import annotations
 
 import unicodedata
+from dataclasses import dataclass, field
 
-from cam.javasrc.lexer import KEYWORDS, LexError, Token
+from cam.javasrc.lexer import KEYWORDS
+
+
+class LexError(Exception):
+    def __init__(self, line: int, column: int, reason: str):
+        super().__init__(f"line {line}, column {column}: {reason}")
+        self.line = line
+        self.column = column
+        self.reason = reason
+
+
+@dataclass(slots=True)
+class Token:
+    kind: str
+    lexeme: str
+    line: int
+    column: int
+    preceding: str = field(default="", repr=False, compare=False)
 
 _WS = " \t\f\r\n"
 
@@ -209,23 +231,32 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
     n = len(source)
     kind = "literal-int"
     prefixed = False
+    start = i
+    octal = ""
 
     if source[i] == "0" and i + 1 < n and source[i + 1] in "xX":
         prefixed = True
         i += 2
         digits = i
         i = _digit_run(source, i, _HEX, line, col)
-        if i == digits:
-            raise LexError(line, col, "malformed hex literal")
         if i < n and source[i] == ".":
             kind = "literal-float"
             i = _digit_run(source, i + 1, _HEX, line, col)
+        if not source[digits:i].replace(".", ""):
+            raise LexError(line, col, "malformed hex literal")
+        has_exponent = False
         if i < n and source[i] in "pP":
             kind = "literal-float"
             i += 1
             if i < n and source[i] in "+-":
                 i += 1
-            i = _digit_run(source, i, _DIGITS_, line, col)
+            j = _digit_run(source, i, _DIGITS_, line, col)
+            has_exponent = j > i
+            i = j
+        if kind == "literal-float" and not has_exponent:
+            if i < n and source[i].isdecimal():
+                raise LexError(line, col + i - start, f"illegal character {source[i]!r}")
+            raise LexError(line, col, "malformed floating-point literal")
     elif source[i] == "0" and i + 1 < n and source[i + 1] in "bB":
         prefixed = True
         i += 2
@@ -235,6 +266,8 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
             raise LexError(line, col, "malformed binary literal")
     else:
         i = _digit_run(source, i, _DIGITS_, line, col)
+        if source[start] == "0":
+            octal = source[start:i]
         if i < n and source[i] == ".":
             kind = "literal-float"
             i = _digit_run(source, i + 1, _DIGITS_, line, col)
@@ -254,4 +287,6 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
 
     if i < n and _ident_start(source[i]):
         raise LexError(line, col, "malformed numeric literal")
+    if kind == "literal-int" and any(d in octal for d in "89"):
+        raise LexError(line, col, "malformed octal literal")
     return kind, i

@@ -120,20 +120,21 @@ def test_criterion_halstead_identity(capsys):
             parts = []
             for _ in range(rng.randrange(0, 80)):
                 parts.append(rng.choice((pool, symbols, literals)[rng.randrange(3)]))
-            toks = [t for t in tokenize(" ".join(parts)) if t.kind != "eof"]
-            h = halstead(toks)
+            tokens = tokenize(" ".join(parts))
+            toks = list(zip(tokens.kinds, tokens.lexemes))[:-1]
+            h = halstead(tokens, (0, len(toks)))
 
             operators: dict[str, int] = {}
             operands: dict[str, int] = {}
-            for t in toks:
-                if t.kind == "identifier" or t.kind.startswith("literal-"):
-                    operands[t.lexeme] = operands.get(t.lexeme, 0) + 1
-                elif t.kind == "keyword" and t.lexeme not in EXCLUDED_KEYWORDS:
-                    operators[t.lexeme] = operators.get(t.lexeme, 0) + 1
-                elif t.kind == "operator":
-                    operators[t.lexeme] = operators.get(t.lexeme, 0) + 1
-                elif t.kind == "separator" and t.lexeme in COUNTED_SEPARATORS:
-                    operators[t.lexeme] = operators.get(t.lexeme, 0) + 1
+            for kind, lexeme in toks:
+                if kind == "identifier" or kind.startswith("literal-"):
+                    operands[lexeme] = operands.get(lexeme, 0) + 1
+                elif kind == "keyword" and lexeme not in EXCLUDED_KEYWORDS:
+                    operators[lexeme] = operators.get(lexeme, 0) + 1
+                elif kind == "operator":
+                    operators[lexeme] = operators.get(lexeme, 0) + 1
+                elif kind == "separator" and lexeme in COUNTED_SEPARATORS:
+                    operators[lexeme] = operators.get(lexeme, 0) + 1
             n = len(operators) + len(operands)
             big_n = sum(operators.values()) + sum(operands.values())
             assert (h.n1, h.n2) == (len(operators), len(operands))

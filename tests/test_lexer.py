@@ -1,7 +1,37 @@
+import re
+
 import pytest
 
-from cam.javasrc.lexer import LexError, Token, reassemble, tokenize
+from cam.javasrc.lexer import LexError, position, tokenize
 from fixtures import CASES
+
+
+def merged(tokens):
+    """(start, kind, lexeme) of every token, the comments merged in by start."""
+    stream = list(zip(tokens.starts, tokens.kinds, tokens.lexemes))
+    for start, text in tokens.comments:
+        stream.append((start, "comment-line" if text.startswith("//") else "comment-block", text))
+    return sorted(stream)
+
+
+def assert_lossless(text):
+    """The source reassembles from its columns: each lexeme is the slice of
+    *text* at its start, starts strictly increase with the comments merged
+    in, only whitespace lies between two tokens, and the ``eof`` entry
+    starts at the end."""
+    tokens = tokenize(text)
+    assert len(tokens.kinds) == len(tokens.lexemes) == len(tokens.starts)
+    for starts in (tokens.starts, [start for start, _text in tokens.comments]):
+        assert starts == sorted(set(starts))
+    end = 0
+    for start, _kind, lexeme in merged(tokens):
+        assert start >= end
+        assert text[start : start + len(lexeme)] == lexeme
+        assert re.fullmatch(r"[ \t\f\r\n]*", text[end:start])
+        end = start + len(lexeme)
+    assert (tokens.kinds[-1], tokens.lexemes[-1], tokens.starts[-1]) == ("eof", "", len(text))
+    assert "eof" not in tokens.kinds[:-1]
+
 
 TRICKY = [
     "",
@@ -25,16 +55,17 @@ TRICKY = [
 
 @pytest.mark.parametrize("text", TRICKY)
 def test_reassemble_is_lossless(text):
-    assert reassemble(tokenize(text)) == text
+    assert_lossless(text)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.file)
 def test_reassemble_fixture_sources(case):
-    assert reassemble(tokenize(case.source)) == case.source
+    assert_lossless(case.source)
 
 
 def kinds(text):
-    return [(t.kind, t.lexeme) for t in tokenize(text) if t.kind != "eof"]
+    """(kind, lexeme) of every token but the eof entry, comments merged in."""
+    return [(kind, lexeme) for _start, kind, lexeme in merged(tokenize(text))[:-1]]
 
 
 def test_keywords_and_identifiers():
@@ -54,6 +85,12 @@ def test_numeric_literal_kinds():
     for lex in ("1.5", "1e3", ".25", "2f", "3D", "0x1p3", "1_0.5"):
         assert kinds(lex) == [("literal-float", lex)]
     assert kinds("07")[0] == ("literal-int", "07")
+    # JLS 3.10.1-3.10.2: octal ints, decimal floats that start with '0',
+    # and hex floats with no digit before the point
+    for lex in ("0_7", "0777", "00"):
+        assert kinds(lex) == [("literal-int", lex)]
+    for lex in ("09.5", "09e1", "09f", "0x1.p1", "0x.8p1", "0x1P+3d"):
+        assert kinds(lex) == [("literal-float", lex)]
     # an '_' between two digits, alone or in a run
     assert kinds("1__2 0_7 0x1_F 0b1_0") == [
         ("literal-int", "1__2"),
@@ -115,15 +152,18 @@ def test_comment_tokens():
 
 
 def test_eof_sentinel_holds_trailing_whitespace():
-    toks = tokenize("x  \n\t")
-    assert toks[-1] == Token("eof", "", 2, 2)
-    assert toks[-1].preceding == "  \n\t"
+    text = "x  \n\t"
+    tokens = tokenize(text)
+    assert (tokens.kinds, tokens.lexemes, tokens.starts) == (["identifier", "eof"], ["x", ""], [0, 5])
+    assert position(text, tokens.starts[-1]) == (2, 2)
+    assert text[tokens.starts[0] + 1 : tokens.starts[-1]] == "  \n\t"
 
 
 def test_positions():
-    toks = tokenize("ab\n  cd")
-    assert (toks[0].line, toks[0].column) == (1, 1)
-    assert (toks[1].line, toks[1].column) == (2, 3)
+    text = "ab\n  cd"
+    starts = tokenize(text).starts
+    assert position(text, starts[0]) == (1, 1)
+    assert position(text, starts[1]) == (2, 3)
 
 
 LEX_ERRORS = [
@@ -153,6 +193,17 @@ LEX_ERRORS = [
     ("1_L", 1, 1, "malformed numeric literal"),
     ("x = 1._5;", 1, 5, "malformed numeric literal"),
     ("1e5_", 1, 1, "malformed numeric literal"),
+    # JLS 3.10.1: an int that starts with '0' is octal.
+    ("class A { int x = 09; }", 1, 19, "malformed octal literal"),
+    ("08L", 1, 1, "malformed octal literal"),
+    ("x =\n  0_8;", 2, 3, "malformed octal literal"),
+    # JLS 3.10.2: a hex float needs a binary exponent with digits.
+    ("0x1p", 1, 1, "malformed floating-point literal"),
+    ("0x1.", 1, 1, "malformed floating-point literal"),
+    ("0x1.٣", 1, 5, "illegal character '٣'"),
+    ("d = 0x1.8f;", 1, 5, "malformed floating-point literal"),
+    ("0x1p-;", 1, 1, "malformed floating-point literal"),
+    ("0x.p1", 1, 1, "malformed hex literal"),
 ]
 
 

@@ -1,7 +1,10 @@
 """The master-regex lexer against the character-at-a-time lexer it replaced.
 
 Both must give the same (kind, lexeme, line, column, preceding) for every
-token, or raise LexError with the same line, column and reason.
+token, or raise LexError with the same line, column and reason. The
+production lexer returns columns, so `columns_as_tokens` rebuilds those
+tuples from them: the comments merged in by start, line and column from
+the start, and `preceding` as the text since the end of the last token.
 """
 
 import pytest
@@ -9,26 +12,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexer_oracle
-from cam.javasrc.lexer import LexError, tokenize
+from cam.javasrc.lexer import LexError, position, tokenize
 from fixtures import CASES
+from test_lexer import merged
 from test_properties import FRAGMENTS
+
+
+def columns_as_tokens(text):
+    out = []
+    end = 0
+    for start, kind, lexeme in merged(tokenize(text)):
+        out.append((kind, lexeme, *position(text, start), text[end:start]))
+        end = start + len(lexeme)
+    return out
+
+
+def oracle_tokens(text):
+    return [(t.kind, t.lexeme, t.line, t.column, t.preceding) for t in lexer_oracle.tokenize(text)]
 
 
 def scan(lex, text):
     try:
-        return [(t.kind, t.lexeme, t.line, t.column, t.preceding) for t in lex(text)]
-    except LexError as exc:
+        return lex(text)
+    except (LexError, lexer_oracle.LexError) as exc:
         return ("error", exc.line, exc.column, exc.reason)
 
 
 def assert_same(text):
-    assert scan(tokenize, text) == scan(lexer_oracle.tokenize, text)
+    assert scan(columns_as_tokens, text) == scan(oracle_tokens, text)
 
 
 EXTRA_FRAGMENTS = [
     "café", "x²", "Ⅻ", "١٢", ".é", "é", "1_000", ".5", "3.", "1..2", "0x1p3",
     "1e", "07", "$x", "_", "\"\\\n\"", "/*\nx\n*/", "'\\\n'", "\f", "\\u0041",
     "€", "\u0301", "\u200d", "0x_", "0b_", "_.", "L",
+    # JLS 3.10.1-3.10.2: octal ints and hex floats.
+    "09", "0_8", "00", "0x1.", "0x.8", "p1", "P-", "8f",
 ]
 soup = st.lists(st.sampled_from(FRAGMENTS + EXTRA_FRAGMENTS), max_size=60).map("".join)
 
@@ -69,6 +88,6 @@ def test_non_ascii_boundaries(text, lexemes):
     """*lexemes* lists the tokens, or is the error as `scan` reports it."""
     assert_same(text)
     if isinstance(lexemes, tuple):
-        assert scan(tokenize, text) == lexemes
+        assert scan(columns_as_tokens, text) == lexemes
     else:
-        assert [t.lexeme for t in tokenize(text)[:-1]] == lexemes
+        assert tokenize(text).lexemes[:-1] == lexemes

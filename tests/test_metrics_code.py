@@ -22,7 +22,15 @@ COUNTED_SEPARATORS = set("(){}[];,.")
 
 
 def lm(source):
-    return line_metrics(source, tokenize(source))
+    return line_metrics(source, tokenize(source).comments)
+
+
+def halstead_of(text):
+    """halstead over every token of *text* but the eof entry, and those
+    tokens as (kind, lexeme) pairs."""
+    tokens = tokenize(text)
+    end = len(tokens.kinds) - 1
+    return halstead(tokens, (0, end)), list(zip(tokens.kinds, tokens.lexemes))[:end]
 
 
 def test_line_metrics_basics():
@@ -57,10 +65,7 @@ def test_whitespace_only_lines_are_blank():
 
 
 def test_halstead_classification_rules():
-    toks = [t for t in tokenize(
-        "package p; import q.R; class C { int x = f(y) + 2; } @ :: ..."
-    ) if t.kind not in ("comment-line", "comment-block", "eof")]
-    h = halstead(toks)
+    h, _toks = halstead_of("package p; import q.R; class C { int x = f(y) + 2; } @ :: ...")
     # package/import/class excluded; '@', '::' and '...' separators ignored
     operators = {"int", "=", "+", ";", "{", "}", "(", ")", "."}
     operands = {"p", "q", "R", "C", "x", "f", "y", "2"}
@@ -76,22 +81,41 @@ def test_halstead_totals_versus_independent_classifier():
         "    }\n"
         "}\n"
     )
-    toks = [t for t in tokenize(src) if t.kind not in ("comment-line", "comment-block", "eof")]
-    h = halstead(toks)
+    h, toks = halstead_of(src)
     op_total = 0
     operand_total = 0
-    for t in toks:
-        if t.kind == "identifier" or t.kind.startswith("literal-"):
+    for kind, lexeme in toks:
+        if kind == "identifier" or kind.startswith("literal-"):
             operand_total += 1
-        elif t.kind == "keyword":
-            if t.lexeme not in EXCLUDED_KEYWORDS:
+        elif kind == "keyword":
+            if lexeme not in EXCLUDED_KEYWORDS:
                 op_total += 1
-        elif t.kind == "operator":
+        elif kind == "operator":
             op_total += 1
-        elif t.kind == "separator" and t.lexeme in COUNTED_SEPARATORS:
+        elif kind == "separator" and lexeme in COUNTED_SEPARATORS:
             op_total += 1
     assert h.N1 == op_total
     assert h.N2 == operand_total
+
+
+def test_halstead_counts_glued_generic_closers_as_written():
+    """The parser splits '>>' and '>>>' to close type arguments; halstead
+    reads the class's range of the same columns and must still see the
+    lexemes as the lexer wrote them."""
+    unit = parse(
+        "class G {\n"
+        "    Map<String, List<String>> m;\n"
+        "    List<List<List<String>>> l;\n"
+        "    int f(int a) { return a >> 1; }\n"
+        "}\n"
+    )
+    first, end = unit.types[0].tokens
+    h = halstead(unit.tokens, (first, end))
+    operators = {"{": 2, "}": 2, "<": 5, ",": 1, ">>": 2, ">>>": 1, ";": 3, "int": 2, "(": 1, ")": 1, "return": 1}
+    written = unit.tokens.lexemes[first:end]
+    assert {lexeme: written.count(lexeme) for lexeme in operators} == operators
+    assert ">" not in written
+    assert (h.n1, h.N1) == (11, 21) == (len(operators), sum(operators.values()))
 
 
 def test_halstead_derived_quantities():
@@ -278,18 +302,17 @@ def test_random_slices_satisfy_halstead_identity():
             else:
                 parts.append(rng.choice(literals))
         text = " ".join(parts)
-        toks = [t for t in tokenize(text) if t.kind not in ("comment-line", "comment-block", "eof")]
-        h = halstead(toks)
+        h, toks = halstead_of(text)
         assert h.n1 <= h.N1 and h.n2 <= h.N2
         countable = 0
-        for t in toks:
-            if t.kind == "identifier" or t.kind.startswith("literal-"):
+        for kind, lexeme in toks:
+            if kind == "identifier" or kind.startswith("literal-"):
                 countable += 1
-            elif t.kind == "keyword" and t.lexeme not in EXCLUDED_KEYWORDS:
+            elif kind == "keyword" and lexeme not in EXCLUDED_KEYWORDS:
                 countable += 1
-            elif t.kind == "operator":
+            elif kind == "operator":
                 countable += 1
-            elif t.kind == "separator" and t.lexeme in COUNTED_SEPARATORS:
+            elif kind == "separator" and lexeme in COUNTED_SEPARATORS:
                 countable += 1
         assert h.N1 + h.N2 == countable
         vocab = h.n1 + h.n2

@@ -3,7 +3,7 @@
 `dump` writes every field of each parsed model in one canonical text form:
 decision counts, cognitive scores, whether a method has a body, accessed
 and invoked names, referenced types, ncss and the token-slice bounds of
-each class. `SNAPSHOT_SHA256` is the digest of that dump over every fixture
+each class, counted in the token stream with the comments merged in. `SNAPSHOT_SHA256` is the digest of that dump over every fixture
 source, the deep-nesting shapes of the filter tests and the generated
 classes in `tests/data/` (written once by `perfbench/javagen.py`
 `java_class`, seeds 1000-1009, so a later change to the generator cannot
@@ -18,6 +18,7 @@ of their error.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -31,10 +32,17 @@ DATA = Path(__file__).parent / "data"
 SNAPSHOT_SHA256 = "8a6f76cc4cb2166beb30610821da260bba07c62f30bbbee5b3167ee8464172bc"
 
 
-def _slice(tokens, where) -> str:
-    if not tokens:
+def _merged_index(tokens) -> list[int]:
+    """Index of each code token in the stream with the comments merged in."""
+    comment_starts = [start for start, _text in tokens.comments]
+    return [k + bisect_left(comment_starts, start) for k, start in enumerate(tokens.starts)]
+
+
+def _slice(span, where) -> str:
+    first, end = span
+    if first == end:
         return "[]"
-    return f"[{where[id(tokens[0])]}:{where[id(tokens[-1])] + 1}]/{len(tokens)}"
+    return f"[{where[first]}:{where[end - 1] + 1}]/{end - first}"
 
 
 def _class(model, indent: str, where, out: list[str]) -> None:
@@ -59,11 +67,12 @@ def _class(model, indent: str, where, out: list[str]) -> None:
 def dump(label: str, source: str) -> str:
     """Canonical text of everything `parse` returns for *source*."""
     unit = parse(source)
-    where = {id(t): k for k, t in enumerate(unit.tokens)}
+    where = _merged_index(unit.tokens)
     imports = [(i.name, i.wildcard, i.static) for i in unit.imports]
     out = [
         f"== {label}",
-        f"package={unit.package_name} imports={imports} ncss={unit.ncss} tokens={len(unit.tokens)}",
+        f"package={unit.package_name} imports={imports} ncss={unit.ncss}"
+        f" tokens={len(unit.tokens.kinds) + len(unit.tokens.comments)}",
     ]
     for model in unit.types:
         _class(model, "", where, out)

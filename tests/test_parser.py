@@ -1,5 +1,6 @@
 import pytest
 
+from cam.javasrc.lexer import tokenize
 from cam.javasrc.parser import JavaSyntaxError, parse
 
 
@@ -337,16 +338,22 @@ def test_class_token_slice_excludes_file_preamble():
         "@Deprecated\n"
         "final class Sliced {}\n"
     )
-    model = unit.types[0]
-    lexemes = [t.lexeme for t in model.tokens]
+    first, end = unit.types[0].tokens
+    lexemes = unit.tokens.lexemes[first:end]
     assert lexemes[0] == "@"
     assert lexemes[-1] == "}"
     assert "package" not in lexemes
     assert "import" not in lexemes
 
 
+def test_parse_leaves_the_lexer_columns_as_they_were():
+    """The parse pads the columns and splits glued '>'s in place; the unit
+    gets them back as the lexer made them."""
+    source = "class A { Map<K, List<V>> m; List<List<List<T>>> l; int f() { return a >>> 2; } }"
+    assert parse(source).tokens == tokenize(source)
+
+
 def test_unit_tokens_are_raw_stream():
     unit = parse("class C {} // tail\n")
-    kinds = [t.kind for t in unit.tokens]
-    assert "comment-line" in kinds
-    assert kinds[-1] == "eof"
+    assert unit.tokens.comments == [(11, "// tail")]
+    assert unit.tokens.kinds[-1] == "eof"

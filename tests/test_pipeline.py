@@ -632,7 +632,7 @@ def test_run_restores_the_callers_gc_thresholds(tmp_path):
 
 def test_run_skips_collections_that_find_nothing(tmp_path):
     # One class of 1000 methods: enough objects for the default thresholds
-    # to collect dozens of times.
+    # to collect about a dozen times.
     methods = "".join(f"  int m{i}(int x) {{ if (x > {i}) {{ return x * {i} + 1; }} return m{i}(x - 1); }}\n" for i in range(1000))
     files = {"src/Big.java": "class Big {\n" + methods + "}\n"}
     alpha, alpha_sha = single_commit_repo(tmp_path / "remotes" / "alpha", files)
@@ -654,7 +654,7 @@ def test_run_skips_collections_that_find_nothing(tmp_path):
         gc.set_threshold(*before)
     stats = json.loads((tmp_path / "work" / "out" / "manifest.json").read_text(encoding="utf-8"))["filter_stats"]
     assert stats["kept"] == 1
-    # With the default thresholds for the whole run there are about 80.
+    # With the default thresholds for the whole run there are about 12.
     assert len(starts) <= 2
 
 
