@@ -1,8 +1,9 @@
 """File selection rules applied to a cloned repository tree.
 
 Rules run in a fixed order and the first hit wins, so every rejected file
-carries exactly one reason. The same ordering governs the aggregate
-counters that end up in the manifest.
+carries exactly one reason, and the per-reason counts that end up in the
+manifest follow the same order. A kept file is measured as soon as it is
+parsed, and only its measured rows and graph stubs leave this module.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from cam.javasrc.lexer import LexError
-from cam.javasrc.model import CompilationUnit
 from cam.javasrc.parser import JavaSyntaxError, parse
+from cam.measure import MeasuredFile, measure_file
 
 REASONS = (
     "not-java-ext",
@@ -46,7 +47,7 @@ class FileVerdict:
 @dataclass
 class FileRecord:
     path: str
-    unit: CompilationUnit
+    measured: MeasuredFile
 
 
 @dataclass
@@ -79,14 +80,15 @@ def _looks_like_test(relpath: str, content: str) -> bool:
     return bool(_TEST_IMPORT_RE.search(content))
 
 
-def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, CompilationUnit | None]:
-    """Apply the rule chain to one file.
+def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, MeasuredFile | None]:
+    """Apply the rule chain to one file, and measure it if it is kept.
 
-    Returns (reason, unit): a kept file has reason None and its parsed
-    unit, which carries the text that is measured; a rejected file has
-    its reason and no unit. Every rule after decoding sees the text with
-    "\r\n" and lone "\r" line ends turned into "\n", as Java reads lines.
+    Returns (reason, measured): a kept file has reason None and its
+    measured rows; a rejected file has its reason and None. Every rule
+    after decoding sees the text with "\r\n" and lone "\r" line ends
+    turned into "\n", as Java reads lines, and so does the measurement.
     A file nested deeper than the parser's stack allows is unparseable.
+    An error while measuring is not a verdict and propagates.
     """
     if not relpath.endswith(".java"):
         return "not-java-ext", None
@@ -105,7 +107,7 @@ def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, CompilationUni
         unit = parse(content)
     except (LexError, JavaSyntaxError, RecursionError):
         return "unparseable", None
-    return None, unit
+    return None, measure_file(content, unit)
 
 
 def _walk_files(root: Path) -> list[tuple[str, Path]]:
@@ -141,7 +143,7 @@ def filter_tree(root: str | Path) -> FilterOutcome:
     Symlinks are ignored entirely and the .git directory is never entered.
     A file whose name is not valid UTF-8 is undecodable before any rule.
     Verdicts and kept records come back in lexicographic relative-path
-    order; each kept record holds the file's only parse.
+    order; each kept record holds what the file's only parse measured.
     """
     root = Path(root)
     kept: list[FileRecord] = []
@@ -150,11 +152,11 @@ def filter_tree(root: str | Path) -> FilterOutcome:
     for rel, full in _walk_files(root):
         # A name that is not UTF-8 comes back surrogate-escaped; escape its bad bytes as \xNN instead.
         name = os.fsencode(rel).decode("utf-8", "backslashreplace")
-        reason, unit = evaluate_file(rel, full.read_bytes()) if name == rel else ("undecodable", None)
+        reason, measured = evaluate_file(rel, full.read_bytes()) if name == rel else ("undecodable", None)
         stats["total"] += 1
         if reason is None:
             stats["kept"] += 1
-            kept.append(FileRecord(rel, unit))
+            kept.append(FileRecord(rel, measured))
         else:
             stats["rejected"][reason] += 1
         verdicts.append(FileVerdict(name, reason))

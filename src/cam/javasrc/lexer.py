@@ -23,7 +23,8 @@ non-ASCII character, a '.' before a non-ASCII character, and every error
 character). Numbers follow JLS 3.10.1-3.10.2: ASCII digits only (`1²`
 is `1` and an illegal character), an '_' only between two digits, an int
 that starts with '0' is octal (`09` is malformed, `09.5` a float), and a
-hex float needs its binary exponent (`0x1.8` and `0x1p` are malformed).
+hex float needs its binary exponent (`0x1.8` and `0x1p` are malformed),
+and an 'l' or 'L' suffix ends an int only (`1.5L` is malformed).
 Names follow Java's identifier rule by Unicode category, so `€x` and `Ⅷ`
 are names and `x²` is the name `x` and an illegal character. A line and
 column are worked out from an offset (`position`) only for an error.
@@ -252,7 +253,7 @@ def _scan_number(source: str, start: int) -> tuple[str, int]:
     if i < n and source[i] in "fFdD" and (kind == "literal-float" or not prefixed):
         kind = "literal-float"
         i += 1
-    elif i < n and source[i] in "lL":
+    elif i < n and source[i] in "lL" and kind == "literal-int":
         i += 1
 
     if i < n and unicodedata.category(source[i]) in _IDENT_START:

@@ -88,4 +88,3 @@ class CompilationUnit:
     types: list[ClassModel]
     ncss: int
     tokens: Tokens
-    source: str

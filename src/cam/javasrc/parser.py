@@ -276,7 +276,7 @@ class _Parser:
         del self.lex[-_PAD:], self.kinds[-_PAD:]
         for i, lexeme in self.glued.items():
             self.lex[i] = lexeme
-        return CompilationUnit(package, imports, types, self.ncss, self.tokens, self.source)
+        return CompilationUnit(package, imports, types, self.ncss, self.tokens)
 
     def _qualified_name(self) -> str:
         lex, kinds = self.lex, self.kinds
@@ -1340,7 +1340,7 @@ class _Parser:
 
 
 def parse(source: str) -> CompilationUnit:
-    """Parse Java 8 source text into a CompilationUnit that keeps the text.
+    """Parse Java 8 source text into a CompilationUnit.
 
     Raises JavaSyntaxError (or LexError) when the text is outside the
     accepted grammar; the filter rules map either to the unparseable

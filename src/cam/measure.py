@@ -1,15 +1,19 @@
-"""Turns the parsed kept files of one repository into metric rows.
+"""Turns parsed Java files into metric rows.
 
-Each top-level class becomes one row keyed by (repo, path, class_name),
-with file-level figures repeated across the classes of a file. Git-derived
-columns come in precomputed; files without history are skipped by the
-caller.
+Each kept file is measured right after its parse (`measure_file`), so a
+repository's parsed units never pile up: what stays of a file is one row
+per top-level class, with file-level figures repeated across the classes
+of a file, and a small graph stub per class. Once the repository's git
+history is known, `measure_repo` links the stubs of the tracked files into
+one class graph, fills in the graph and git columns, and keys each row by
+(repo, path, class_name).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from cam.javasrc.lexer import Tokens
 from cam.javasrc.model import ClassModel, CompilationUnit
 # Unused here; perfbench/tracing.py wraps this name, and fails without it.
 from cam.javasrc.parser import parse  # noqa: F401
@@ -23,7 +27,9 @@ from cam.metrics.code import (
 )
 from cam.metrics.oo import (
     ClassGraph,
+    ClassStub,
     access_matrix,
+    class_stub,
     lcom1,
     lcom5,
     nhd,
@@ -34,7 +40,14 @@ from cam.metrics.oo import (
 )
 from cam.metrics.structural import structural_counts
 
-GIT_COLUMNS = ("commits", "authors", "age_days", "churn_added", "churn_deleted")
+
+@dataclass
+class MeasuredFile:
+    """One kept file's rows, all but the graph and git columns, and the
+    graph stubs of its top-level classes, in declaration order."""
+
+    rows: list[dict]
+    stubs: list[ClassStub]
 
 
 @dataclass
@@ -44,39 +57,46 @@ class RepoMeasurement:
     inheritance_cycles: list[str] = field(default_factory=list)
 
 
+def measure_file(source: str, unit: CompilationUnit) -> MeasuredFile:
+    """Measure *unit*, the parse of *source*; the unit is not kept."""
+    file_row = _file_columns(source, unit)
+    rows = [
+        {"class_name": model.name, **file_row, **_class_columns(model, unit.tokens, file_row["loc"])}
+        for model in unit.types
+    ]
+    return MeasuredFile(rows, [class_stub(model) for model in unit.types])
+
+
 def measure_repo(
     repo: str,
-    units: dict[str, CompilationUnit],
+    files: dict[str, MeasuredFile],
     git_columns: dict[str, dict[str, int]],
 ) -> RepoMeasurement:
-    """Compute all metric rows for one repository.
+    """Complete the rows of one repository's measured files.
 
-    units maps repository-relative paths to the parsed files that passed
-    the filter rules; git_columns maps the same paths to their five history
-    values.
+    files maps repository-relative paths to the measured files that passed
+    the filter rules and have history; git_columns maps the same paths to
+    their five history values. The rows are completed in place.
     """
-    files = [(path, units[path].types) for path in sorted(units)]
-    graph = ClassGraph(files)
+    paths = sorted(files)
+    graph = ClassGraph([(path, files[path].stubs) for path in paths])
 
     result = RepoMeasurement()
-    for path, classes in files:
+    for path in paths:
         history = git_columns[path]
-        unit = units[path]
-        file_row = _file_columns(unit)
-        for model in classes:
-            row = {"repo": repo, "path": path, "class_name": model.name}
-            row.update(file_row)
-            row.update(_class_columns(model, unit, graph, (path, model.name), lines_of_file=file_row["loc"]))
-            for name in GIT_COLUMNS:
-                row[name] = history[name]
+        measured = files[path]
+        for row, stub in zip(measured.rows, measured.stubs):
+            key = (path, stub.name)
+            row.update(repo=repo, path=path, cbo=graph.cbo(key), dit=graph.dit(key), noc=graph.noc(key))
+            row.update(history)
             result.rows.append(row)
-            result.class_count += 1
+    result.class_count = len(result.rows)
     result.inheritance_cycles = [f"{p}::{n}" for p, n in graph.cycle_members()]
     return result
 
 
-def _file_columns(unit: CompilationUnit) -> dict:
-    lines = line_metrics(unit.source, unit.tokens.comments)
+def _file_columns(source: str, unit: CompilationUnit) -> dict:
+    lines = line_metrics(source, unit.tokens.comments)
     return {
         "loc": lines.loc,
         "kloc": lines.kloc,
@@ -87,13 +107,13 @@ def _file_columns(unit: CompilationUnit) -> dict:
     }
 
 
-def _class_columns(model: ClassModel, unit: CompilationUnit, graph: ClassGraph, key: tuple[str, str], lines_of_file: int) -> dict:
-    hal = halstead(unit.tokens, model.tokens)
+def _class_columns(model: ClassModel, tokens: Tokens, lines_of_file: int) -> dict:
+    hal = halstead(tokens, model.tokens)
     cyclomatic = class_cyclomatic(model)
     members = member_counts(model)
     access = access_matrix(model)
     params = param_type_matrix(model)
-    shape = structural_counts(model, unit.tokens)
+    shape = structural_counts(model, tokens)
     return {
         "cyclomatic": cyclomatic,
         "cognitive": class_cognitive(model),
@@ -116,9 +136,6 @@ def _class_columns(model: ClassModel, unit: CompilationUnit, graph: ClassGraph, 
         "lcom1": lcom1(access),
         "wmc": wmc(model),
         "rfc": rfc(model),
-        "cbo": graph.cbo(key),
-        "dit": graph.dit(key),
-        "noc": graph.noc(key),
         "interfaces_implemented": shape.interfaces_implemented,
         "extends_flag": shape.extends_flag,
         "is_abstract": shape.is_abstract,

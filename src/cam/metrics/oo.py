@@ -3,7 +3,9 @@
 Cohesion works on two small matrices derived from a single class: which
 instance methods touch which instance fields, and which methods use which
 parameter types. Coupling links top-level classes of one repository into a
-graph keyed by (file path, class name) and resolved by simple name.
+graph keyed by (file path, class name) and resolved by simple name; the
+graph reads only a small stub of each class, so a file's parse need not
+outlive its own measurement.
 """
 
 from __future__ import annotations
@@ -133,6 +135,38 @@ def rfc(model: ClassModel) -> int:
     return len(model.methods) + len(invoked - declared_names)
 
 
+@dataclass(frozen=True)
+class ClassStub:
+    """What ClassGraph reads of one top-level class.
+
+    claimed holds the simple names the class answers to: its own and its
+    nested classes'. referenced holds every type name the class or a
+    nested class mentions, supertypes included.
+    """
+
+    name: str
+    claimed: frozenset[str]
+    extends_name: str | None
+    referenced: frozenset[str]
+
+
+def class_stub(model: ClassModel) -> ClassStub:
+    referenced = model.all_referenced_type_names()
+    if model.extends_name:
+        referenced.add(model.extends_name)
+    referenced.update(model.implements_names)
+    return ClassStub(model.name, frozenset(_claimed_names(model)), model.extends_name, frozenset(referenced))
+
+
+def _claimed_names(model: ClassModel) -> set[str]:
+    names = set()
+    if "$" not in model.name:
+        names.add(model.name)
+    for inner in model.nested:
+        names |= _claimed_names(inner)
+    return names
+
+
 class ClassGraph:
     """Reference and inheritance graph over one repository's classes.
 
@@ -142,63 +176,48 @@ class ClassGraph:
     nothing stay unresolved.
     """
 
-    def __init__(self, files: list[tuple[str, list[ClassModel]]]):
-        self._models: dict[Key, ClassModel] = {}
+    def __init__(self, files: list[tuple[str, list[ClassStub]]]):
+        known: dict[Key, ClassStub] = {}
         claims: dict[str, set[Key]] = {}
-        for path, classes in files:
-            for model in classes:
-                key = (path, model.name)
-                if key in self._models:
+        for path, stubs in files:
+            for stub in stubs:
+                key = (path, stub.name)
+                if key in known:
                     continue
-                self._models[key] = model
-                for name in self._claimed_names(model):
+                known[key] = stub
+                for name in stub.claimed:
                     claims.setdefault(name, set()).add(key)
         self._resolve = {name: next(iter(keys)) for name, keys in claims.items() if len(keys) == 1}
 
         self._out: dict[Key, set[Key]] = {}
-        self._in: dict[Key, set[Key]] = {key: set() for key in self._models}
+        self._in: dict[Key, set[Key]] = {key: set() for key in known}
         self._parent: dict[Key, Key | None] = {}
-        self._noc: dict[Key, int] = {key: 0 for key in self._models}
-        for key, model in self._models.items():
-            names = set(model.all_referenced_type_names())
-            if model.extends_name:
-                names.add(model.extends_name)
-            names.update(model.implements_names)
+        self._noc: dict[Key, int] = {key: 0 for key in known}
+        for key, stub in known.items():
             out = set()
-            for name in names:
+            for name in stub.referenced:
                 target = self._lookup(name)
                 if target is not None and target != key:
                     out.add(target)
             self._out[key] = out
             for target in out:
                 self._in[target].add(key)
-            self._parent[key] = self._parent_edge(key, model)
+            self._parent[key] = self._parent_edge(stub.extends_name)
         for key, parent in self._parent.items():
             if parent is not None and parent != _UNKNOWN:
                 self._noc[parent] += 1
 
         self._depth: dict[Key, int] = {}
         self._cycle_keys: set[Key] = set()
-        for key in self._models:
+        for key in known:
             self._ensure_depth(key)
-
-    @staticmethod
-    def _claimed_names(model: ClassModel) -> set[str]:
-        names = set()
-        if "$" not in model.name:
-            names.add(model.name)
-        for inner in model.nested:
-            for name in ClassGraph._claimed_names(inner):
-                names.add(name)
-        return names
 
     def _lookup(self, name: str) -> Key | None:
         if "." in name:
             return None
         return self._resolve.get(name)
 
-    def _parent_edge(self, key: Key, model: ClassModel) -> Key | None:
-        sup = model.extends_name
+    def _parent_edge(self, sup: str | None) -> Key | None:
         if sup is None or sup in ("Object", "java.lang.Object"):
             return None
         target = self._lookup(sup)

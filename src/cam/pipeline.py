@@ -6,8 +6,9 @@ whatever already finished. Stage artifacts are self-contained so each
 stage can also run on its own against a prepared work directory.
 
 After its clone, each repository gets one measure pass: walk, decode,
-apply the filter rules, parse once, read git history once (one `git log`
-for all kept files), compute metrics.
+apply the filter rules, then parse and measure each kept file once and
+drop its parse; read git history once (one `git log` for all kept files),
+and only then link the tracked files' classes for the graph columns.
 Any error in a repository's stages is recorded as that repository's
 failure, so the other repositories still ship.
 
@@ -47,8 +48,7 @@ from cam.dataset import (
 )
 from cam.filters import empty_stats, filter_tree, merge_stats
 from cam.gitstats import derived_columns, file_history
-from cam.javasrc.model import CompilationUnit
-from cam.measure import measure_repo
+from cam.measure import MeasuredFile, measure_repo
 from cam.metrics.schema import schema_markdown
 from cam.repos import (
     CloneFailed,
@@ -295,7 +295,7 @@ class Pipeline:
         write_json_atomic(self._filtered_path(spec), payload)
 
         histories = file_history(str(clone_dir), spec.head_commit, payload["kept"])
-        units: dict[str, CompilationUnit] = {}
+        files: dict[str, MeasuredFile] = {}
         git_columns: dict[str, dict[str, int]] = {}
         untracked: list[str] = []
         for record in outcome.kept:
@@ -304,10 +304,10 @@ class Pipeline:
                 untracked.append(record.path)
                 self._progress.emit(spec.full_name, "measure", "untracked", record.path)
                 continue
-            units[record.path] = record.unit
+            files[record.path] = record.measured
             git_columns[record.path] = derived_columns(history)
 
-        result = measure_repo(spec.full_name, units, git_columns)
+        result = measure_repo(spec.full_name, files, git_columns)
         write_bytes_atomic(self._rows_path(spec), rows_to_csv_bytes(result.rows))
         write_json_atomic(
             self._meta_path(spec),

@@ -282,7 +282,7 @@ def _scan_number(source: str, i: int, line: int, col: int) -> tuple[str, int]:
     if i < n and source[i] in "fFdD" and (kind == "literal-float" or not prefixed):
         kind = "literal-float"
         i += 1
-    elif i < n and source[i] in "lL":
+    elif i < n and source[i] in "lL" and kind == "literal-int":
         i += 1
 
     if i < n and _ident_start(source[i]):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from cam.javasrc.parser import parse
-from cam.measure import measure_repo
+from cam.measure import measure_file, measure_repo
 
 INT_COLUMNS = (
     "loc", "blanks", "comments", "ncss", "cyclomatic", "cognitive",
@@ -33,7 +33,7 @@ def synthetic_git(loc: int) -> dict[str, int]:
 def measure_case(case, git_columns: dict[str, int] | None = None) -> dict[str, dict]:
     loc = next(iter(case.classes.values()))["loc"]
     git = {case.file: git_columns or synthetic_git(loc)}
-    result = measure_repo("fixtures/repo", {case.file: parse(case.source)}, git)
+    result = measure_repo("fixtures/repo", {case.file: measure_file(case.source, parse(case.source))}, git)
     return {row["class_name"]: row for row in result.rows}
 
 

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import cam.measure
 from cam.filters import (
     MAX_LINE_LENGTH,
     REASONS,
@@ -10,6 +11,7 @@ from cam.filters import (
     filter_tree,
     merge_stats,
 )
+from cam.javasrc.parser import parse
 from cam.measure import measure_repo
 from oracle import synthetic_git
 
@@ -28,10 +30,10 @@ def test_reason_vocabulary():
 
 
 def test_kept_file():
-    reason, unit = evaluate_file("src/Ok.java", GOOD)
+    reason, measured = evaluate_file("src/Ok.java", GOOD)
     assert reason is None
-    assert unit.source == "class Ok {}\n"
-    assert [model.name for model in unit.types] == ["Ok"]
+    assert [(row["class_name"], row["loc"], row["blanks"]) for row in measured.rows] == [("Ok", 1, 0)]
+    assert [stub.name for stub in measured.stubs] == ["Ok"]
 
 
 @pytest.mark.parametrize(
@@ -69,9 +71,9 @@ def test_kept_file():
     ],
 )
 def test_rejections(path, data, reason):
-    got, unit = evaluate_file(path, data)
+    got, measured = evaluate_file(path, data)
     assert got == reason
-    assert unit is None
+    assert measured is None
 
 
 @pytest.mark.parametrize(
@@ -85,9 +87,8 @@ def test_rejections(path, data, reason):
     ],
 )
 def test_valid_java_names_and_numbers_are_kept(source, name):
-    reason, unit = evaluate_file("src/A.java", source.encode())
-    assert reason is None
-    assert [f.name for f in unit.types[0].fields] == [name]
+    assert evaluate_file("src/A.java", source.encode())[0] is None
+    assert [f.name for f in parse(source).types[0].fields] == [name]
 
 
 def test_line_length_boundary():
@@ -109,10 +110,11 @@ def test_crlf_does_not_tip_line_length():
 
 
 def test_lone_carriage_return_ends_a_comment():
-    reason, unit = evaluate_file("src/A.java", b"class A { int f; // c\r }")
+    reason, measured = evaluate_file("src/A.java", b"class A { int f; // c\r }")
     assert reason is None
-    assert unit.source == "class A { int f; // c\n }"
-    assert [field.name for field in unit.types[0].fields] == ["f"]
+    # Two lines, the comment on the first; the '}' after the '\r' is code.
+    row = measured.rows[0]
+    assert (row["loc"], row["comments"], row["attributes"]) == (2, 1, 1)
 
 
 def _parens(n):
@@ -139,10 +141,23 @@ def _else_if_chain(n):
     ids=["parens-100", "anonymous-classes-50", "lambdas-200", "else-if-5000"],
 )
 def test_deep_valid_nesting_is_kept_and_measured(source):
-    reason, unit = evaluate_file("src/Deep.java", source.encode())
+    reason, measured = evaluate_file("src/Deep.java", source.encode())
     assert reason is None
-    rows = measure_repo("deep/lib", {"src/Deep.java": unit}, {"src/Deep.java": synthetic_git(1)}).rows
+    rows = measure_repo("deep/lib", {"src/Deep.java": measured}, {"src/Deep.java": synthetic_git(1)}).rows
     assert [row["class_name"] for row in rows] == ["Deep"]
+
+
+def test_a_measurement_error_is_not_a_verdict(monkeypatch):
+    """The metrics run outside the parse's except clause: even a
+    RecursionError from them reaches the caller, where it fails the
+    repository, instead of calling the file unparseable."""
+
+    def too_deep(*_args):
+        raise RecursionError("metric")
+
+    monkeypatch.setattr(cam.measure, "structural_counts", too_deep)
+    with pytest.raises(RecursionError, match="metric"):
+        evaluate_file("src/Ok.java", GOOD)
 
 
 def test_parenthesis_depth_limit():

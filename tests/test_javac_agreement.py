@@ -32,6 +32,11 @@ LITERALS = [
     ("0777", True),
     ("00", True),
     ("0x1.p1", True),
+    ("1.5L", False),
+    ("1.5l", False),
+    ("1e3L", False),
+    ("0x1p3L", False),
+    ("0x1FL", True),
 ]
 
 
@@ -66,6 +71,6 @@ def javac_rejects(tmp_path_factory) -> set[str]:
 @pytest.mark.parametrize("k, literal, compiles", [(k, *case) for k, case in enumerate(LITERALS)], ids=[c[0] for c in LITERALS])
 def test_evaluate_file_agrees_with_javac(javac_rejects, k, literal, compiles):
     javac_keeps = f"L{k}" not in javac_rejects
-    reason, _unit = evaluate_file(f"src/L{k}.java", _source(k, literal).encode("utf-8"))
+    reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, literal).encode("utf-8"))
     assert reason in (None, "unparseable")
     assert (reason is None) == javac_keeps == compiles

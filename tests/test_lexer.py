@@ -204,6 +204,11 @@ LEX_ERRORS = [
     ("d = 0x1.8f;", 1, 5, "malformed floating-point literal"),
     ("0x1p-;", 1, 1, "malformed floating-point literal"),
     ("0x.p1", 1, 1, "malformed hex literal"),
+    # JLS 3.10.1-3.10.2: 'L' ends an int, never a float.
+    ("1.5L", 1, 1, "malformed numeric literal"),
+    ("1.5l", 1, 1, "malformed numeric literal"),
+    ("x = 1e3L;", 1, 5, "malformed numeric literal"),
+    ("0x1p3L", 1, 1, "malformed numeric literal"),
 ]
 
 

@@ -223,25 +223,25 @@ def test_method_cognitive(snippet, score):
 def test_long_else_if_chain_is_kept_and_scored():
     arms = "".join(f"    else if (x == {i}) {{ y = {i}; }}\n" for i in range(1, 1000))
     source = "class Chain {\n  int y;\n  void f(int x) {\n    if (x == 0) { y = 0; }\n" + arms + "    else { y = -1; }\n  }\n}\n"
-    reason, unit = evaluate_file("src/Chain.java", source.encode())
+    reason, measured = evaluate_file("src/Chain.java", source.encode())
     assert reason is None
-    model = unit.types[0]
+    row = measured.rows[0]
     # 1000 if decisions plus the method's base path
-    assert class_cyclomatic(model) == 1001
+    assert row["cyclomatic"] == 1001
     # the head if at depth 0 scores 1, each of the 999 chained arms 1, the final else 1
-    assert class_cognitive(model) == 1001
+    assert row["cognitive"] == 1001
 
 
 def test_long_conditional_chain_is_kept_and_scored():
     arms = "".join(f"        x == {i} ? {i} :\n" for i in range(5000))
     source = "class Table {\n  int f(int x) {\n    return\n" + arms + "        -1;\n  }\n}\n"
-    reason, unit = evaluate_file("src/Table.java", source.encode())
+    reason, measured = evaluate_file("src/Table.java", source.encode())
     assert reason is None
-    model = unit.types[0]
+    row = measured.rows[0]
     # 5000 ternary decisions plus the method's base path
-    assert class_cyclomatic(model) == 5001
+    assert row["cyclomatic"] == 5001
     # each ternary scores 1 whatever its nesting; '==' adds no operator run
-    assert class_cognitive(model) == 5000
+    assert row["cognitive"] == 5000
 
 
 def test_cognitive_anonymous_body_adds_nesting_level():

@@ -7,6 +7,7 @@ from cam.metrics.oo import (
     ClassGraph,
     ParamTypeMatrix,
     access_matrix,
+    class_stub,
     lcom1,
     lcom5,
     nhd,
@@ -22,7 +23,7 @@ def model_of(source, index=0):
 
 
 def graph_of(*files):
-    return ClassGraph([(path, parse(src).types) for path, src in files])
+    return ClassGraph([(path, [class_stub(model) for model in parse(src).types]) for path, src in files])
 
 
 def random_access_matrix(rng):

@@ -274,17 +274,21 @@ def test_stale_filter_failure_clears_on_measure(tmp_path):
 def test_untracked_file_is_skipped_not_fatal(tmp_path):
     replay, work = make_world(tmp_path)
     assert run_cli(work, replay) == 0
+    rows_path = work / "rows" / "beta__app.csv"
+    tracked_only = rows_path.read_bytes()
 
+    # Were its class in the graph, App would gain a child and a coupling.
     loose = work / "github" / "beta" / "app" / "app" / "Loose.java"
-    loose.write_text("class Loose {}\n", encoding="utf-8")
+    loose.write_text("class Loose extends App {\n  App peer;\n}\n", encoding="utf-8")
     args = ["run", "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
     assert main(args + ["--stages", "measure,pack", "--force"]) == 0
 
     meta = json.loads((work / "rows" / "beta__app.meta.json").read_text(encoding="utf-8"))
     assert meta["untracked"] == ["app/Loose.java"]
     assert meta["classes"] == 1
-    rows = (work / "rows" / "beta__app.csv").read_text(encoding="utf-8")
-    assert "Loose" not in rows
+    (app,) = read_csv_rows(rows_path)
+    assert (app["class_name"], app["cbo"], app["noc"], app["dit"]) == ("App", "0", "0", "0")
+    assert rows_path.read_bytes() == tracked_only
 
 
 def test_lone_carriage_return_ends_a_line(tmp_path):
@@ -344,10 +348,10 @@ def test_exit_one_when_every_repo_fails(tmp_path):
 def test_internal_error_fails_only_its_repo(tmp_path, monkeypatch):
     real_measure_repo = cam.pipeline.measure_repo
 
-    def poisoned_measure_repo(repo, units, git_columns):
+    def poisoned_measure_repo(repo, files, git_columns):
         if repo == "alpha/lib":
             raise RuntimeError("poison")
-        return real_measure_repo(repo, units, git_columns)
+        return real_measure_repo(repo, files, git_columns)
 
     monkeypatch.setattr(cam.pipeline, "measure_repo", poisoned_measure_repo)
     alpha, alpha_sha = single_commit_repo(tmp_path / "remotes" / "alpha", {"src/Main.java": MAIN_JAVA})
@@ -609,6 +613,44 @@ def test_pack_memory_does_not_grow_with_rows(tmp_path, rows_per_repo):
     with zipfile.ZipFile(work / "dataset.zip") as archive:
         assert archive.read("data/all.csv").count(b"\n") == 1 + 20 * rows_per_repo
     assert peak < 2 << 20
+
+
+GEN_SOURCES = sorted((Path(__file__).parent / "data").glob("Gen*.java"))
+
+
+def measure_stage_peak(root: Path, kept_files: int) -> int:
+    """The tracemalloc peak of the measure stage over one cloned repository
+    of *kept_files* renamed copies of the Gen*.java classes."""
+    files = {}
+    for n in range(kept_files):
+        source = GEN_SOURCES[n % len(GEN_SOURCES)]
+        # The class and its constructors take the new name together.
+        files[f"src/C{n:04d}.java"] = source.read_text(encoding="utf-8").replace(source.stem, f"C{n:04d}")
+    work = root / "work"
+    _, sha = single_commit_repo(work / "github" / "gen" / "lib", files)
+    spec = RepoSpec("gen/lib", 200, 400, "main", sha, "2020-01-04T10:00:00Z")
+    write_json_atomic(work / "pins.json", {"repos": [spec.to_dict()]})
+    write_json_atomic(work / "state" / f"{spec.key}.json", {"stages": {"clone": "done"}, "failure": None})
+
+    tracemalloc.start()
+    try:
+        assert main(["measure", "--workdir", str(work), "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    meta = json.loads((work / "rows" / f"{spec.key}.meta.json").read_text(encoding="utf-8"))
+    assert (meta["classes"], meta["untracked"]) == (kept_files, [])
+    return peak
+
+
+def test_measure_memory_does_not_grow_with_kept_files(tmp_path):
+    """Each kept file is measured as it is parsed and its parse dropped, so
+    what stays per file is its rows and graph stubs, not its tokens."""
+    small = measure_stage_peak(tmp_path / "small", 30)
+    large = measure_stage_peak(tmp_path / "large", 130)
+    per_file = (large - small) / 100
+    print(f"measure stage peak: {small / 1024:.0f} KiB, {large / 1024:.0f} KiB; {per_file / 1024:.1f} KiB per kept file")
+    assert per_file < 16 << 10
 
 
 # ---- garbage collection -------------------------------------------------

@@ -29,9 +29,9 @@ class_soup = soup.map(lambda body: "class A {\n" + body + "\n}\n")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(soup, class_soup))
 def test_evaluate_file_always_returns_a_verdict(text):
-    reason, unit = evaluate_file("src/A.java", text.encode("utf-8"))
+    reason, measured = evaluate_file("src/A.java", text.encode("utf-8"))
     assert reason in REASONS or reason is None
-    assert (unit is None) == (reason is not None)
+    assert (measured is None) == (reason is not None)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -7,10 +7,14 @@ import importlib
 import importlib.util
 import subprocess
 import sys
+import time
+import zipfile
+from collections import Counter
 from pathlib import Path
 
 import cam.filters
 import cam.measure
+from test_pipeline import make_world, run_cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +43,26 @@ def test_tracer_install_and_remove_restore_every_name(monkeypatch):
         tracer.remove()
     assert [getattr(owner, attr) for owner, attr in sites] == before
     assert gc.callbacks == callbacks
+
+
+def test_traced_run_sees_every_layer(tmp_path, monkeypatch):
+    """Every wrapped layer is reached: a name the measurement stopped
+    looking up would read 0 instead of failing."""
+    tracing = load_tracing(monkeypatch)
+    replay, work = make_world(tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        begin = time.perf_counter()
+        assert run_cli(work, replay, "--jobs", "1") == 0
+        wall = time.perf_counter() - begin
+    finally:
+        tracer.remove()
+
+    assert tracing.check_accounting(tracer, wall) is None
+    spans = Counter(span.name for span in tracer.spans)
+    for layer in ("javasrc.parse", "metrics.code", "metrics.oo", "metrics.structural"):
+        assert spans[layer] > 0, layer
+    with zipfile.ZipFile(work / "dataset.zip") as archive:
+        rows = archive.read("data/all.csv").decode("utf-8").splitlines()[1:]
+    assert tracer.counts["measure.rows"] == len(rows) == 4
