@@ -1,4 +1,4 @@
-"""File selection rules applied to a cloned repository tree.
+"""File selection rules applied to the pinned tree of a cloned repository.
 
 Rules run in a fixed order and the first hit wins, so every rejected file
 carries exactly one reason, and the per-reason counts that end up in the
@@ -11,9 +11,10 @@ from __future__ import annotations
 import fnmatch
 import os
 import re
+import subprocess
 from dataclasses import dataclass
-from pathlib import Path
 
+from cam.gitstats import GitCommandError, _run_git
 from cam.javasrc.lexer import LexError
 from cam.javasrc.parser import JavaSyntaxError, parse
 from cam.measure import MeasuredFile, measure_file
@@ -110,20 +111,28 @@ def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, MeasuredFile |
     return None, measure_file(content, unit)
 
 
-def _walk_files(root: Path) -> list[tuple[str, Path]]:
-    found: list[tuple[str, Path]] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(
-            d for d in dirnames if d != ".git" and not os.path.islink(os.path.join(dirpath, d))
-        )
-        for name in sorted(filenames):
-            full = Path(dirpath) / name
-            if full.is_symlink():
-                continue
-            rel = full.relative_to(root).as_posix()
-            found.append((rel, full))
-    found.sort(key=lambda item: item[0])
-    return found
+def _pinned_files(repo_dir: str, pin: str) -> list[tuple[str, str]]:
+    """(path, blob id) of each file in the pinned tree, sorted by path.
+    Symlinks (mode 120000) and gitlinks (mode 160000) are left out."""
+    files = []
+    for entry in _run_git(repo_dir, ["ls-tree", "-r", "-z", "--full-tree", pin]).split("\0")[:-1]:
+        meta, path = entry.split("\t", 1)
+        mode, _kind, blob = meta.split(" ")
+        if mode not in ("120000", "160000"):
+            files.append((path, blob))
+    return sorted(files)
+
+
+def _read_blob(batch: subprocess.Popen, blob: str) -> bytes:
+    """One object's bytes from a running `git cat-file --batch`."""
+    batch.stdin.write(f"{blob}\n".encode())
+    batch.stdin.flush()
+    header = batch.stdout.readline()
+    fields = header.split()
+    data = batch.stdout.read(int(fields[2]) + 1) if len(fields) == 3 else b""
+    if len(fields) != 3 or len(data) != int(fields[2]) + 1:
+        raise GitCommandError(f"cat-file {blob}: {header.decode('utf-8', 'replace').strip() or 'no reply'}")
+    return data[:-1]
 
 
 def empty_stats() -> dict:
@@ -137,27 +146,29 @@ def merge_stats(target: dict, extra: dict) -> None:
         target["rejected"][reason] += extra["rejected"][reason]
 
 
-def filter_tree(root: str | Path) -> FilterOutcome:
-    """Walk a repository checkout and classify every regular file.
+def filter_tree(repo_dir: str, pin: str) -> FilterOutcome:
+    """Classify every file in a repository's tree at the pinned commit.
 
-    Symlinks are ignored entirely and the .git directory is never entered.
-    A file whose name is not valid UTF-8 is undecodable before any rule.
-    Verdicts and kept records come back in lexicographic relative-path
-    order; each kept record holds what the file's only parse measured.
+    Names and bytes come from git's objects, never from a worktree.
+    Symlinks and gitlinks are ignored; a missing object raises
+    GitCommandError. A file whose name is not valid UTF-8 is undecodable
+    before any rule. Verdicts and kept records come back in lexicographic
+    path order; each kept record holds what the file's only parse measured.
     """
-    root = Path(root)
     kept: list[FileRecord] = []
     verdicts: list[FileVerdict] = []
     stats = empty_stats()
-    for rel, full in _walk_files(root):
-        # A name that is not UTF-8 comes back surrogate-escaped; escape its bad bytes as \xNN instead.
-        name = os.fsencode(rel).decode("utf-8", "backslashreplace")
-        reason, measured = evaluate_file(rel, full.read_bytes()) if name == rel else ("undecodable", None)
-        stats["total"] += 1
-        if reason is None:
-            stats["kept"] += 1
-            kept.append(FileRecord(rel, measured))
-        else:
-            stats["rejected"][reason] += 1
-        verdicts.append(FileVerdict(name, reason))
+    files = _pinned_files(repo_dir, pin)
+    with subprocess.Popen(["git", "-C", repo_dir, "cat-file", "--batch"], stdin=subprocess.PIPE, stdout=subprocess.PIPE) as batch:
+        for rel, blob in files:
+            # A name that is not UTF-8 comes back surrogate-escaped; escape its bad bytes as \xNN instead.
+            name = os.fsencode(rel).decode("utf-8", "backslashreplace")
+            reason, measured = evaluate_file(rel, _read_blob(batch, blob)) if name == rel else ("undecodable", None)
+            stats["total"] += 1
+            if reason is None:
+                stats["kept"] += 1
+                kept.append(FileRecord(rel, measured))
+            else:
+                stats["rejected"][reason] += 1
+            verdicts.append(FileVerdict(name, reason))
     return FilterOutcome(kept, verdicts, stats)

@@ -8,7 +8,7 @@ Copies are not followed, and merge commits show no diff, so they count
 for no file.
 
 All figures are anchored to a pinned commit so reruns over the same
-checkout produce identical numbers no matter when they happen.
+clone produce identical numbers no matter when they happen.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class FileHistory:
 
 
 def _run_git(repo_dir: str, args: list[str]) -> str:
-    """Stdout decoded like `os.walk` names, so odd bytes in a path survive."""
+    """Stdout decoded with `os.fsdecode`, so odd bytes in a path survive."""
     proc = subprocess.run(["git", "-C", repo_dir] + args, capture_output=True)
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", errors="replace").strip()

@@ -5,16 +5,17 @@ results as files there, records per-repository status, and a rerun skips
 whatever already finished. Stage artifacts are self-contained so each
 stage can also run on its own against a prepared work directory.
 
-After its clone, each repository gets one measure pass: walk, decode,
-apply the filter rules, then parse and measure each kept file once and
-drop its parse; read git history once (one `git log` for all kept files),
-and only then link the tracked files' classes for the graph columns.
+After its clone, each repository gets one measure pass: list the pinned
+tree, read each file's committed bytes, apply the filter rules, then
+parse and measure each kept file once and drop its parse; read git
+history once (one `git log` for all kept files), and only then link the
+tracked files' classes for the graph columns.
 Any error in a repository's stages is recorded as that repository's
 failure, so the other repositories still ship.
 
 Layout under the work directory:
   pins.json                  discovery output with pinned commits
-  github/<owner>/<name>/     clones, checked out at the pin
+  github/<owner>/<name>/     bare clones that hold the pin
   state/<owner>__<name>.json per-repository stage status
   filtered/<key>.json        filter verdicts and counters (measure stage)
   rows/<key>.csv, .meta.json per-repository metric rows (measure stage)
@@ -286,7 +287,7 @@ class Pipeline:
         clone_dir = self._clone_dir(spec)
         if not clone_dir.is_dir():
             raise StageError("missing-clone")
-        outcome = filter_tree(clone_dir)
+        outcome = filter_tree(str(clone_dir), spec.head_commit)
         payload = {
             "stats": outcome.stats,
             "kept": [record.path for record in outcome.kept],

@@ -330,12 +330,12 @@ class CloneFailed(Exception):
 
 
 def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> None:
-    """Clone a repository and check out its pinned commit.
+    """Clone a repository bare and check that it holds its pinned commit.
 
-    dest must not already contain anything; the pin must resolve inside the
-    cloned history or the clone is reported as pin-unreachable. A clone
+    dest must not already contain anything; the pin must name a commit in
+    the cloned objects or the clone is reported as pin-unreachable. A clone
     that fails leaves no directory at dest, so no later stage can mistake
-    it for a checkout of the pin.
+    it for a clone of the pin.
     """
     dest = Path(dest)
     if dest.exists() and any(dest.iterdir()):
@@ -351,27 +351,14 @@ def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> None
 
 
 def _clone_at_pin(spec: RepoSpec, dest: Path, url: str) -> None:
-    proc = subprocess.run(
-        ["git", "clone", "--quiet", url, str(dest)],
-        capture_output=True,
-        text=True,
-        errors="replace",
-    )
+    proc = _git("clone", "--bare", "--quiet", url, str(dest))
     if proc.returncode != 0:
         raise CloneFailed("clone-error", proc.stderr.strip().split("\n")[-1] if proc.stderr else "")
-    checkout = subprocess.run(
-        ["git", "-C", str(dest), "checkout", "--quiet", spec.head_commit],
-        capture_output=True,
-        text=True,
-        errors="replace",
-    )
-    if checkout.returncode != 0:
+    # Without ^{commit}, any 40-hex name verifies, whether or not the object exists.
+    pinned = _git("-C", str(dest), "rev-parse", "--quiet", "--verify", spec.head_commit + "^{commit}")
+    if pinned.returncode != 0 or pinned.stdout.strip() != spec.head_commit:
         raise CloneFailed("pin-unreachable", spec.head_commit)
-    head = subprocess.run(
-        ["git", "-C", str(dest), "rev-parse", "HEAD"],
-        capture_output=True,
-        text=True,
-        errors="replace",
-    )
-    if head.returncode != 0 or head.stdout.strip().lower() != spec.head_commit:
-        raise CloneFailed("pin-unreachable", spec.head_commit)
+
+
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], capture_output=True, text=True, errors="replace")

@@ -49,13 +49,14 @@ def commit_all(repo: Path, message: str, when: str = DAY_ONE, author: tuple[str,
     return git(repo, "rev-parse", "HEAD")
 
 
-def single_commit_repo(path: Path, files: dict[str, str], when: str = DAY_ONE) -> tuple[Path, str]:
-    """A repository whose whole history is one commit adding *files*."""
+def single_commit_repo(path: Path, files: dict[str, str | bytes], when: str = DAY_ONE) -> tuple[Path, str]:
+    """A repository whose whole history is one commit adding *files*, given
+    as text (written as UTF-8) or as bytes."""
     init_repo(path)
-    for rel, text in files.items():
+    for rel, content in files.items():
         target = path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8")
+        target.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     return path, commit_all(path, "add sources", when=when)
 
 

@@ -166,12 +166,9 @@ def test_criterion_filter_suite(capsys, tmp_path):
             "src/test/Util.java": b"class Util {}\n",
             "src/Rec.java": b"record Rec(int x) {}\n",
         }
-        for rel, data in tree.items():
-            target = tmp_path / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
+        repo, pin = single_commit_repo(tmp_path / "repo", tree)
 
-        outcome = filter_tree(tmp_path)
+        outcome = filter_tree(str(repo), pin)
         assert sorted(record.path for record in outcome.kept) == ["src/Edge.java", "src/Keep.java"]
         assert [(v.path, v.reason) for v in outcome.verdicts] == [
             ("src/Bytes.java", "undecodable"),
@@ -257,10 +254,8 @@ def test_criterion_modern_syntax_rejected(capsys, tmp_path):
         assert reason == "unparseable"
         assert measured is None
 
-        target = tmp_path / "src" / "Point.java"
-        target.parent.mkdir(parents=True)
-        target.write_bytes(source)
-        outcome = filter_tree(tmp_path)
+        repo, pin = single_commit_repo(tmp_path / "repo", {"src/Point.java": source})
+        outcome = filter_tree(str(repo), pin)
         assert outcome.stats["rejected"]["unparseable"] == 1
         assert outcome.kept == []
 

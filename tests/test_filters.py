@@ -13,6 +13,7 @@ from cam.filters import (
 )
 from cam.javasrc.parser import parse
 from cam.measure import measure_repo
+from conftest import commit_all, git, init_repo
 from oracle import synthetic_git
 
 GOOD = b"class Ok {}\n"
@@ -202,20 +203,22 @@ def test_import_detection_needs_line_start():
 
 
 def make_tree(root):
+    """Commit a small tree to a new repository at *root*; returns the pin."""
+    init_repo(root)
     (root / "src" / "main").mkdir(parents=True)
     (root / "src" / "test").mkdir(parents=True)
-    (root / ".git").mkdir()
     (root / "src" / "main" / "Keep.java").write_bytes(GOOD)
     (root / "src" / "main" / "Zed.java").write_bytes(b"class Zed {}\n")
     (root / "src" / "test" / "Skip.java").write_bytes(GOOD)
     (root / "README.md").write_bytes(b"hello\n")
     (root / "Broken.java").write_bytes(b"class {")
     (root / ".git" / "Hidden.java").write_bytes(GOOD)
+    return commit_all(root, "tree")
 
 
 def test_filter_tree(tmp_path):
-    make_tree(tmp_path)
-    outcome = filter_tree(tmp_path)
+    pin = make_tree(tmp_path)
+    outcome = filter_tree(str(tmp_path), pin)
     kept_paths = [rec.path for rec in outcome.kept]
     assert kept_paths == ["src/main/Keep.java", "src/main/Zed.java"]
     verdict_paths = [v.path for v in outcome.verdicts]
@@ -234,21 +237,43 @@ def test_filter_tree(tmp_path):
 
 
 def test_filter_tree_skips_symlinks(tmp_path):
+    init_repo(tmp_path)
     (tmp_path / "Real.java").write_bytes(GOOD)
-    os.symlink(tmp_path / "Real.java", tmp_path / "Link.java")
-    outcome = filter_tree(tmp_path)
+    os.symlink("Real.java", tmp_path / "Link.java")
+    first = commit_all(tmp_path, "real and link")
+    # A gitlink (mode 160000), as a submodule that is not initialised leaves it.
+    git(tmp_path, "update-index", "--add", "--cacheinfo", f"160000,{first},lib/sub")
+    git(tmp_path, "commit", "-q", "-m", "gitlink")
+    pin = git(tmp_path, "rev-parse", "HEAD")
+    modes = sorted(line.split(" ", 1)[0] for line in git(tmp_path, "ls-tree", "-r", pin).split("\n"))
+    assert modes == ["100644", "120000", "160000"]
+    outcome = filter_tree(str(tmp_path), pin)
     assert [v.path for v in outcome.verdicts] == ["Real.java"]
     assert outcome.stats["total"] == 1
 
 
 def test_filter_tree_non_utf8_name_is_undecodable(tmp_path):
+    init_repo(tmp_path)
     (tmp_path / "A.java").write_bytes(GOOD)
     (tmp_path / "sub").mkdir()
     open(os.path.join(os.fsencode(tmp_path / "sub"), b"Caf\xe9.java"), "wb").close()
-    outcome = filter_tree(tmp_path)
+    pin = commit_all(tmp_path, "odd name")
+    outcome = filter_tree(str(tmp_path), pin)
     assert [(v.path, v.reason) for v in outcome.verdicts] == [("A.java", None), ("sub/Caf\\xe9.java", "undecodable")]
     assert [rec.path for rec in outcome.kept] == ["A.java"]
     assert outcome.stats["rejected"]["undecodable"] == 1
+
+
+def test_working_tree_encoding_does_not_reach_the_filter(tmp_path):
+    """A checkout writes this file as UTF-16LE, which is undecodable; the
+    committed blob is UTF-8, and it is kept."""
+    init_repo(tmp_path)
+    (tmp_path / ".gitattributes").write_bytes(b"*.java working-tree-encoding=UTF-16LE\n")
+    (tmp_path / "Wide.java").write_bytes("class Wide {}\n".encode("utf-16-le"))
+    pin = commit_all(tmp_path, "wide")
+    assert git(tmp_path, "cat-file", "blob", f"{pin}:Wide.java") == "class Wide {}"
+    outcome = filter_tree(str(tmp_path), pin)
+    assert [(v.path, v.reason) for v in outcome.verdicts] == [(".gitattributes", "not-java-ext"), ("Wide.java", None)]
 
 
 def test_stats_merge():

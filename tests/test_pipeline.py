@@ -277,11 +277,23 @@ def test_untracked_file_is_skipped_not_fatal(tmp_path):
     rows_path = work / "rows" / "beta__app.csv"
     tracked_only = rows_path.read_bytes()
 
-    # Were its class in the graph, App would gain a child and a coupling.
-    loose = work / "github" / "beta" / "app" / "app" / "Loose.java"
-    loose.write_text("class Loose extends App {\n  App peer;\n}\n", encoding="utf-8")
+    # Only a merge commit adds Loose.java, and `git log` shows a merge no
+    # diff, so it has no history. Were its class in the graph, App would
+    # gain a child and a coupling.
+    beta = tmp_path / "remotes" / "beta"
+    git(beta, "checkout", "-q", "-b", "side")
+    git(beta, "commit", "-q", "--allow-empty", "-m", "side")
+    git(beta, "checkout", "-q", "main")
+    git(beta, "merge", "-q", "--no-ff", "--no-commit", "side")
+    (beta / "app" / "Loose.java").write_text("class Loose extends App {\n  App peer;\n}\n", encoding="utf-8")
+    git(beta, "add", "app/Loose.java")
+    git(beta, "commit", "-q", "-m", "merge")
+    pins = json.loads((work / "pins.json").read_text(encoding="utf-8"))
+    (beta_pin,) = [entry for entry in pins["repos"] if entry["full_name"] == "beta/app"]
+    beta_pin["head_commit"] = git(beta, "rev-parse", "HEAD")
+    write_json_atomic(work / "pins.json", pins)
     args = ["run", "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
-    assert main(args + ["--stages", "measure,pack", "--force"]) == 0
+    assert main(args + ["--stages", "clone,measure,pack", "--force"]) == 0
 
     meta = json.loads((work / "rows" / "beta__app.meta.json").read_text(encoding="utf-8"))
     assert meta["untracked"] == ["app/Loose.java"]
@@ -379,6 +391,49 @@ def test_internal_error_fails_only_its_repo(tmp_path, monkeypatch):
     assert [line.split(",")[:3] for line in all_csv.split("\n")[1:] if line] == [
         ["beta/app", "app/App.java", "App"]
     ]
+
+
+def test_a_missing_object_fails_only_its_repo(tmp_path):
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay, "--stages", "discover,clone") == 0
+    clone = work / "github" / "alpha" / "lib"
+    blob = git(clone, "rev-parse", "HEAD:src/Main.java")
+    (clone / "objects" / blob[:2] / blob[2:]).unlink()
+    assert run_cli(work, replay, "--stages", "measure,pack") == 0
+
+    with zipfile.ZipFile(work / "dataset.zip") as archive:
+        names = archive.namelist()
+        manifest = json.loads(archive.read("manifest.json"))
+    assert [(e["full_name"], e["status"], e["failure"]) for e in manifest["repos"]] == [
+        ("alpha/lib", "failed", "internal-error:GitCommandError"),
+        ("beta/app", "ok", None),
+    ]
+    assert "data/beta__app.csv" in names
+    assert "data/alpha__lib.csv" not in names
+
+
+def test_clones_with_a_worktree_measure_like_bare_ones(tmp_path):
+    """A work directory whose clones were checked out at the pin measures
+    to the same bytes as bare clones; what the worktree holds is not read."""
+    replay, bare_work = make_world(tmp_path)
+    assert run_cli(bare_work, replay) == 0
+    work = tmp_path / "checkouts"
+    assert run_cli(work, replay, "--stages", "discover") == 0
+    remotes = json.loads((replay / "remotes.json").read_text(encoding="utf-8"))
+    for spec in json.loads((work / "pins.json").read_text(encoding="utf-8"))["repos"]:
+        checkout = work / "github" / spec["full_name"]
+        checkout.parent.mkdir(parents=True, exist_ok=True)
+        git(tmp_path, "clone", "-q", remotes[spec["full_name"]], str(checkout))
+        git(checkout, "checkout", "-q", spec["head_commit"])
+        (checkout / "Stray.java").write_text("class Stray {}\n", encoding="utf-8")
+        key = spec["full_name"].replace("/", "__")
+        write_json_atomic(work / "state" / f"{key}.json", {"stages": {"clone": "done"}, "failure": None})
+    assert run_cli(work, replay, "--stages", "measure,pack") == 0
+
+    outputs = sorted(path.relative_to(bare_work) for sub in ("rows", "filtered") for path in (bare_work / sub).iterdir())
+    assert len(outputs) == 6
+    for rel in outputs:
+        assert (work / rel).read_bytes() == (bare_work / rel).read_bytes()
 
 
 def test_too_deep_nesting_is_unparseable_not_a_failure(tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cam.filters import filter_tree
 from cam.repos import (
     CloneFailed,
     DiscoveryCriteria,
@@ -17,7 +18,7 @@ from cam.repos import (
     discover,
     search_url,
 )
-from conftest import commit_all, init_repo
+from conftest import commit_all, git, init_repo
 
 DATE = "Sat, 04 Jan 2020 10:00:00 GMT"
 SHA_A = "a" * 40
@@ -253,7 +254,7 @@ def spec_for(repo, pin):
     return RepoSpec("local/fixture", 1, 1, "main", pin, "2020-01-04T10:00:00Z")
 
 
-def test_clone_repo_checks_out_pin(tmp_path):
+def test_clone_repo_is_bare_at_pin(tmp_path):
     src = init_repo(tmp_path / "src")
     (src / "A.java").write_text("class A {}\n")
     pin = commit_all(src, "one")
@@ -261,8 +262,11 @@ def test_clone_repo_checks_out_pin(tmp_path):
     commit_all(src, "two")
     dest = tmp_path / "dest"
     clone_repo(spec_for(src, pin), dest, url=str(src))
-    assert (dest / "A.java").exists()
-    assert not (dest / "B.java").exists()
+    assert git(dest, "rev-parse", "--is-bare-repository") == "true"
+    assert not list(dest.rglob("A.java"))
+    outcome = filter_tree(str(dest), pin)
+    assert [record.path for record in outcome.kept] == ["A.java"]
+    assert "B.java" not in [verdict.path for verdict in outcome.verdicts]
 
 
 def test_clone_repo_rejects_unreachable_pin(tmp_path):
@@ -271,6 +275,11 @@ def test_clone_repo_rejects_unreachable_pin(tmp_path):
     commit_all(src, "one")
     with pytest.raises(CloneFailed) as info:
         clone_repo(spec_for(src, "0" * 40), tmp_path / "dest", url=str(src))
+    assert info.value.reason == "pin-unreachable"
+    # An annotated tag names its commit, but is not the commit itself.
+    git(src, "tag", "-a", "-m", "release", "v1")
+    with pytest.raises(CloneFailed) as info:
+        clone_repo(spec_for(src, git(src, "rev-parse", "v1")), tmp_path / "dest", url=str(src))
     assert info.value.reason == "pin-unreachable"
 
 
