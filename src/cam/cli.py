@@ -30,6 +30,9 @@ _DEFAULTS = {
     "quiet": False,
     "stages": None,
 }
+# A config value must have its flag's type: a setting whose default is None
+# takes a string (stages a comma-separated one) or null.
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,6 +71,12 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in loaded.items():
+            default = _DEFAULTS[key]
+            expected = str if default is None else type(default)
+            if type(value) is not expected and not (default is None and value is None):
+                kind = "a comma-separated string" if key == "stages" else _TYPE_NAMES[expected]
+                raise ConfigError(f"config key {key} must be {kind}, not {json.dumps(value)}")
         settings.update(loaded)
     for key in _DEFAULTS:
         value = getattr(args, key, None)
@@ -81,7 +90,7 @@ def _build_config(command: str, settings: dict) -> PipelineConfig:
         raise ConfigError("--workdir is required (flag or config file)")
     if command == "run":
         if settings["stages"]:
-            stages = tuple(s.strip() for s in str(settings["stages"]).split(",") if s.strip())
+            stages = tuple(s.strip() for s in settings["stages"].split(",") if s.strip())
         else:
             stages = STAGES
     else:
@@ -100,10 +109,10 @@ def _build_config(command: str, settings: dict) -> PipelineConfig:
         criteria=criteria,
         stages=stages,
         jobs=settings["jobs"],
-        force=bool(settings["force"]),
-        reproducible=bool(settings["reproducible"]),
+        force=settings["force"],
+        reproducible=settings["reproducible"],
         replay=Path(settings["replay"]) if settings["replay"] else None,
-        quiet=bool(settings["quiet"]),
+        quiet=settings["quiet"],
     )
 
 

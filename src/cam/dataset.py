@@ -7,13 +7,11 @@ constant timestamps and attributes so equal inputs give equal bytes.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 import os
 import shutil
-import zipfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,6 +22,27 @@ SCHEMA_VERSION = 1
 _EPOCH_TIME = "1970-01-01T00:00:00Z"
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 _ZIP_COMPRESSLEVEL = 6
+
+# Filter verdicts, in rule order; the manifest counts each one.
+REASONS = (
+    "not-java-ext",
+    "forbidden-name",
+    "undecodable",
+    "too-long-line",
+    "test-file",
+    "unparseable",
+)
+
+
+def empty_stats() -> dict:
+    return {"total": 0, "kept": 0, "rejected": {reason: 0 for reason in REASONS}}
+
+
+def merge_stats(target: dict, extra: dict) -> None:
+    target["total"] += extra["total"]
+    target["kept"] += extra["kept"]
+    for reason in REASONS:
+        target["rejected"][reason] += extra["rejected"][reason]
 
 
 def format_value(value) -> str:
@@ -45,6 +64,8 @@ def order_rows(rows: list[dict]) -> list[dict]:
 
 def rows_to_csv_bytes(rows: list[dict]) -> bytes:
     """Serialize rows (already formatted or raw) in schema column order."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HEADER)
@@ -55,6 +76,8 @@ def rows_to_csv_bytes(rows: list[dict]) -> bytes:
 
 def read_csv_rows(path: str | Path) -> list[dict]:
     """Read a dataset CSV back as string-valued rows."""
+    import csv
+
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -116,6 +139,8 @@ def pack_archive(zip_path: str | Path, members: dict[str, list[bytes | tuple[Pat
     Each member is a list of parts, streamed in order: bytes, or a file
     path and the offset its copy starts at. No member is held in memory.
     """
+    import zipfile
+
     zip_path = Path(zip_path)
     zip_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = zip_path.with_name(zip_path.name + ".tmp")

@@ -14,19 +14,12 @@ import re
 import subprocess
 from dataclasses import dataclass
 
+# The verdicts and their counters live with the manifest, so pack needs no parser.
+from cam.dataset import REASONS, empty_stats, merge_stats  # noqa: F401
 from cam.gitstats import GitCommandError, _run_git
 from cam.javasrc.lexer import LexError
 from cam.javasrc.parser import JavaSyntaxError, parse
 from cam.measure import MeasuredFile, measure_file
-
-REASONS = (
-    "not-java-ext",
-    "forbidden-name",
-    "undecodable",
-    "too-long-line",
-    "test-file",
-    "unparseable",
-)
 
 MAX_LINE_LENGTH = 1024
 
@@ -133,17 +126,6 @@ def _read_blob(batch: subprocess.Popen, blob: str) -> bytes:
     if len(fields) != 3 or len(data) != int(fields[2]) + 1:
         raise GitCommandError(f"cat-file {blob}: {header.decode('utf-8', 'replace').strip() or 'no reply'}")
     return data[:-1]
-
-
-def empty_stats() -> dict:
-    return {"total": 0, "kept": 0, "rejected": {reason: 0 for reason in REASONS}}
-
-
-def merge_stats(target: dict, extra: dict) -> None:
-    target["total"] += extra["total"]
-    target["kept"] += extra["kept"]
-    for reason in REASONS:
-        target["rejected"][reason] += extra["rejected"][reason]
 
 
 def filter_tree(repo_dir: str, pin: str) -> FilterOutcome:

@@ -8,7 +8,6 @@ meaning changed, not just its name.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 KEY_COLUMNS = ("repo", "path", "class_name")
@@ -22,6 +21,8 @@ class ColumnSpec:
 
     @property
     def definition_hash(self) -> str:
+        import hashlib
+
         text = f"{self.name}: {self.definition}"
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 

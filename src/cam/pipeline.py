@@ -26,30 +26,29 @@ Layout under the work directory:
 
 from __future__ import annotations
 
+import importlib
 import json
 import shutil
 import sys
 import threading
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # Unused here; perfbench/tracing.py wraps this name, and fails without it.
 from cam.dataset import read_csv_rows  # noqa: F401
 from cam.dataset import (
     build_manifest,
     canonical_json,
+    empty_stats,
     generated_at,
+    merge_stats,
     pack_archive,
     rows_to_csv_bytes,
     write_bytes_atomic,
     write_json_atomic,
 )
-from cam.filters import empty_stats, filter_tree, merge_stats
-from cam.gitstats import derived_columns, file_history
-from cam.measure import MeasuredFile, measure_repo
 from cam.metrics.schema import schema_markdown
 from cam.repos import (
     CloneFailed,
@@ -63,8 +62,30 @@ from cam.repos import (
     discover,
 )
 
+if TYPE_CHECKING:
+    from cam.measure import MeasuredFile
+
 STAGES = ("discover", "clone", "measure", "pack")
 REPO_STAGES = ("clone", "measure")
+
+# The measure stage's entry points and their modules. Only a measure stage
+# imports them, with the parser and the metrics behind them, so discover,
+# pack and a resumed run with nothing to measure start without that stack.
+_MEASURE_STACK = {
+    "filter_tree": "cam.filters",
+    "file_history": "cam.gitstats",
+    "derived_columns": "cam.gitstats",
+    "measure_repo": "cam.measure",
+}
+
+
+def __getattr__(name: str):
+    """Import a measure stage entry point on first use and keep it here."""
+    if name not in _MEASURE_STACK:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_MEASURE_STACK[name]), name)
+    globals()[name] = value
+    return value
 
 
 class ConfigError(Exception):
@@ -182,6 +203,8 @@ class Pipeline:
         repo_ok = 0
         requested_repo_stages = [s for s in self.config.stages if s in REPO_STAGES]
         if requested_repo_stages:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=self.config.jobs) as pool:
                 results = list(pool.map(self._process_repo, specs))
             repo_ok = sum(1 for ok in results if ok)
@@ -256,6 +279,8 @@ class Pipeline:
                 reason = exc.reason
             except Exception as exc:
                 # One repository's fault must not abort the others.
+                import traceback
+
                 reason = f"internal-error:{type(exc).__name__}"
                 print(f"{spec.full_name}: {traceback.format_exc(limit=-3)}", end="", file=sys.stderr)
             if reason is not None:
@@ -287,7 +312,9 @@ class Pipeline:
         clone_dir = self._clone_dir(spec)
         if not clone_dir.is_dir():
             raise StageError("missing-clone")
-        outcome = filter_tree(str(clone_dir), spec.head_commit)
+        # Through the module, so a patch of any of these names takes effect.
+        stack = sys.modules[__name__]
+        outcome = stack.filter_tree(str(clone_dir), spec.head_commit)
         payload = {
             "stats": outcome.stats,
             "kept": [record.path for record in outcome.kept],
@@ -295,7 +322,7 @@ class Pipeline:
         }
         write_json_atomic(self._filtered_path(spec), payload)
 
-        histories = file_history(str(clone_dir), spec.head_commit, payload["kept"])
+        histories = stack.file_history(str(clone_dir), spec.head_commit, payload["kept"])
         files: dict[str, MeasuredFile] = {}
         git_columns: dict[str, dict[str, int]] = {}
         untracked: list[str] = []
@@ -306,9 +333,9 @@ class Pipeline:
                 self._progress.emit(spec.full_name, "measure", "untracked", record.path)
                 continue
             files[record.path] = record.measured
-            git_columns[record.path] = derived_columns(history)
+            git_columns[record.path] = stack.derived_columns(history)
 
-        result = measure_repo(spec.full_name, files, git_columns)
+        result = stack.measure_repo(spec.full_name, files, git_columns)
         write_bytes_atomic(self._rows_path(spec), rows_to_csv_bytes(result.rows))
         write_json_atomic(
             self._meta_path(spec),

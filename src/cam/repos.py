@@ -16,14 +16,16 @@ import json
 import os
 import re
 import shutil
-import subprocess
 import time
 import urllib.parse
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import subprocess
 
 SEARCH_PAGE_SIZE = 100
 SEARCH_PAGE_LIMIT = 10
@@ -268,6 +270,8 @@ class DiscoveryResult:
 def _response_time(resp: Response) -> str:
     stamp = resp.header("Date")
     if stamp:
+        from email.utils import parsedate_to_datetime
+
         try:
             parsed = parsedate_to_datetime(stamp)
             return parsed.astimezone(timezone.utc).strftime(_TIME_FORMAT)
@@ -361,4 +365,6 @@ def _clone_at_pin(spec: RepoSpec, dest: Path, url: str) -> None:
 
 
 def _git(*args: str) -> subprocess.CompletedProcess:
+    import subprocess
+
     return subprocess.run(["git", *args], capture_output=True, text=True, errors="replace")

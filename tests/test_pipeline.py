@@ -7,6 +7,8 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import zipfile
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cam
 import cam.gitstats
 import cam.javasrc.parser
 import cam.pipeline
@@ -842,3 +845,64 @@ def test_cli_rejects_non_object_config(tmp_path, capsys):
 def test_cli_reports_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"jobs": "4"}, "config key jobs must be an integer"),
+        ({"jobs": True}, "config key jobs must be an integer"),
+        ({"jobs": 4.0}, "config key jobs must be an integer"),
+        ({"min_stars": "5"}, "config key min_stars must be an integer"),
+        ({"force": "no"}, "config key force must be true or false"),
+        ({"quiet": 0}, "config key quiet must be true or false"),
+        ({"replay": 7}, "config key replay must be a string"),
+        ({"stages": ["clone"]}, "config key stages must be a comma-separated string"),
+    ],
+)
+def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, settings, message):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"workdir": str(tmp_path / "w"), **settings}), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_cli_config_stages_are_a_comma_separated_string(tmp_path):
+    replay, work = make_world(tmp_path)
+    config = tmp_path / "settings.json"
+    settings = {"workdir": str(work), "replay": str(replay), "stages": "discover, ", "quiet": True, "force": False}
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    assert (work / "pins.json").exists()
+    assert not (work / "github").exists()
+
+
+# ---- what each command loads -------------------------------------------
+
+MEASURE_STACK = ("cam.filters", "cam.measure", "cam.gitstats", "cam.metrics.code", "cam.metrics.oo", "cam.metrics.structural")
+
+
+def measure_stack_loaded_by(*argv: str) -> set[str]:
+    """The measure stack's modules that a fresh `cam <argv>` process imported."""
+    script = "import sys; from cam.cli import main; code = main(sys.argv[1:]); print(*sys.modules); sys.exit(code)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cam.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return {m for m in proc.stdout.split() if m in MEASURE_STACK or m.startswith("cam.javasrc.")}
+
+
+def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
+    replay, work = make_world(tmp_path)
+    args = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
+    fresh = measure_stack_loaded_by("run", *args)
+    assert set(MEASURE_STACK) <= fresh
+    assert {"cam.javasrc.lexer", "cam.javasrc.parser", "cam.javasrc.model"} <= fresh
+    assert (work / "dataset.zip").exists()
+
+    assert measure_stack_loaded_by("run", *args) == set()
+    assert measure_stack_loaded_by("pack", *args) == set()
+    assert measure_stack_loaded_by("discover", "--workdir", str(tmp_path / "pins"), "--replay", str(replay), "--quiet") == set()
+    assert (tmp_path / "pins" / "pins.json").exists()
+    assert measure_stack_loaded_by("clone", "--force", *args) == set()
+    assert json.loads((work / "state" / "alpha__lib.json").read_text(encoding="utf-8"))["stages"] == {"clone": "done"}
