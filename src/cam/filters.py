@@ -14,8 +14,8 @@ import re
 import subprocess
 from dataclasses import dataclass
 
-# The verdicts and their counters live with the manifest, so pack needs no parser.
-from cam.dataset import REASONS, empty_stats, merge_stats  # noqa: F401
+# The verdict counters live with the manifest, so pack needs no parser.
+from cam.dataset import empty_stats
 from cam.gitstats import GitCommandError, _run_git
 from cam.javasrc.lexer import LexError
 from cam.javasrc.parser import JavaSyntaxError, parse

@@ -3,10 +3,12 @@
 Each kept file is measured right after its parse (`measure_file`), so a
 repository's parsed units never pile up: what stays of a file is one row
 per top-level class, with file-level figures repeated across the classes
-of a file, and a small graph stub per class. Once the repository's git
-history is known, `measure_repo` links the stubs of the tracked files into
-one class graph, fills in the graph and git columns, and keys each row by
-(repo, path, class_name).
+of a file, and a small graph stub per class. A metric function that
+yields several columns returns them keyed by their schema names, and a
+row is those dicts merged with the single-value metrics. Once the
+repository's git history is known, `measure_repo` links the stubs of the
+tracked files into one class graph, fills in the graph and git columns,
+and keys each row by (repo, path, class_name).
 """
 
 from __future__ import annotations
@@ -53,13 +55,16 @@ class MeasuredFile:
 @dataclass
 class RepoMeasurement:
     rows: list[dict] = field(default_factory=list)
-    class_count: int = 0
     inheritance_cycles: list[str] = field(default_factory=list)
 
 
 def measure_file(source: str, unit: CompilationUnit) -> MeasuredFile:
     """Measure *unit*, the parse of *source*; the unit is not kept."""
-    file_row = _file_columns(source, unit)
+    file_row = {
+        **line_metrics(source, unit.tokens.comments),
+        "ncss": unit.ncss,
+        "imports_count": len(unit.imports),
+    }
     rows = [
         {"class_name": model.name, **file_row, **_class_columns(model, unit.tokens, file_row["loc"])}
         for model in unit.types
@@ -90,63 +95,25 @@ def measure_repo(
             row.update(repo=repo, path=path, cbo=graph.cbo(key), dit=graph.dit(key), noc=graph.noc(key))
             row.update(history)
             result.rows.append(row)
-    result.class_count = len(result.rows)
     result.inheritance_cycles = [f"{p}::{n}" for p, n in graph.cycle_members()]
     return result
-
-
-def _file_columns(source: str, unit: CompilationUnit) -> dict:
-    lines = line_metrics(source, unit.tokens.comments)
-    return {
-        "loc": lines.loc,
-        "kloc": lines.kloc,
-        "blanks": lines.blanks,
-        "comments": lines.comments,
-        "ncss": unit.ncss,
-        "imports_count": len(unit.imports),
-    }
 
 
 def _class_columns(model: ClassModel, tokens: Tokens, lines_of_file: int) -> dict:
     hal = halstead(tokens, model.tokens)
     cyclomatic = class_cyclomatic(model)
-    members = member_counts(model)
     access = access_matrix(model)
-    params = param_type_matrix(model)
-    shape = structural_counts(model, tokens)
     return {
+        **hal,
+        **member_counts(model),
+        **structural_counts(model, tokens),
         "cyclomatic": cyclomatic,
         "cognitive": class_cognitive(model),
-        "halstead_n1": hal.n1,
-        "halstead_n2": hal.n2,
-        "halstead_N1": hal.N1,
-        "halstead_N2": hal.N2,
-        "halstead_volume": hal.volume,
-        "halstead_difficulty": hal.difficulty,
-        "halstead_effort": hal.effort,
-        "mi": maintainability_index(hal.volume, cyclomatic, lines_of_file),
-        "attributes": members.attributes,
-        "static_attributes": members.static_attributes,
-        "constructors": members.constructors,
-        "methods": members.methods,
-        "static_methods": members.static_methods,
+        "mi": maintainability_index(hal["halstead_volume"], cyclomatic, lines_of_file),
         "lcom5": lcom5(access),
-        "nhd": nhd(params),
+        "nhd": nhd(param_type_matrix(model)),
         "tcc": tcc(access),
         "lcom1": lcom1(access),
         "wmc": wmc(model),
         "rfc": rfc(model),
-        "interfaces_implemented": shape.interfaces_implemented,
-        "extends_flag": shape.extends_flag,
-        "is_abstract": shape.is_abstract,
-        "is_final": shape.is_final,
-        "public_methods": shape.public_methods,
-        "private_methods": shape.private_methods,
-        "protected_methods": shape.protected_methods,
-        "default_visibility_methods": shape.default_visibility_methods,
-        "annotations_on_class": shape.annotations_on_class,
-        "lambda_count": shape.lambda_count,
-        "try_blocks": shape.try_blocks,
-        "catch_blocks": shape.catch_blocks,
-        "returns_count": shape.returns_count,
     }

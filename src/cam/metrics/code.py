@@ -1,15 +1,15 @@
 """Size and complexity metrics counted over tokens and statements.
 
-File-level figures (line counts, statement count) are computed once per
-source file and repeated on every class row of that file. Class-level
-figures work on the class's own range of its unit's token columns and on
-its parsed members.
+File-level figures (line counts) are computed once per source file and
+repeated on every class row of that file. Class-level figures work on the
+class's own range of its unit's token columns and on its parsed members.
+A function that yields several columns returns them as a dict keyed by
+their names in `cam.metrics.schema`, ready to merge into a row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 from cam.javasrc.lexer import LITERAL_KINDS, Tokens
@@ -23,19 +23,9 @@ _EXCLUDED_KEYWORDS = frozenset({"class", "interface", "enum", "package", "import
 _COUNTED_SEPARATORS = frozenset("(){}[];,.")
 
 
-@dataclass(frozen=True)
-class LineMetrics:
-    loc: int
-    kloc: float
-    blanks: int
-    comments: int
-
-
-def line_metrics(source: str, comments: list[tuple[int, str]]) -> LineMetrics:
+def line_metrics(source: str, comments: list[tuple[int, str]]) -> dict[str, int | float]:
     """Lines, blank lines and lines that hold part of a comment, where
     *comments* are the ``(start, text)`` pairs of the lexer, in order."""
-    if source == "":
-        return LineMetrics(0, 0.0, 0, 0)
     lines = source.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -48,35 +38,10 @@ def line_metrics(source: str, comments: list[tuple[int, str]]) -> LineMetrics:
         line += source.count("\n", counted, start)
         counted = start
         covered.update(range(line, line + text.count("\n") + 1))
-    return LineMetrics(loc, loc / 1000.0, blanks, len(covered))
+    return {"loc": loc, "kloc": loc / 1000.0, "blanks": blanks, "comments": len(covered)}
 
 
-@dataclass(frozen=True)
-class Halstead:
-    n1: int
-    n2: int
-    N1: int
-    N2: int
-
-    @property
-    def volume(self) -> float:
-        vocab = self.n1 + self.n2
-        if vocab == 0:
-            return NAN
-        return (self.N1 + self.N2) * math.log2(vocab)
-
-    @property
-    def difficulty(self) -> float:
-        if self.n2 == 0:
-            return NAN
-        return (self.n1 / 2.0) * (self.N2 / self.n2)
-
-    @property
-    def effort(self) -> float:
-        return self.difficulty * self.volume
-
-
-def halstead(tokens: Tokens, span: tuple[int, int]) -> Halstead:
+def halstead(tokens: Tokens, span: tuple[int, int]) -> dict[str, int | float]:
     """Over the tokens in the index range *span*: identifiers and literals
     are operands; operators, keywords other than the excluded ones and the
     counted separators are operators."""
@@ -95,7 +60,19 @@ def halstead(tokens: Tokens, span: tuple[int, int]) -> Halstead:
         ):
             operators.add(lexeme)
             total_ops += 1
-    return Halstead(len(operators), len(operands), total_ops, total_rands)
+    n1 = len(operators)
+    n2 = len(operands)
+    volume = (total_ops + total_rands) * math.log2(n1 + n2) if n1 + n2 else NAN
+    difficulty = (n1 / 2.0) * (total_rands / n2) if n2 else NAN
+    return {
+        "halstead_n1": n1,
+        "halstead_n2": n2,
+        "halstead_N1": total_ops,
+        "halstead_N2": total_rands,
+        "halstead_volume": volume,
+        "halstead_difficulty": difficulty,
+        "halstead_effort": difficulty * volume,
+    }
 
 
 def maintainability_index(volume: float, cyclomatic: int, loc: int) -> float:
@@ -117,19 +94,12 @@ def class_cognitive(model: ClassModel) -> int:
     return sum(m.cognitive for m in model.all_methods())
 
 
-@dataclass(frozen=True)
-class MemberCounts:
-    attributes: int
-    static_attributes: int
-    constructors: int
-    methods: int
-    static_methods: int
-
-
-def member_counts(model: ClassModel) -> MemberCounts:
-    attributes = sum(1 for f in model.fields if not f.is_static)
-    static_attributes = sum(1 for f in model.fields if f.is_static)
-    constructors = sum(1 for m in model.methods if m.is_constructor)
+def member_counts(model: ClassModel) -> dict[str, int]:
     plain = [m for m in model.methods if not m.is_constructor]
-    static_methods = sum(1 for m in plain if m.is_static)
-    return MemberCounts(attributes, static_attributes, constructors, len(plain), static_methods)
+    return {
+        "attributes": sum(1 for f in model.fields if not f.is_static),
+        "static_attributes": sum(1 for f in model.fields if f.is_static),
+        "constructors": len(model.methods) - len(plain),
+        "methods": len(plain),
+        "static_methods": sum(1 for m in plain if m.is_static),
+    }

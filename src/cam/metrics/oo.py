@@ -56,8 +56,8 @@ def lcom5(matrix: AccessMatrix) -> float:
     return (m - coverage / a) / (m - 1)
 
 
-def tcc(matrix: AccessMatrix, rows: list[int] | None = None) -> float:
-    idx = matrix.visible_rows if rows is None else rows
+def tcc(matrix: AccessMatrix) -> float:
+    idx = matrix.visible_rows
     n = len(idx)
     if n <= 1:
         return NAN

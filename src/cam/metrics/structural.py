@@ -2,31 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from cam.javasrc.lexer import Tokens
 from cam.javasrc.model import ClassModel
 
 
-@dataclass(frozen=True)
-class StructuralCounts:
-    interfaces_implemented: int
-    extends_flag: int
-    is_abstract: int
-    is_final: int
-    public_methods: int
-    private_methods: int
-    protected_methods: int
-    default_visibility_methods: int
-    annotations_on_class: int
-    lambda_count: int
-    try_blocks: int
-    catch_blocks: int
-    returns_count: int
-
-
-def structural_counts(model: ClassModel, tokens: Tokens) -> StructuralCounts:
+def structural_counts(model: ClassModel, tokens: Tokens) -> dict[str, int]:
     """*tokens* are the columns of the unit that holds *model*."""
     visibility = {"public": 0, "private": 0, "protected": 0, "package": 0}
     for method in model.methods:
@@ -46,18 +28,18 @@ def structural_counts(model: ClassModel, tokens: Tokens) -> StructuralCounts:
                 catches += 1
             elif lexeme == "return":
                 returns += 1
-    return StructuralCounts(
-        interfaces_implemented=len(model.implements_names),
-        extends_flag=1 if model.extends_name is not None else 0,
-        is_abstract=1 if "abstract" in model.modifiers else 0,
-        is_final=1 if "final" in model.modifiers else 0,
-        public_methods=visibility["public"],
-        private_methods=visibility["private"],
-        protected_methods=visibility["protected"],
-        default_visibility_methods=visibility["package"],
-        annotations_on_class=model.annotation_count,
-        lambda_count=lambdas,
-        try_blocks=tries,
-        catch_blocks=catches,
-        returns_count=returns,
-    )
+    return {
+        "interfaces_implemented": len(model.implements_names),
+        "extends_flag": 1 if model.extends_name is not None else 0,
+        "is_abstract": 1 if "abstract" in model.modifiers else 0,
+        "is_final": 1 if "final" in model.modifiers else 0,
+        "public_methods": visibility["public"],
+        "private_methods": visibility["private"],
+        "protected_methods": visibility["protected"],
+        "default_visibility_methods": visibility["package"],
+        "annotations_on_class": model.annotation_count,
+        "lambda_count": lambdas,
+        "try_blocks": tries,
+        "catch_blocks": catches,
+        "returns_count": returns,
+    }

@@ -53,7 +53,6 @@ from cam.metrics.schema import schema_markdown
 from cam.repos import (
     CloneFailed,
     DiscoveryCriteria,
-    DiscoveryResult,
     LiveTransport,
     RepoSpec,
     ReplayTransport,
@@ -340,7 +339,7 @@ class Pipeline:
         write_json_atomic(
             self._meta_path(spec),
             {
-                "classes": result.class_count,
+                "classes": len(result.rows),
                 "inheritance_cycles": result.inheritance_cycles,
                 "untracked": untracked,
             },

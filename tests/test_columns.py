@@ -1,0 +1,57 @@
+"""Every dataset column comes from exactly one source.
+
+A row is built by merging the dicts of the metric families, and a dict
+merge silently keeps the last of two equal keys, so two sources that
+claim the same column would go unnoticed without this check.
+"""
+
+import ast
+import inspect
+from itertools import combinations
+
+import cam.measure
+from cam.gitstats import CommitInfo, FileHistory, derived_columns
+from cam.javasrc.parser import parse
+from cam.measure import measure_file
+from cam.metrics.code import halstead, line_metrics, member_counts
+from cam.metrics.schema import HEADER
+from cam.metrics.structural import structural_counts
+
+SOURCE = "import java.util.List;\nclass A extends B {\n    int f;\n    int g() { return f; }\n}\n"
+
+# Filled in by measure_repo once the repository's class graph is known.
+REPO_COLUMNS = {"repo", "path", "cbo", "dit", "noc"}
+
+
+def literal_row_keys() -> set[str]:
+    """The column names that cam.measure writes itself as dict keys."""
+    tree = ast.parse(inspect.getsource(cam.measure))
+    return {
+        key.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant)
+    }
+
+
+def test_column_sources_partition_the_header():
+    unit = parse(SOURCE)
+    model = unit.types[0]
+    history = FileHistory("A.java", [CommitInfo("0" * 40, "a@example.com", 0)], 5, 0)
+    sources = {
+        "line_metrics": set(line_metrics(SOURCE, unit.tokens.comments)),
+        "halstead": set(halstead(unit.tokens, model.tokens)),
+        "member_counts": set(member_counts(model)),
+        "structural_counts": set(structural_counts(model, unit.tokens)),
+        "derived_columns": set(derived_columns(history)),
+        "cam.measure": literal_row_keys(),
+        "measure_repo": REPO_COLUMNS,
+    }
+    for (a, keys_a), (b, keys_b) in combinations(sources.items(), 2):
+        assert not keys_a & keys_b, f"{a} and {b} both write {sorted(keys_a & keys_b)}"
+    assert set().union(*sources.values()) == set(HEADER)
+    assert sum(map(len, sources.values())) == len(HEADER)
+
+    row = measure_file(SOURCE, unit).rows[0]
+    assert set(row) == set(HEADER) - sources["derived_columns"] - REPO_COLUMNS

@@ -3,14 +3,8 @@ import os
 import pytest
 
 import cam.measure
-from cam.filters import (
-    MAX_LINE_LENGTH,
-    REASONS,
-    empty_stats,
-    evaluate_file,
-    filter_tree,
-    merge_stats,
-)
+from cam.dataset import REASONS, empty_stats, merge_stats
+from cam.filters import MAX_LINE_LENGTH, evaluate_file, filter_tree
 from cam.javasrc.parser import parse
 from cam.measure import measure_repo
 from conftest import commit_all, git, init_repo

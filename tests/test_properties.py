@@ -6,7 +6,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cam.filters import REASONS, evaluate_file
+from cam.dataset import REASONS
+from cam.filters import evaluate_file
 from cam.javasrc.lexer import LexError, tokenize
 from cam.javasrc.parser import parse
 from test_lexer import assert_lossless
