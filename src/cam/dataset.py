@@ -1,7 +1,8 @@
 """Dataset serialization: CSV rows, the manifest, and the final archive.
 
 Everything here is bit-stable: cell formatting is fixed, JSON is emitted
-in one canonical form, rows are fully ordered, and archive members carry
+in one canonical form, rows keep the order `measure_repo` gives them
+(by path, then class name), and archive members carry
 constant timestamps and attributes so equal inputs give equal bytes.
 """
 
@@ -58,18 +59,15 @@ def format_value(value) -> str:
     raise TypeError(f"unsupported cell type: {type(value).__name__}")
 
 
-def order_rows(rows: list[dict]) -> list[dict]:
-    return sorted(rows, key=lambda r: (r["repo"], r["path"], r["class_name"]))
-
-
 def rows_to_csv_bytes(rows: list[dict]) -> bytes:
-    """Serialize rows (already formatted or raw) in schema column order."""
+    """Serialize rows (already formatted or raw) in schema column order,
+    one line per row in the order given."""
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HEADER)
-    for row in order_rows(rows):
+    for row in rows:
         writer.writerow([format_value(row[name]) for name in HEADER])
     return buf.getvalue().encode("utf-8")
 

@@ -3,7 +3,8 @@
 Rules run in a fixed order and the first hit wins, so every rejected file
 carries exactly one reason, and the per-reason counts that end up in the
 manifest follow the same order. A kept file is measured as soon as it is
-parsed, and only its measured rows and graph stubs leave this module.
+parsed, and only its measured rows and graph stubs leave this module,
+next to the verdicts and counters that `filtered/<key>.json` holds.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import fnmatch
 import os
 import re
 import subprocess
-from dataclasses import dataclass
 
 # The verdict counters live with the manifest, so pack needs no parser.
 from cam.dataset import empty_stats
@@ -20,6 +20,7 @@ from cam.gitstats import GitCommandError, _run_git
 from cam.javasrc.lexer import LexError
 from cam.javasrc.parser import JavaSyntaxError, parse
 from cam.measure import MeasuredFile, measure_file
+from cam.repos import git_env
 
 MAX_LINE_LENGTH = 1024
 
@@ -30,25 +31,6 @@ _TEST_IMPORT_RE = re.compile(
     r"^\s*import\s+(static\s+)?(org\.junit|junit\.framework|org\.testng)",
     re.MULTILINE,
 )
-
-
-@dataclass(frozen=True)
-class FileVerdict:
-    path: str
-    reason: str | None
-
-
-@dataclass
-class FileRecord:
-    path: str
-    measured: MeasuredFile
-
-
-@dataclass
-class FilterOutcome:
-    kept: list[FileRecord]
-    verdicts: list[FileVerdict]
-    stats: dict
 
 
 def _decode(data: bytes) -> str | None:
@@ -128,20 +110,24 @@ def _read_blob(batch: subprocess.Popen, blob: str) -> bytes:
     return data[:-1]
 
 
-def filter_tree(repo_dir: str, pin: str) -> FilterOutcome:
+def filter_tree(repo_dir: str, pin: str) -> tuple[dict, list[tuple[str, MeasuredFile]]]:
     """Classify every file in a repository's tree at the pinned commit.
 
     Names and bytes come from git's objects, never from a worktree.
     Symlinks and gitlinks are ignored; a missing object raises
     GitCommandError. A file whose name is not valid UTF-8 is undecodable
-    before any rule. Verdicts and kept records come back in lexicographic
-    path order; each kept record holds what the file's only parse measured.
+    before any rule. Returns the `filtered/<key>.json` payload (the
+    counters under "stats", the kept paths under "kept" and a
+    `[path, reason]` pair per file under "verdicts") and a `(path,
+    measured)` pair per kept file, all in lexicographic path order; each
+    measured file is what the file's only parse measured.
     """
-    kept: list[FileRecord] = []
-    verdicts: list[FileVerdict] = []
     stats = empty_stats()
+    payload = {"stats": stats, "kept": [], "verdicts": []}
+    kept: list[tuple[str, MeasuredFile]] = []
     files = _pinned_files(repo_dir, pin)
-    with subprocess.Popen(["git", "-C", repo_dir, "cat-file", "--batch"], stdin=subprocess.PIPE, stdout=subprocess.PIPE) as batch:
+    git = ["git", "-C", repo_dir, "cat-file", "--batch"]
+    with subprocess.Popen(git, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=git_env()) as batch:
         for rel, blob in files:
             # A name that is not UTF-8 comes back surrogate-escaped; escape its bad bytes as \xNN instead.
             name = os.fsencode(rel).decode("utf-8", "backslashreplace")
@@ -149,8 +135,9 @@ def filter_tree(repo_dir: str, pin: str) -> FilterOutcome:
             stats["total"] += 1
             if reason is None:
                 stats["kept"] += 1
-                kept.append(FileRecord(rel, measured))
+                payload["kept"].append(rel)
+                kept.append((rel, measured))
             else:
                 stats["rejected"][reason] += 1
-            verdicts.append(FileVerdict(name, reason))
-    return FilterOutcome(kept, verdicts, stats)
+            payload["verdicts"].append([name, reason])
+    return payload, kept

@@ -14,8 +14,9 @@ clone produce identical numbers no matter when they happen.
 from __future__ import annotations
 
 import os
-import subprocess
 from dataclasses import dataclass
+
+from cam.repos import run_git
 
 _FIELD_SEP = "\x1f"
 _COMMIT_MARK = "\x01"
@@ -32,14 +33,12 @@ class GitCommandError(Exception):
 
 @dataclass(frozen=True)
 class CommitInfo:
-    sha: str
     author_email: str
     timestamp: int
 
 
 @dataclass
 class FileHistory:
-    path: str
     commits: list[CommitInfo]
     added: int
     deleted: int
@@ -47,7 +46,7 @@ class FileHistory:
 
 def _run_git(repo_dir: str, args: list[str]) -> str:
     """Stdout decoded with `os.fsdecode`, so odd bytes in a path survive."""
-    proc = subprocess.run(["git", "-C", repo_dir] + args, capture_output=True)
+    proc = run_git("-C", repo_dir, *args)
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", errors="replace").strip()
         raise GitCommandError(stderr or f"git {args[0]} failed")
@@ -63,9 +62,9 @@ def file_history(repo_dir: str, pin: str, paths: list[str]) -> dict[str, FileHis
         return {}
     out = _run_git(
         repo_dir,
-        ["log", pin, "-z", "--numstat", "-M", f"--format={_COMMIT_MARK}%H{_FIELD_SEP}%ae{_FIELD_SEP}%at"],
+        ["log", pin, "-z", "--numstat", "-M", f"--format={_COMMIT_MARK}%ae{_FIELD_SEP}%at"],
     )
-    histories = {path: FileHistory(path, [], 0, 0) for path in paths}
+    histories = {path: FileHistory([], 0, 0) for path in paths}
     # name at this point of the walk -> history of the kept file it is
     names = dict(histories)
     commit = None
@@ -73,8 +72,8 @@ def file_history(repo_dir: str, pin: str, paths: list[str]) -> dict[str, FileHis
     for token in tokens:
         token = token.lstrip("\n")
         if token.startswith(_COMMIT_MARK):
-            sha, email, stamp = token[1:].split(_FIELD_SEP)
-            commit = CommitInfo(sha, email, int(stamp))
+            email, stamp = token[1:].split(_FIELD_SEP)
+            commit = CommitInfo(email, int(stamp))
             continue
         if not token:
             continue

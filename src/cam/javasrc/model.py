@@ -4,9 +4,12 @@ A ClassModel is the unit everything downstream measures. Nested, local and
 anonymous classes hang off their enclosing class's ``nested`` list and never
 appear among a CompilationUnit's top-level types.
 
-A MethodModel's ``cognitive`` score is added up by the parser as it parses
-(see `cam.javasrc.parser` for the rules and which method a score goes to);
-``has_body`` tells an abstract or interface method from one with a body.
+A MethodModel's ``decisions`` and ``cognitive`` score are added up by the
+parser as it parses (see `cam.javasrc.parser` for the rules and which
+method a score goes to); ``has_body`` tells an abstract or interface
+method from one with a body. A model holds only what some metric reads:
+a field is its name and whether it is static, and a CompilationUnit keeps
+the number of its imports, not their names.
 """
 
 from __future__ import annotations
@@ -18,16 +21,8 @@ from cam.javasrc.lexer import Tokens
 
 
 @dataclass
-class ImportDecl:
-    name: str
-    wildcard: bool = False
-    static: bool = False
-
-
-@dataclass
 class FieldModel:
     name: str
-    declared_type_name: str
     is_static: bool = False
 
 
@@ -42,7 +37,7 @@ class MethodModel:
     cognitive: int = 0
     accessed_field_names: set[str] = field(default_factory=set)
     invoked_method_names: set[str] = field(default_factory=set)
-    decision_tokens: dict[str, int] = field(default_factory=dict)
+    decisions: int = 0  # branch points: if, loop, case, catch, ternary, && and ||
 
     @property
     def is_public(self) -> bool:
@@ -83,8 +78,7 @@ class ClassModel:
 
 @dataclass
 class CompilationUnit:
-    package_name: Optional[str]
-    imports: list[ImportDecl]
+    import_count: int
     types: list[ClassModel]
     ncss: int
     tokens: Tokens

@@ -1,12 +1,16 @@
 """Recursive-descent parser for Java 8 class files.
 
 Builds ClassModel/MethodModel structures with everything the metric layers
-need: per-method cognitive scores and decision token counts, accessed-field
-and invoked-method names, referenced type names, and a file-level
-statement count.
+need: per-method decision counts and cognitive scores, accessed-field and
+invoked-method names, referenced type names, and file-level statement and
+import counts. The package name, import names and field types are parsed
+and checked but not kept, since no metric reads them.
 
 Grammar coverage is Java 8: generics, lambdas, anonymous and local classes,
 enums, annotation types, try-with-resources, multi-catch, method references.
+One routine parses every type-argument list: of a type, of a generic call
+(`a.<T>f()`) and of a method reference (`A::<T>f`); only a class instance
+creation takes the diamond `<>`, and no type argument takes `&`.
 Later syntax (records, sealed types, `var`, arrow switches) fails with
 JavaSyntaxError, which is the pipeline's exclusion signal.
 
@@ -62,7 +66,6 @@ from cam.javasrc.model import (
     ClassModel,
     CompilationUnit,
     FieldModel,
-    ImportDecl,
     MethodModel,
 )
 
@@ -83,7 +86,7 @@ _POSTFIX_STARTS = frozenset([".", "[", "++", "--", "::"])
 _CAST_FOLLOW_LEXEMES = frozenset(["(", "!", "~", "this", "super", "new"]) | PRIMITIVES
 _CAST_FOLLOW_KINDS = LITERAL_KINDS | {"identifier"}
 # What may sit between the '<' and '>' of type arguments besides names.
-_TYPE_ARG_LEXEMES = frozenset([",", ".", "?", "[", "]", "@", "&", "extends", "super"]) | PRIMITIVES
+_TYPE_ARG_LEXEMES = frozenset([",", ".", "?", "[", "]", "@", "extends", "super"]) | PRIMITIVES
 
 # Binding strength of each binary operator, loosest first; every lexeme here
 # is an operator token except the keyword 'instanceof', whose right side is
@@ -122,7 +125,7 @@ class _MethodCtx:
     def __init__(self) -> None:
         self.candidates: set[str] = set()
         self.invoked: set[str] = set()
-        self.decisions: dict[str, int] = {}
+        self.decisions = 0
         self.scopes: list[set[str]] = [set()]
         self.cognitive = 0
 
@@ -215,9 +218,8 @@ class _Parser:
 
     # ---- expression side-effect plumbing --------------------------------
 
-    def _decide(self, kind: str) -> None:
-        decisions = self._method.decisions
-        decisions[kind] = decisions.get(kind, 0) + 1
+    def _decide(self) -> None:
+        self._method.decisions += 1
 
     def _record_refs(self, names: set[str]) -> None:
         if self._classes:
@@ -242,8 +244,7 @@ class _Parser:
     # ---- compilation unit -----------------------------------------------
 
     def run(self) -> CompilationUnit:
-        package = None
-        imports: list[ImportDecl] = []
+        imports = 0
         types: list[ClassModel] = []
 
         # Annotations at the very top may belong to a package declaration
@@ -253,22 +254,20 @@ class _Parser:
         self._skip_annotations()
         if self.at("package"):
             self.i += 1
-            package = self._qualified_name()
+            self._skip_qualified_name()
             self.expect(";")
             self.ncss += 1
         else:
             self.i = saved
         while self.at("import"):
             self.i += 1
-            static = self.accept("static")
-            name = self._qualified_name()
-            wildcard = False
+            self.accept("static")
+            self._skip_qualified_name()
             if self.accept("."):
                 self.expect("*")
-                wildcard = True
             self.expect(";")
             self.ncss += 1
-            imports.append(ImportDecl(name, wildcard, static))
+            imports += 1
         while self.kinds[self.i] != "eof":
             if self.accept(";"):
                 continue
@@ -276,21 +275,19 @@ class _Parser:
         del self.lex[-_PAD:], self.kinds[-_PAD:]
         for i, lexeme in self.glued.items():
             self.lex[i] = lexeme
-        return CompilationUnit(package, imports, types, self.ncss, self.tokens)
+        return CompilationUnit(imports, types, self.ncss, self.tokens)
 
-    def _qualified_name(self) -> str:
+    def _skip_qualified_name(self) -> None:
         lex, kinds = self.lex, self.kinds
-        parts = [self.expect_ident()]
+        self.expect_ident()
         while lex[self.i] == "." and kinds[self.i + 1] == "identifier":
-            parts.append(lex[self.i + 1])
             self.i += 2
-        return ".".join(parts)
 
     # ---- annotations and modifiers --------------------------------------
 
     def _skip_annotation(self) -> None:
         self.expect("@")
-        self._qualified_name()
+        self._skip_qualified_name()
         if self.at("("):
             lex, kinds = self.lex, self.kinds
             depth = 0
@@ -327,11 +324,12 @@ class _Parser:
 
     # ---- types ----------------------------------------------------------
 
-    def parse_type(self, names: set[str] | None = None, allow_void: bool = False) -> str:
+    def parse_type(self, names: set[str] | None = None, allow_void: bool = False, diamond: bool = False) -> str:
         """Consume a type; return its erased name with '[]' per dimension.
 
         The class types it names, those in its type arguments included, go
-        into *names* when a set is given."""
+        into *names* when a set is given. Empty type arguments ('<>') are
+        taken only with *diamond*, as in a class instance creation."""
         lex, kinds = self.lex, self.kinds
         if lex[self.i] == "@":
             self._skip_annotations()
@@ -340,12 +338,12 @@ class _Parser:
         if kinds[i] == "identifier":
             self.i = i + 1
             if lex[i + 1] == "<":
-                self._type_args(names)
+                self._type_args(names, diamond)
             while lex[self.i] == "." and kinds[self.i + 1] == "identifier":
                 erased += "." + lex[self.i + 1]
                 self.i += 2
                 if lex[self.i] == "<":
-                    self._type_args(names)
+                    self._type_args(names, diamond)
             if erased == "var":
                 self.error("'var' is not a Java 8 type")
             if names is not None:
@@ -363,12 +361,12 @@ class _Parser:
             else:
                 return erased
 
-    def _type_args(self, names: set[str] | None) -> None:
-        """Type arguments, entered at their '<'."""
+    def _type_args(self, names: set[str] | None, diamond: bool = False) -> None:
+        """Type arguments, entered at their '<'; '<>' only with *diamond*."""
         lex = self.lex
         self.i += 1
-        if lex[self.i] == ">" or lex[self.i] in _GT_REMAINDERS:
-            self.expect_gt()  # diamond
+        if diamond and (lex[self.i] == ">" or lex[self.i] in _GT_REMAINDERS):
+            self.expect_gt()
             return
         while True:
             if lex[self.i] == "@":
@@ -380,9 +378,6 @@ class _Parser:
                     self.parse_type(names)
             else:
                 self.parse_type(names)
-                while lex[self.i] == "&":
-                    self.i += 1
-                    self.parse_type(names)
             if lex[self.i] == ",":
                 self.i += 1
                 continue
@@ -534,7 +529,7 @@ class _Parser:
             self._method_decl(ctx, mods, constructor=True)
             return
         names: set[str] = set()
-        rtype = self.parse_type(names, allow_void=True)
+        self.parse_type(names, allow_void=True)
         i = self.i
         if kinds[i] == "identifier" and lex[i + 1] == "(":
             self._record_refs(names)
@@ -542,7 +537,7 @@ class _Parser:
             return
         if kinds[i] != "identifier":
             self.error(f"expected a member declaration, found {lex[i]!r}")
-        self._field_decl(ctx, mods, rtype, names)
+        self._field_decl(ctx, mods, names)
 
     def _initializer_block(self) -> None:
         outer = self._method, self._sink
@@ -550,17 +545,14 @@ class _Parser:
         self.parse_block(self._base_depth[-1])
         self._method, self._sink = outer
 
-    def _field_decl(self, ctx: _ClassCtx, mods: set[str], ftype: str, names: set[str]) -> None:
+    def _field_decl(self, ctx: _ClassCtx, mods: set[str], names: set[str]) -> None:
         self._record_refs(names)
         implicit_static = ctx.model.kind in ("interface", "annotation")
         is_static = "static" in mods or implicit_static
         while True:
-            name = self.expect_ident()
-            dims = 0
+            ctx.model.fields.append(FieldModel(self.expect_ident(), is_static))
             while self.at("[") and self.lex[self.i + 1] == "]":
                 self.i += 2
-                dims += 1
-            ctx.model.fields.append(FieldModel(name, ftype + "[]" * dims, is_static))
             if self.accept("="):
                 outer = self._method
                 self._method = _MethodCtx()
@@ -615,7 +607,7 @@ class _Parser:
             has_body=has_body,
             cognitive=mctx.cognitive,
             invoked_method_names=mctx.invoked,
-            decision_tokens=mctx.decisions,
+            decisions=mctx.decisions,
         )
         ctx.model.methods.append(method)
         ctx.pending_access.append((method, mctx.candidates))
@@ -801,7 +793,7 @@ class _Parser:
         while True:
             self.expect("if")
             self.ncss += 1
-            self._decide("if")
+            self._decide()
             self.expect("(")
             self._parse_expr_group(d)
             self.expect(")")
@@ -822,11 +814,11 @@ class _Parser:
         scopes = self._method.scopes
         scopes.append(set())
         if self._foreach_header():
-            self._decide("foreach")
+            self._decide()
             self._parse_expr_group(d)
             self.expect(")")
         else:
-            self._decide("for")
+            self._decide()
             if not self.at(";"):
                 self._for_init(d)
             self.expect(";")
@@ -871,7 +863,7 @@ class _Parser:
     def _while_stmt(self, d: int) -> None:
         self.expect("while")
         self.ncss += 1
-        self._decide("while")
+        self._decide()
         self._sink.cognitive += 1 + d
         self.expect("(")
         self._parse_expr_group(d)
@@ -881,7 +873,7 @@ class _Parser:
     def _do_stmt(self, d: int) -> None:
         self.expect("do")
         self.ncss += 1
-        self._decide("do")
+        self._decide()
         self._sink.cognitive += 1 + d
         self.parse_statement(d + 1)
         self.expect("while")
@@ -903,7 +895,7 @@ class _Parser:
             if self.at("case"):
                 self.i += 1
                 self.ncss += 1
-                self._decide("case")
+                self._decide()
                 self._parse_expr_group(self._depth, self.parse_ternary)
                 self.expect(":")
                 labelled = True
@@ -941,7 +933,7 @@ class _Parser:
         while self.at("catch"):
             self.i += 1
             self.ncss += 1
-            self._decide("catch")
+            self._decide()
             self._sink.cognitive += 1 + d
             self.expect("(")
             scopes.append(set())
@@ -1054,7 +1046,7 @@ class _Parser:
     def _ternary_head(self) -> None:
         """'? true-branch :' after a condition; the caller parses the false branch."""
         self.i += 1
-        self._decide("ternary")
+        self._decide()
         self._owner.cognitive += 1
         self.parse_expression()
         self.expect(":")
@@ -1081,7 +1073,7 @@ class _Parser:
                 ceiling = prec
                 continue
             if prec <= 2:
-                self._decide("or" if prec == 1 else "and")
+                self._decide()
                 # each change between '&&' and '||' in a group scores 1
                 if op != self._last_op:
                     if self._last_op:
@@ -1140,8 +1132,7 @@ class _Parser:
             else:
                 end = self._scan_type_args(i + 1) if after == "<" else None
                 if end is not None and lex[end] == "::":
-                    self.i = i + 2
-                    self._committed_type_args()
+                    self._type_args(None)
                 else:
                     ctx = self._method
                     for scope in ctx.scopes:
@@ -1202,8 +1193,8 @@ class _Parser:
                         self._method.invoked.add(name)
                         self._parse_args()
                 elif nxt == "<":
-                    self.i += 2
-                    self._committed_type_args()
+                    self.i += 1
+                    self._type_args(None)
                     self._method.invoked.add(self.expect_ident())
                     self._parse_args()
                 else:
@@ -1234,32 +1225,12 @@ class _Parser:
             else:  # '::'
                 self.i += 1
                 if self.at("<"):
-                    self._committed_type_args()
+                    self._type_args(None)
                 if self.at("new"):
                     self.i += 1
                 else:
                     self.expect_ident()
             bare_this = False
-
-    def _committed_type_args(self) -> None:
-        """Parse type arguments when context has already committed to them.
-
-        Entered with the cursor just past '<'."""
-        lex = self.lex
-        if lex[self.i] == ">" or lex[self.i] in _GT_REMAINDERS:
-            self.expect_gt()
-            return
-        while True:
-            if self.accept("?"):
-                if self.at("extends") or self.at("super"):
-                    self.i += 1
-                    self.parse_type()
-            else:
-                self.parse_type()
-            if self.accept(","):
-                continue
-            self.expect_gt()
-            return
 
     def _scan_type_args(self, start: int) -> int | None:
         """Lookahead from a '<' at *start*; index just past the closing '>'
@@ -1304,7 +1275,7 @@ class _Parser:
         if self.at("<"):
             self._skip_type_params()
         refs: set[str] = set()
-        erased = self.parse_type(refs)
+        erased = self.parse_type(refs, diamond=True)
         created = erased.rstrip("[]")
         if created not in PRIMITIVES:
             refs.add(created)

@@ -8,12 +8,13 @@ yields several columns returns them keyed by their schema names, and a
 row is those dicts merged with the single-value metrics. Once the
 repository's git history is known, `measure_repo` links the stubs of the
 tracked files into one class graph, fills in the graph and git columns,
-and keys each row by (repo, path, class_name).
+and keys each row by (repo, path, class_name), the order it emits them in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from cam.javasrc.lexer import Tokens
 from cam.javasrc.model import ClassModel, CompilationUnit
@@ -63,7 +64,7 @@ def measure_file(source: str, unit: CompilationUnit) -> MeasuredFile:
     file_row = {
         **line_metrics(source, unit.tokens.comments),
         "ncss": unit.ncss,
-        "imports_count": len(unit.imports),
+        "imports_count": unit.import_count,
     }
     rows = [
         {"class_name": model.name, **file_row, **_class_columns(model, unit.tokens, file_row["loc"])}
@@ -81,7 +82,9 @@ def measure_repo(
 
     files maps repository-relative paths to the measured files that passed
     the filter rules and have history; git_columns maps the same paths to
-    their five history values. The rows are completed in place.
+    their five history values. The rows are completed in place and come
+    out by path, then by class name; the sort is stable, so classes of one
+    file that share a name keep their declaration order.
     """
     paths = sorted(files)
     graph = ClassGraph([(path, files[path].stubs) for path in paths])
@@ -94,7 +97,7 @@ def measure_repo(
             key = (path, stub.name)
             row.update(repo=repo, path=path, cbo=graph.cbo(key), dit=graph.dit(key), noc=graph.noc(key))
             row.update(history)
-            result.rows.append(row)
+        result.rows += sorted(measured.rows, key=itemgetter("class_name"))
     result.inheritance_cycles = [f"{p}::{n}" for p, n in graph.cycle_members()]
     return result
 

@@ -83,7 +83,7 @@ def maintainability_index(volume: float, cyclomatic: int, loc: int) -> float:
 
 
 def method_cyclomatic(method: MethodModel) -> int:
-    return 1 + sum(method.decision_tokens.values())
+    return 1 + method.decisions
 
 
 def class_cyclomatic(model: ClassModel) -> int:

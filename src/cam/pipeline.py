@@ -197,7 +197,8 @@ class Pipeline:
         if "discover" in self.config.stages:
             self._stage_discover()
 
-        specs = self._load_pins() if set(self.config.stages) - {"discover"} else []
+        pins = self._load_pins() if set(self.config.stages) - {"discover"} else {"repos": []}
+        specs = [RepoSpec.from_dict(entry) for entry in pins["repos"]]
 
         repo_ok = 0
         requested_repo_stages = [s for s in self.config.stages if s in REPO_STAGES]
@@ -209,25 +210,17 @@ class Pipeline:
             repo_ok = sum(1 for ok in results if ok)
 
         if "pack" in self.config.stages:
-            self._stage_pack(specs)
+            self._stage_pack(specs, pins)
 
         if requested_repo_stages and repo_ok == 0:
             return 1
         return 0
 
-    def _load_pins(self) -> list[RepoSpec]:
+    def _load_pins(self) -> dict:
         path = self._pins_path()
         if not path.exists():
             raise ConfigError("pins.json not found in workdir; run the discover stage first")
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return [RepoSpec.from_dict(entry) for entry in data["repos"]]
-
-    def _pins_metadata(self) -> dict:
-        data = json.loads(self._pins_path().read_text(encoding="utf-8"))
-        return {
-            "cap_exceeded": data.get("cap_exceeded", False),
-            "total_available": data.get("total_available", 0),
-        }
+        return json.loads(path.read_text(encoding="utf-8"))
 
     def _stage_discover(self) -> None:
         path = self._pins_path()
@@ -313,26 +306,21 @@ class Pipeline:
             raise StageError("missing-clone")
         # Through the module, so a patch of any of these names takes effect.
         stack = sys.modules[__name__]
-        outcome = stack.filter_tree(str(clone_dir), spec.head_commit)
-        payload = {
-            "stats": outcome.stats,
-            "kept": [record.path for record in outcome.kept],
-            "verdicts": [[v.path, v.reason] for v in outcome.verdicts],
-        }
+        payload, kept = stack.filter_tree(str(clone_dir), spec.head_commit)
         write_json_atomic(self._filtered_path(spec), payload)
 
         histories = stack.file_history(str(clone_dir), spec.head_commit, payload["kept"])
         files: dict[str, MeasuredFile] = {}
         git_columns: dict[str, dict[str, int]] = {}
         untracked: list[str] = []
-        for record in outcome.kept:
-            history = histories.get(record.path)
+        for path, measured in kept:
+            history = histories.get(path)
             if history is None:
-                untracked.append(record.path)
-                self._progress.emit(spec.full_name, "measure", "untracked", record.path)
+                untracked.append(path)
+                self._progress.emit(spec.full_name, "measure", "untracked", path)
                 continue
-            files[record.path] = record.measured
-            git_columns[record.path] = stack.derived_columns(history)
+            files[path] = measured
+            git_columns[path] = stack.derived_columns(history)
 
         result = stack.measure_repo(spec.full_name, files, git_columns)
         write_bytes_atomic(self._rows_path(spec), rows_to_csv_bytes(result.rows))
@@ -345,7 +333,7 @@ class Pipeline:
             },
         )
 
-    def _stage_pack(self, specs: list[RepoSpec]) -> None:
+    def _stage_pack(self, specs: list[RepoSpec], pins: dict) -> None:
         self._progress.emit("-", "pack", "start")
         out_dir = self.workdir / "out"
 
@@ -377,7 +365,7 @@ class Pipeline:
             self.config.criteria.to_dict(),
             repo_entries,
             global_stats,
-            self._pins_metadata(),
+            {"cap_exceeded": pins.get("cap_exceeded", False), "total_available": pins.get("total_available", 0)},
             self.config.reproducible,
             generated_at(self.config.reproducible, specs),
         )
@@ -386,7 +374,7 @@ class Pipeline:
         write_bytes_atomic(out_dir / "manifest.json", manifest_bytes)
         write_bytes_atomic(out_dir / "schema.md", schema_bytes)
 
-        # Each rows file is already sorted and starts with the header, so
+        # Each rows file is in row order and starts with the header, so
         # all.csv is the header plus their bodies in full_name order.
         header = rows_to_csv_bytes([])
         all_parts = [header]

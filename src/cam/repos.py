@@ -355,16 +355,25 @@ def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> None
 
 
 def _clone_at_pin(spec: RepoSpec, dest: Path, url: str) -> None:
-    proc = _git("clone", "--bare", "--quiet", url, str(dest))
+    proc = run_git("clone", "--bare", "--quiet", url, str(dest))
     if proc.returncode != 0:
-        raise CloneFailed("clone-error", proc.stderr.strip().split("\n")[-1] if proc.stderr else "")
+        raise CloneFailed("clone-error", proc.stderr.decode("utf-8", "replace").strip().split("\n")[-1])
     # Without ^{commit}, any 40-hex name verifies, whether or not the object exists.
-    pinned = _git("-C", str(dest), "rev-parse", "--quiet", "--verify", spec.head_commit + "^{commit}")
-    if pinned.returncode != 0 or pinned.stdout.strip() != spec.head_commit:
+    pinned = run_git("-C", str(dest), "rev-parse", "--quiet", "--verify", spec.head_commit + "^{commit}")
+    if pinned.returncode != 0 or pinned.stdout.strip() != spec.head_commit.encode():
         raise CloneFailed("pin-unreachable", spec.head_commit)
 
 
-def _git(*args: str) -> subprocess.CompletedProcess:
+def git_env() -> dict[str, str]:
+    """The environment of every git child. git fails where it would ask for
+    credentials (a deleted or private repository over HTTPS), so no run
+    waits on a prompt that nobody answers."""
+    return {**os.environ, "GIT_TERMINAL_PROMPT": "0"}
+
+
+def run_git(*args: str) -> subprocess.CompletedProcess:
+    """Run `git <args>` to its end on no input (stdin is the null device),
+    with stdout and stderr captured as bytes."""
     import subprocess
 
-    return subprocess.run(["git", *args], capture_output=True, text=True, errors="replace")
+    return subprocess.run(["git", *args], stdin=subprocess.DEVNULL, capture_output=True, env=git_env())

@@ -169,19 +169,19 @@ def test_criterion_filter_suite(capsys, tmp_path):
         }
         repo, pin = single_commit_repo(tmp_path / "repo", tree)
 
-        outcome = filter_tree(str(repo), pin)
-        assert sorted(record.path for record in outcome.kept) == ["src/Edge.java", "src/Keep.java"]
-        assert [(v.path, v.reason) for v in outcome.verdicts] == [
-            ("src/Bytes.java", "undecodable"),
-            ("src/Edge.java", None),
-            ("src/Keep.java", None),
-            ("src/Long.java", "too-long-line"),
-            ("src/Rec.java", "unparseable"),
-            ("src/notes.txt", "not-java-ext"),
-            ("src/package-info.java", "forbidden-name"),
-            ("src/test/Util.java", "test-file"),
+        payload, kept = filter_tree(str(repo), pin)
+        assert [path for path, _measured in kept] == payload["kept"] == ["src/Edge.java", "src/Keep.java"]
+        assert payload["verdicts"] == [
+            ["src/Bytes.java", "undecodable"],
+            ["src/Edge.java", None],
+            ["src/Keep.java", None],
+            ["src/Long.java", "too-long-line"],
+            ["src/Rec.java", "unparseable"],
+            ["src/notes.txt", "not-java-ext"],
+            ["src/package-info.java", "forbidden-name"],
+            ["src/test/Util.java", "test-file"],
         ]
-        assert outcome.stats == {
+        assert payload["stats"] == {
             "total": 8,
             "kept": 2,
             "rejected": {
@@ -256,9 +256,9 @@ def test_criterion_modern_syntax_rejected(capsys, tmp_path):
         assert measured is None
 
         repo, pin = single_commit_repo(tmp_path / "repo", {"src/Point.java": source})
-        outcome = filter_tree(str(repo), pin)
-        assert outcome.stats["rejected"]["unparseable"] == 1
-        assert outcome.kept == []
+        payload, kept = filter_tree(str(repo), pin)
+        assert payload["stats"]["rejected"]["unparseable"] == 1
+        assert payload["kept"] == kept == []
 
 
 def test_criterion_throughput(capsys):

@@ -38,7 +38,7 @@ def literal_row_keys() -> set[str]:
 def test_column_sources_partition_the_header():
     unit = parse(SOURCE)
     model = unit.types[0]
-    history = FileHistory("A.java", [CommitInfo("0" * 40, "a@example.com", 0)], 5, 0)
+    history = FileHistory([CommitInfo("a@example.com", 0)], 5, 0)
     sources = {
         "line_metrics": set(line_metrics(SOURCE, unit.tokens.comments)),
         "halstead": set(halstead(unit.tokens, model.tokens)),

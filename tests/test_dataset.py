@@ -10,7 +10,6 @@ from cam.dataset import (
     canonical_json,
     format_value,
     generated_at,
-    order_rows,
     pack_archive,
     read_csv_rows,
     rows_to_csv_bytes,
@@ -39,21 +38,42 @@ def blank_row(repo, path, name):
 
 
 def test_row_ordering_and_header():
+    """The CSV keeps the order it is given; `measure_repo` orders the rows."""
     rows = [
         blank_row("b", "z.java", "A"),
         blank_row("a", "z.java", "B"),
         blank_row("a", "a.java", "Z"),
         blank_row("a", "a.java", "A"),
     ]
-    ordered = order_rows(rows)
-    keys = [(r["repo"], r["path"], r["class_name"]) for r in ordered]
-    assert keys == sorted(keys)
     data = rows_to_csv_bytes(rows)
     lines = data.decode("utf-8").split("\n")
     assert lines[0] == ",".join(HEADER)
+    assert [line.split(",", 3)[:3] for line in lines[1:-1]] == [[r["repo"], r["path"], r["class_name"]] for r in rows]
     assert len(lines) == 1 + 4 + 1
     assert lines[-1] == ""
     assert b"\r" not in data
+
+
+def test_measure_repo_orders_rows_by_path_then_class_name():
+    from cam.javasrc.parser import parse
+    from cam.measure import measure_file, measure_repo
+
+    sources = {
+        "b/Z.java": "class Z {}\nclass A { int a; }\nclass M {}\nclass A {}\n",
+        "a/Y.java": "class Y {}\nclass B {}\n",
+    }
+    files = {path: measure_file(source, parse(source)) for path, source in sources.items()}
+    git = {path: {"commits": 1, "authors": 1, "age_days": 0, "churn_added": 1, "churn_deleted": 0} for path in sources}
+    rows = measure_repo("o/r", files, git).rows
+    # Sorted by path, then by class name; the two classes named A keep their declaration order.
+    assert [(r["path"], r["class_name"], r["attributes"]) for r in rows] == [
+        ("a/Y.java", "B", 0),
+        ("a/Y.java", "Y", 0),
+        ("b/Z.java", "A", 1),
+        ("b/Z.java", "A", 0),
+        ("b/Z.java", "M", 0),
+        ("b/Z.java", "Z", 0),
+    ]
 
 
 def test_csv_roundtrip(tmp_path):

@@ -212,22 +212,24 @@ def make_tree(root):
 
 def test_filter_tree(tmp_path):
     pin = make_tree(tmp_path)
-    outcome = filter_tree(str(tmp_path), pin)
-    kept_paths = [rec.path for rec in outcome.kept]
-    assert kept_paths == ["src/main/Keep.java", "src/main/Zed.java"]
-    verdict_paths = [v.path for v in outcome.verdicts]
+    payload, kept = filter_tree(str(tmp_path), pin)
+    assert set(payload) == {"stats", "kept", "verdicts"}
+    assert [path for path, _measured in kept] == payload["kept"] == ["src/main/Keep.java", "src/main/Zed.java"]
+    assert [measured.rows[0]["class_name"] for _path, measured in kept] == ["Ok", "Zed"]
+    verdict_paths = [path for path, _reason in payload["verdicts"]]
     assert verdict_paths == sorted(verdict_paths)
     assert all("/.git/" not in p and not p.startswith(".git/") for p in verdict_paths)
-    by_path = {v.path: v for v in outcome.verdicts}
-    assert by_path["src/test/Skip.java"].reason == "test-file"
-    assert by_path["README.md"].reason == "not-java-ext"
-    assert by_path["Broken.java"].reason == "unparseable"
-    assert outcome.stats["total"] == 5
-    assert outcome.stats["kept"] == 2
-    assert outcome.stats["rejected"]["test-file"] == 1
-    assert outcome.stats["rejected"]["not-java-ext"] == 1
-    assert outcome.stats["rejected"]["unparseable"] == 1
-    assert set(outcome.stats["rejected"]) == set(REASONS)
+    by_path = dict(payload["verdicts"])
+    assert by_path["src/test/Skip.java"] == "test-file"
+    assert by_path["README.md"] == "not-java-ext"
+    assert by_path["Broken.java"] == "unparseable"
+    stats = payload["stats"]
+    assert stats["total"] == 5
+    assert stats["kept"] == 2
+    assert stats["rejected"]["test-file"] == 1
+    assert stats["rejected"]["not-java-ext"] == 1
+    assert stats["rejected"]["unparseable"] == 1
+    assert set(stats["rejected"]) == set(REASONS)
 
 
 def test_filter_tree_skips_symlinks(tmp_path):
@@ -241,9 +243,9 @@ def test_filter_tree_skips_symlinks(tmp_path):
     pin = git(tmp_path, "rev-parse", "HEAD")
     modes = sorted(line.split(" ", 1)[0] for line in git(tmp_path, "ls-tree", "-r", pin).split("\n"))
     assert modes == ["100644", "120000", "160000"]
-    outcome = filter_tree(str(tmp_path), pin)
-    assert [v.path for v in outcome.verdicts] == ["Real.java"]
-    assert outcome.stats["total"] == 1
+    payload, _kept = filter_tree(str(tmp_path), pin)
+    assert payload["verdicts"] == [["Real.java", None]]
+    assert payload["stats"]["total"] == 1
 
 
 def test_filter_tree_non_utf8_name_is_undecodable(tmp_path):
@@ -252,10 +254,10 @@ def test_filter_tree_non_utf8_name_is_undecodable(tmp_path):
     (tmp_path / "sub").mkdir()
     open(os.path.join(os.fsencode(tmp_path / "sub"), b"Caf\xe9.java"), "wb").close()
     pin = commit_all(tmp_path, "odd name")
-    outcome = filter_tree(str(tmp_path), pin)
-    assert [(v.path, v.reason) for v in outcome.verdicts] == [("A.java", None), ("sub/Caf\\xe9.java", "undecodable")]
-    assert [rec.path for rec in outcome.kept] == ["A.java"]
-    assert outcome.stats["rejected"]["undecodable"] == 1
+    payload, kept = filter_tree(str(tmp_path), pin)
+    assert payload["verdicts"] == [["A.java", None], ["sub/Caf\\xe9.java", "undecodable"]]
+    assert [path for path, _measured in kept] == payload["kept"] == ["A.java"]
+    assert payload["stats"]["rejected"]["undecodable"] == 1
 
 
 def test_working_tree_encoding_does_not_reach_the_filter(tmp_path):
@@ -266,8 +268,8 @@ def test_working_tree_encoding_does_not_reach_the_filter(tmp_path):
     (tmp_path / "Wide.java").write_bytes("class Wide {}\n".encode("utf-16-le"))
     pin = commit_all(tmp_path, "wide")
     assert git(tmp_path, "cat-file", "blob", f"{pin}:Wide.java") == "class Wide {}"
-    outcome = filter_tree(str(tmp_path), pin)
-    assert [(v.path, v.reason) for v in outcome.verdicts] == [(".gitattributes", "not-java-ext"), ("Wide.java", None)]
+    payload, _kept = filter_tree(str(tmp_path), pin)
+    assert payload["verdicts"] == [[".gitattributes", "not-java-ext"], ["Wide.java", None]]
 
 
 def test_stats_merge():

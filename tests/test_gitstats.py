@@ -281,12 +281,12 @@ def follow_oracle(repo, pin, path):
     """One file's history from `git log --follow`, the per-file reader the
     one-pass walk replaced. It also follows copies and goes on through the
     commits of a name renamed away, so compare on histories with neither."""
-    out = git(repo, "log", pin, "--follow", "--format=%H\x1f%ae\x1f%at", "--numstat", "--", path)
-    history = FileHistory(path, [], 0, 0)
+    out = git(repo, "log", pin, "--follow", "--format=%ae\x1f%at", "--numstat", "--", path)
+    history = FileHistory([], 0, 0)
     for line in out.split("\n"):
         if "\x1f" in line:
-            sha, email, stamp = line.split("\x1f")
-            history.commits.append(CommitInfo(sha, email, int(stamp)))
+            email, stamp = line.split("\x1f")
+            history.commits.append(CommitInfo(email, int(stamp)))
         elif "\t" in line:
             plus, minus, _ = line.split("\t", 2)
             history.added += 0 if plus == "-" else int(plus)

@@ -1,6 +1,7 @@
-"""The filter's verdict on number literals against javac's (JLS 3.10.1-3.10.2).
+"""The filter's verdict against javac's, on number literals (JLS
+3.10.1-3.10.2) and on explicit type arguments.
 
-Each literal goes into a class file of its own, one `javac` run compiles
+Each case goes into a class file of its own, one `javac` run compiles
 them all, and a file is one javac rejects when an error line names it.
 `evaluate_file` must keep exactly the files javac compiles and call the
 others unparseable. Skipped where no `javac` is on PATH.
@@ -39,9 +40,27 @@ LITERALS = [
     ("0x1FL", True),
 ]
 
+# Field declarations with explicit type arguments, and their ids. Only a
+# class instance creation takes '<>', and no type argument takes '&'.
+DECLARATIONS = [
+    ("method-ref-type-args", "Function<String[], List<String>> f = Arrays::<String>asList", True),
+    ("method-ref-diamond", "Function<String[], List<String>> f = Arrays::<>asList", False),
+    ("method-ref-intersection", "Function<String[], List<String>> f = Arrays::<String & Runnable>asList", False),
+    ("call-type-args", "List<String> f = Collections.<String>emptyList()", True),
+    ("call-diamond", "List<String> f = Collections.<>emptyList()", False),
+    ("call-intersection", "List<String> f = Collections.<String & Runnable>emptyList()", False),
+    ("constructor-ref-type-args", "Supplier<List<String>> f = ArrayList<String>::new", True),
+    ("creation-diamond", "Map<String, List<String>> f = new HashMap<>()", True),
+    ("field-type-intersection", "List<String & Runnable> f = null", False),
+]
 
-def _source(k: int, literal: str) -> str:
-    return f"class L{k} {{ Object x = {literal}; }}\n"
+CASES = [(f"Object x = {literal}", compiles) for literal, compiles in LITERALS]
+CASES += [(declaration, compiles) for _id, declaration, compiles in DECLARATIONS]
+IDS = [literal for literal, _compiles in LITERALS] + [case_id for case_id, _d, _c in DECLARATIONS]
+
+
+def _source(k: int, declaration: str) -> str:
+    return f"import java.util.*; import java.util.function.*; class L{k} {{ {declaration}; }}\n"
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +71,9 @@ def javac_rejects(tmp_path_factory) -> set[str]:
         pytest.skip("javac is not on PATH")
     src = tmp_path_factory.mktemp("javac-src")
     files = []
-    for k, (literal, _compiles) in enumerate(LITERALS):
+    for k, (declaration, _compiles) in enumerate(CASES):
         path = src / f"L{k}.java"
-        path.write_text(_source(k, literal), encoding="utf-8")
+        path.write_text(_source(k, declaration), encoding="utf-8")
         files.append(str(path))
     out = tmp_path_factory.mktemp("javac-out")
     proc = subprocess.run(
@@ -68,9 +87,9 @@ def javac_rejects(tmp_path_factory) -> set[str]:
     return rejects
 
 
-@pytest.mark.parametrize("k, literal, compiles", [(k, *case) for k, case in enumerate(LITERALS)], ids=[c[0] for c in LITERALS])
-def test_evaluate_file_agrees_with_javac(javac_rejects, k, literal, compiles):
+@pytest.mark.parametrize("k, declaration, compiles", [(k, *case) for k, case in enumerate(CASES)], ids=IDS)
+def test_evaluate_file_agrees_with_javac(javac_rejects, k, declaration, compiles):
     javac_keeps = f"L{k}" not in javac_rejects
-    reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, literal).encode("utf-8"))
+    reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, declaration).encode("utf-8"))
     assert reason in (None, "unparseable")
     assert (reason is None) == javac_keeps == compiles

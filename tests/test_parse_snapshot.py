@@ -2,8 +2,9 @@
 
 `dump` writes every field of each parsed model in one canonical text form:
 decision counts, cognitive scores, whether a method has a body, accessed
-and invoked names, referenced types, ncss and the token-slice bounds of
-each class, counted in the token stream with the comments merged in. `SNAPSHOT_SHA256` is the digest of that dump over every fixture
+and invoked names, referenced types, import counts, ncss and the
+token-slice bounds of each class, counted in the token stream with the
+comments merged in. `SNAPSHOT_SHA256` is the digest of that dump over every fixture
 source, the deep-nesting shapes of the filter tests and the generated
 classes in `tests/data/` (written once by `perfbench/javagen.py`
 `java_class`, seeds 1000-1009, so a later change to the generator cannot
@@ -29,7 +30,7 @@ from test_filters import _anonymous_classes, _else_if_chain, _lambdas, _parens
 
 DATA = Path(__file__).parent / "data"
 
-SNAPSHOT_SHA256 = "8a6f76cc4cb2166beb30610821da260bba07c62f30bbbee5b3167ee8464172bc"
+SNAPSHOT_SHA256 = "0e874957b11c82a24c95d567a14b089f021fb6359482a0f226983068ee2659ee"
 
 
 def _merged_index(tokens) -> list[int]:
@@ -52,12 +53,12 @@ def _class(model, indent: str, where, out: list[str]) -> None:
     )
     out.append(f"{indent} refs {sorted(model.referenced_type_names)}")
     for f in model.fields:
-        out.append(f"{indent} field {f.name} {f.declared_type_name} static={f.is_static}")
+        out.append(f"{indent} field {f.name} static={f.is_static}")
     for m in model.methods:
         out.append(
             f"{indent} method {m.name} ctor={m.is_constructor} static={m.is_static} {m.visibility}"
             f" params={m.parameter_type_names} invoked={sorted(m.invoked_method_names)}"
-            f" accessed={sorted(m.accessed_field_names)} decisions={list(m.decision_tokens.items())}"
+            f" accessed={sorted(m.accessed_field_names)} decisions={m.decisions}"
             f" cognitive={m.cognitive} has_body={m.has_body}"
         )
     for inner in model.nested:
@@ -68,10 +69,9 @@ def dump(label: str, source: str) -> str:
     """Canonical text of everything `parse` returns for *source*."""
     unit = parse(source)
     where = _merged_index(unit.tokens)
-    imports = [(i.name, i.wildcard, i.static) for i in unit.imports]
     out = [
         f"== {label}",
-        f"package={unit.package_name} imports={imports} ncss={unit.ncss}"
+        f"imports={unit.import_count} ncss={unit.ncss}"
         f" tokens={len(unit.tokens.kinds) + len(unit.tokens.comments)}",
     ]
     for model in unit.types:
@@ -139,6 +139,11 @@ def test_parse_model_snapshot():
         ("class A {\n  void f() {\n    x = (a + b;\n  }\n}\n", 3, 15, "expected ')', found ';'"),
         ("class A { enum E { X(1, Y }", 1, 27, "expected ')', found '}'"),
         ("class A { void f() { do ; while (x) } }", 1, 37, "expected ';', found '}'"),
+        # Only a class instance creation takes '<>', and no type argument takes '&'.
+        ("class A { List<> x; }", 1, 16, "expected a type, found '>'"),
+        ("class A { List<A & B> x; }", 1, 18, "expected '>', found '&'"),
+        ("class A { Object f = Arrays::<>asList; }", 1, 31, "expected a type, found '>'"),
+        ("class A { Object f = Collections.<A & B>emptyList(); }", 1, 37, "expected '>', found '&'"),
     ],
 )
 def test_rejected_input_positions(source, line, column, message):

@@ -18,13 +18,11 @@ def test_package_and_imports():
         "import java.io.*;\n"
         "class K {}\n"
     )
-    assert unit.package_name == "a.b.c"
-    names = [(i.name, i.wildcard, i.static) for i in unit.imports]
-    assert names == [
-        ("java.util.List", False, False),
-        ("java.lang.Math.max", False, True),
-        ("java.io", True, False),
-    ]
+    assert unit.import_count == 3
+    assert unit.ncss == 5  # package, three imports, class
+    assert [t.name for t in unit.types] == ["K"]
+    with pytest.raises(JavaSyntaxError):
+        parse("import java.io.;\nclass K {}\n")
 
 
 def test_class_header_fields_and_methods():
@@ -42,8 +40,8 @@ def test_class_header_fields_and_methods():
     assert model.extends_name == "Figure"
     assert model.implements_names == ["Drawable", "Cloneable"]
     assert "abstract" in model.modifiers
-    fields = {f.name: (f.declared_type_name, f.is_static) for f in model.fields}
-    assert fields == {"edges": ("int", False), "RATIO": ("double", True)}
+    fields = {f.name: f.is_static for f in model.fields}
+    assert fields == {"edges": False, "RATIO": True}
     methods = {m.name: m for m in model.methods}
     assert methods["Shape"].is_constructor
     assert methods["Shape"].visibility == "public"
@@ -122,34 +120,39 @@ def test_nested_member_class_models():
     assert model.nested[0].methods[0].name == "go"
 
 
-def test_decision_tokens():
+def test_explicit_type_arguments_in_calls_and_method_references():
     model = only_class(
-        "class D {\n"
-        "    void f(int x) {\n"
-        "        if (x > 0 && x < 9 || x == 4) {}\n"
-        "        for (int i = 0; i < x; i++) {}\n"
-        "        for (int v : new int[] {1, 2}) {}\n"
-        "        while (x > 0) { x--; }\n"
-        "        do { x++; } while (x < 0);\n"
-        "        switch (x) { case 1: break; case 2: break; default: break; }\n"
-        "        try { g(); } catch (RuntimeException e) {}\n"
-        "        int y = x > 0 ? 1 : 2;\n"
-        "    }\n"
-        "    void g() {}\n"
+        "class R {\n"
+        "    Function<String[], List<String>> f = Arrays::<String>asList;\n"
+        "    Supplier<List<String>> s = ArrayList<String>::new;\n"
+        "    Function<Object, String> t = this::<Integer>show;\n"
+        "    List<String> e() { return Collections.<String>emptyList(); }\n"
+        "    <T> String show(Object o) { return String.valueOf(o); }\n"
         "}\n"
     )
-    decisions = model.methods[0].decision_tokens
-    assert decisions["if"] == 1
-    assert decisions["and"] == 1
-    assert decisions["or"] == 1
-    assert decisions["for"] == 1
-    assert decisions["foreach"] == 1
-    assert decisions["while"] == 1
-    assert decisions["do"] == 1
-    assert decisions["case"] == 2
-    assert decisions["catch"] == 1
-    assert decisions["ternary"] == 1
-    assert "default" not in decisions
+    assert [f.name for f in model.fields] == ["f", "s", "t"]
+    assert model.methods[0].invoked_method_names == {"emptyList"}
+
+
+def test_decision_tokens():
+    """Each branch point is one decision, `default` none."""
+    statements = {
+        "if (x > 0) {}": 1,
+        "if (x > 0 && x < 9 || x == 4) {} else {}": 3,
+        "for (int i = 0; i < x; i++) {}": 1,
+        "for (int v : new int[] {1, 2}) {}": 1,
+        "while (x > 0) { x--; }": 1,
+        "do { x++; } while (x < 0);": 1,
+        "switch (x) { case 1: break; case 2: break; default: break; }": 2,
+        "try { g(); } catch (RuntimeException e) {} finally {}": 1,
+        "int y = x > 0 ? 1 : 2;": 1,
+        "g(); synchronized (this) { x++; }": 0,
+    }
+    for statement, decisions in statements.items():
+        model = only_class(f"class D {{ void f(int x) {{ {statement} }} void g() {{}} }}")
+        assert [m.decisions for m in model.methods] == [decisions, 0], statement
+    whole = only_class("class D { void f(int x) { " + " ".join(statements) + " } void g() {} }")
+    assert whole.methods[0].decisions == sum(statements.values())
 
 
 def test_chained_else_if_marks_chain():

@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cam
-import cam.gitstats
 import cam.javasrc.parser
 import cam.pipeline
 from cam.cli import main
@@ -195,20 +194,72 @@ def test_each_file_is_parsed_once(tmp_path, monkeypatch):
 
 def test_each_repository_starts_one_git_log(tmp_path, monkeypatch):
     logs = []
-    real_run = cam.gitstats.subprocess.run
+    real_run = subprocess.run
 
     def counting_run(args, *rest, **kwargs):
         if args[:1] == ["git"] and "log" in args:
             logs.append(args[args.index("-C") + 1])
         return real_run(args, *rest, **kwargs)
 
-    monkeypatch.setattr(cam.gitstats.subprocess, "run", counting_run)
+    monkeypatch.setattr(subprocess, "run", counting_run)
     replay, work = make_world(tmp_path)
     assert run_cli(work, replay) == 0
     repos = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))["repos"]
     measured = [str(work / "github" / entry["full_name"]) for entry in repos if entry["status"] == "ok"]
     assert len(measured) == 2
     assert sorted(logs) == sorted(measured)
+
+
+GIT_STUB = """#!{python}
+import json, os, sys
+try:
+    stdin = "null" if os.path.samestat(os.fstat(0), os.stat(os.devnull)) else "input"
+except OSError:
+    stdin = "closed"
+with open({log!r}, "a", encoding="utf-8") as log:
+    log.write(json.dumps([sys.argv[1:], os.environ.get("GIT_TERMINAL_PROMPT"), stdin]) + "\\n")
+os.execv({git!r}, [{git!r}, *sys.argv[1:]])
+"""
+
+
+def test_every_git_child_runs_without_prompts_or_input(tmp_path, monkeypatch):
+    """A stub `git` first on PATH records how each git child was started,
+    then runs the real git."""
+    import shutil
+
+    replay, work = make_world(tmp_path)
+    log = tmp_path / "git.log"
+    stub = tmp_path / "bin" / "git"
+    stub.parent.mkdir()
+    stub.write_text(GIT_STUB.format(python=sys.executable, log=str(log), git=shutil.which("git")), encoding="utf-8")
+    stub.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{stub.parent}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.delenv("GIT_TERMINAL_PROMPT", raising=False)
+    # cam's own stdin is a pipe, so a child that inherits it shows.
+    read_end, write_end = os.pipe()
+    saved_stdin = os.dup(0)
+    os.dup2(read_end, 0)
+    try:
+        assert run_cli(work, replay, "--jobs", "1") == 0
+    finally:
+        os.dup2(saved_stdin, 0)
+        for fd in (saved_stdin, read_end, write_end):
+            os.close(fd)
+
+    calls = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    seen = {}
+    for argv, prompt, stdin in calls:
+        if argv[0] == "-C":
+            argv = argv[2:]
+        seen.setdefault(argv[0], set()).add((prompt, stdin))
+    assert seen == {
+        "clone": {("0", "null")},
+        "rev-parse": {("0", "null")},
+        "ls-tree": {("0", "null")},
+        "log": {("0", "null")},
+        "cat-file": {("0", "input")},
+    }
+    assert len(calls) == 2 * 5
 
 
 def test_rows_carry_git_history_columns(tmp_path):
@@ -495,6 +546,23 @@ def test_pack_alone_after_measure_matches_run(tmp_path, capsys):
 
     assert run_cli(work, replay, "--stages", "measure,aggregate,pack") == 2
     assert "unknown stages: aggregate" in capsys.readouterr().err
+
+
+def test_pack_reads_pins_once(tmp_path, monkeypatch):
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay) == 0
+    reads = []
+    real_read_text = Path.read_text
+
+    def counting_read_text(path, *args, **kwargs):
+        reads.append(path.name)
+        return real_read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    assert main(["pack", "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]) == 0
+    assert reads.count("pins.json") == 1
+    manifest = json.loads(real_read_text(work / "out" / "manifest.json", encoding="utf-8"))
+    assert manifest["discovery"] == {"cap_exceeded": False, "total_available": 2}
 
 
 def test_pack_refuses_rows_under_another_header(tmp_path, capsys):
@@ -884,19 +952,20 @@ MEASURE_STACK = ("cam.filters", "cam.measure", "cam.gitstats", "cam.metrics.code
 
 
 def measure_stack_loaded_by(*argv: str) -> set[str]:
-    """The measure stack's modules that a fresh `cam <argv>` process imported."""
+    """The measure stack's modules that a fresh `cam <argv>` process
+    imported, and `subprocess` if it did: only stages that run git need it."""
     script = "import sys; from cam.cli import main; code = main(sys.argv[1:]); print(*sys.modules); sys.exit(code)"
     env = {**os.environ, "PYTHONPATH": str(Path(cam.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return {m for m in proc.stdout.split() if m in MEASURE_STACK or m.startswith("cam.javasrc.")}
+    return {m for m in proc.stdout.split() if m in MEASURE_STACK or m.startswith("cam.javasrc.") or m == "subprocess"}
 
 
 def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
     replay, work = make_world(tmp_path)
     args = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
     fresh = measure_stack_loaded_by("run", *args)
-    assert set(MEASURE_STACK) <= fresh
+    assert set(MEASURE_STACK) | {"subprocess"} <= fresh
     assert {"cam.javasrc.lexer", "cam.javasrc.parser", "cam.javasrc.model"} <= fresh
     assert (work / "dataset.zip").exists()
 
@@ -904,5 +973,5 @@ def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
     assert measure_stack_loaded_by("pack", *args) == set()
     assert measure_stack_loaded_by("discover", "--workdir", str(tmp_path / "pins"), "--replay", str(replay), "--quiet") == set()
     assert (tmp_path / "pins" / "pins.json").exists()
-    assert measure_stack_loaded_by("clone", "--force", *args) == set()
+    assert measure_stack_loaded_by("clone", "--force", *args) == {"subprocess"}
     assert json.loads((work / "state" / "alpha__lib.json").read_text(encoding="utf-8"))["stages"] == {"clone": "done"}

@@ -264,9 +264,9 @@ def test_clone_repo_is_bare_at_pin(tmp_path):
     clone_repo(spec_for(src, pin), dest, url=str(src))
     assert git(dest, "rev-parse", "--is-bare-repository") == "true"
     assert not list(dest.rglob("A.java"))
-    outcome = filter_tree(str(dest), pin)
-    assert [record.path for record in outcome.kept] == ["A.java"]
-    assert "B.java" not in [verdict.path for verdict in outcome.verdicts]
+    payload, _kept = filter_tree(str(dest), pin)
+    assert payload["kept"] == ["A.java"]
+    assert "B.java" not in [path for path, _reason in payload["verdicts"]]
 
 
 def test_clone_repo_rejects_unreachable_pin(tmp_path):
