@@ -16,11 +16,10 @@ import subprocess
 
 # The verdict counters live with the manifest, so pack needs no parser.
 from cam.dataset import empty_stats
-from cam.gitstats import GitCommandError, _run_git
 from cam.javasrc.lexer import LexError
 from cam.javasrc.parser import JavaSyntaxError, parse
 from cam.measure import MeasuredFile, measure_file
-from cam.repos import git_env
+from cam.repos import GitCommandError, git_env, run_git
 
 MAX_LINE_LENGTH = 1024
 
@@ -90,7 +89,7 @@ def _pinned_files(repo_dir: str, pin: str) -> list[tuple[str, str]]:
     """(path, blob id) of each file in the pinned tree, sorted by path.
     Symlinks (mode 120000) and gitlinks (mode 160000) are left out."""
     files = []
-    for entry in _run_git(repo_dir, ["ls-tree", "-r", "-z", "--full-tree", pin]).split("\0")[:-1]:
+    for entry in run_git("-C", repo_dir, "ls-tree", "-r", "-z", "--full-tree", pin).split("\0")[:-1]:
         meta, path = entry.split("\t", 1)
         mode, _kind, blob = meta.split(" ")
         if mode not in ("120000", "160000"):

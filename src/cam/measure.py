@@ -6,9 +6,10 @@ per top-level class, with file-level figures repeated across the classes
 of a file, and a small graph stub per class. A metric function that
 yields several columns returns them keyed by their schema names, and a
 row is those dicts merged with the single-value metrics. Once the
-repository's git history is known, `measure_repo` links the stubs of the
-tracked files into one class graph, fills in the graph and git columns,
-and keys each row by (repo, path, class_name), the order it emits them in.
+repository's git columns are known, `measure_repo` drops the files
+without history, links the stubs of the rest into one class graph, fills
+in the graph and git columns, and keys each row by (repo, path,
+class_name), the order it emits them in.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class MeasuredFile:
 class RepoMeasurement:
     rows: list[dict] = field(default_factory=list)
     inheritance_cycles: list[str] = field(default_factory=list)
+    untracked: list[str] = field(default_factory=list)
 
 
 def measure_file(source: str, unit: CompilationUnit) -> MeasuredFile:
@@ -81,15 +83,17 @@ def measure_repo(
     """Complete the rows of one repository's measured files.
 
     files maps repository-relative paths to the measured files that passed
-    the filter rules and have history; git_columns maps the same paths to
-    their five history values. The rows are completed in place and come
-    out by path, then by class name; the sort is stable, so classes of one
-    file that share a name keep their declaration order.
+    the filter rules; git_columns maps each of those paths with history to
+    its five git columns. A file without history is untracked: it gets no
+    rows, its classes stay out of the graph, and its path is listed in
+    `untracked`. The rows are completed in place and come out by path,
+    then by class name; the sort is stable, so classes of one file that
+    share a name keep their declaration order.
     """
-    paths = sorted(files)
+    paths = sorted(path for path in files if path in git_columns)
     graph = ClassGraph([(path, files[path].stubs) for path in paths])
 
-    result = RepoMeasurement()
+    result = RepoMeasurement(untracked=sorted(files.keys() - git_columns.keys()))
     for path in paths:
         history = git_columns[path]
         measured = files[path]

@@ -34,7 +34,6 @@ import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 # Unused here; perfbench/tracing.py wraps this name, and fails without it.
 from cam.dataset import read_csv_rows  # noqa: F401
@@ -61,9 +60,6 @@ from cam.repos import (
     discover,
 )
 
-if TYPE_CHECKING:
-    from cam.measure import MeasuredFile
-
 STAGES = ("discover", "clone", "measure", "pack")
 REPO_STAGES = ("clone", "measure")
 
@@ -73,7 +69,6 @@ REPO_STAGES = ("clone", "measure")
 _MEASURE_STACK = {
     "filter_tree": "cam.filters",
     "file_history": "cam.gitstats",
-    "derived_columns": "cam.gitstats",
     "measure_repo": "cam.measure",
 }
 
@@ -309,29 +304,19 @@ class Pipeline:
         payload, kept = stack.filter_tree(str(clone_dir), spec.head_commit)
         write_json_atomic(self._filtered_path(spec), payload)
 
-        histories = stack.file_history(str(clone_dir), spec.head_commit, payload["kept"])
-        files: dict[str, MeasuredFile] = {}
-        git_columns: dict[str, dict[str, int]] = {}
-        untracked: list[str] = []
-        for path, measured in kept:
-            history = histories.get(path)
-            if history is None:
-                untracked.append(path)
-                self._progress.emit(spec.full_name, "measure", "untracked", path)
-                continue
-            files[path] = measured
-            git_columns[path] = stack.derived_columns(history)
-
-        result = stack.measure_repo(spec.full_name, files, git_columns)
+        git_columns = stack.file_history(str(clone_dir), spec.head_commit, payload["kept"])
+        result = stack.measure_repo(spec.full_name, dict(kept), git_columns)
         write_bytes_atomic(self._rows_path(spec), rows_to_csv_bytes(result.rows))
         write_json_atomic(
             self._meta_path(spec),
             {
                 "classes": len(result.rows),
                 "inheritance_cycles": result.inheritance_cycles,
-                "untracked": untracked,
+                "untracked": result.untracked,
             },
         )
+        for path in result.untracked:
+            self._progress.emit(spec.full_name, "measure", "untracked", path)
 
     def _stage_pack(self, specs: list[RepoSpec], pins: dict) -> None:
         self._progress.emit("-", "pack", "start")
@@ -362,7 +347,9 @@ class Pipeline:
             repo_entries.append(entry)
 
         manifest = build_manifest(
-            self.config.criteria.to_dict(),
+            # The criteria the pins were discovered with; this command's own
+            # flags may differ. Hand-written pins carry none.
+            pins.get("criteria", self.config.criteria.to_dict()),
             repo_entries,
             global_stats,
             {"cap_exceeded": pins.get("cap_exceeded", False), "total_available": pins.get("total_available", 0)},

@@ -19,13 +19,9 @@ import shutil
 import time
 import urllib.parse
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import subprocess
 
 SEARCH_PAGE_SIZE = 100
 SEARCH_PAGE_LIMIT = 10
@@ -53,13 +49,7 @@ class DiscoveryCriteria:
             raise ValueError("max_repos must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "language": self.language,
-            "min_stars": self.min_stars,
-            "max_stars": self.max_stars,
-            "min_size_kb": self.min_size_kb,
-            "max_repos": self.max_repos,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -82,41 +72,28 @@ class RepoSpec:
         return self.full_name.replace("/", "__")
 
     def to_dict(self) -> dict:
-        return {
-            "full_name": self.full_name,
-            "stars": self.stars,
-            "size_kb": self.size_kb,
-            "default_branch": self.default_branch,
-            "head_commit": self.head_commit,
-            "discovered_at": self.discovered_at,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RepoSpec":
-        return cls(
-            full_name=data["full_name"],
-            stars=data["stars"],
-            size_kb=data["size_kb"],
-            default_branch=data["default_branch"],
-            head_commit=data["head_commit"],
-            discovered_at=data["discovered_at"],
-        )
+        """The spec from its fields in *data*; other keys are ignored."""
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass
 class Response:
     status: int
-    headers: dict[str, str]
+    headers: dict[str, str]  # names lowercased
     body: bytes
+
+    def __post_init__(self) -> None:
+        self.headers = {key.lower(): value for key, value in self.headers.items()}
 
     def json(self):
         return json.loads(self.body.decode("utf-8"))
 
     def header(self, name: str) -> str | None:
-        for key, value in self.headers.items():
-            if key.lower() == name.lower():
-                return value
-        return None
+        return self.headers.get(name.lower())
 
 
 class TransportError(Exception):
@@ -175,39 +152,36 @@ class LiveTransport(Transport):
             except Exception as exc:  # connection-level failure, retry
                 last_error = f"connection error: {type(exc).__name__}"
                 continue
-            headers = dict(raw.headers)
-            if raw.status_code in (403, 429) and _is_rate_limit(raw.status_code, headers):
-                retry_after = _retry_after_seconds(headers)
+            resp = Response(raw.status_code, dict(raw.headers), raw.content)
+            if resp.status in (403, 429) and _is_rate_limit(resp):
+                retry_after = _retry_after_seconds(resp)
                 if retry_after is not None:
                     self._sleep(retry_after)
-                last_error = f"rate limited (status {raw.status_code})"
+                last_error = f"rate limited (status {resp.status})"
                 continue
-            if raw.status_code >= 500:
-                last_error = f"server error {raw.status_code}"
+            if resp.status >= 500:
+                last_error = f"server error {resp.status}"
                 continue
-            if raw.status_code >= 400:
-                raise TransportError(f"GET {url} failed with status {raw.status_code}")
-            return Response(raw.status_code, headers, raw.content)
+            if resp.status >= 400:
+                raise TransportError(f"GET {url} failed with status {resp.status}")
+            return resp
         raise TransportError(f"GET {url} gave up after {self.max_tries} tries: {last_error}")
 
 
-def _is_rate_limit(status: int, headers: dict[str, str]) -> bool:
-    if status == 429:
+def _is_rate_limit(resp: Response) -> bool:
+    if resp.status == 429:
         return True
-    for key, value in headers.items():
-        if key.lower() == "x-ratelimit-remaining":
-            return value.strip() == "0"
-    return "retry-after" in {k.lower() for k in headers}
+    remaining = resp.header("x-ratelimit-remaining")
+    if remaining is not None:
+        return remaining.strip() == "0"
+    return resp.header("retry-after") is not None
 
 
-def _retry_after_seconds(headers: dict[str, str]) -> float | None:
-    for key, value in headers.items():
-        if key.lower() == "retry-after":
-            try:
-                return max(float(value), 0.0)
-            except ValueError:
-                return None
-    return None
+def _retry_after_seconds(resp: Response) -> float | None:
+    try:
+        return max(float(resp.headers["retry-after"]), 0.0)
+    except (KeyError, ValueError):  # absent, or not a number of seconds
+        return None
 
 
 class ReplayTransport(Transport):
@@ -355,12 +329,16 @@ def clone_repo(spec: RepoSpec, dest: str | Path, url: str | None = None) -> None
 
 
 def _clone_at_pin(spec: RepoSpec, dest: Path, url: str) -> None:
-    proc = run_git("clone", "--bare", "--quiet", url, str(dest))
-    if proc.returncode != 0:
-        raise CloneFailed("clone-error", proc.stderr.decode("utf-8", "replace").strip().split("\n")[-1])
-    # Without ^{commit}, any 40-hex name verifies, whether or not the object exists.
-    pinned = run_git("-C", str(dest), "rev-parse", "--quiet", "--verify", spec.head_commit + "^{commit}")
-    if pinned.returncode != 0 or pinned.stdout.strip() != spec.head_commit.encode():
+    try:
+        run_git("clone", "--bare", "--quiet", url, str(dest))
+    except GitCommandError as exc:
+        raise CloneFailed("clone-error", str(exc).split("\n")[-1]) from exc
+    try:
+        # Without ^{commit}, any 40-hex name verifies, whether or not the object exists.
+        pinned = run_git("-C", str(dest), "rev-parse", "--quiet", "--verify", spec.head_commit + "^{commit}")
+    except GitCommandError:
+        pinned = ""
+    if pinned.strip() != spec.head_commit:
         raise CloneFailed("pin-unreachable", spec.head_commit)
 
 
@@ -371,9 +349,19 @@ def git_env() -> dict[str, str]:
     return {**os.environ, "GIT_TERMINAL_PROMPT": "0"}
 
 
-def run_git(*args: str) -> subprocess.CompletedProcess:
-    """Run `git <args>` to its end on no input (stdin is the null device),
-    with stdout and stderr captured as bytes."""
+class GitCommandError(Exception):
+    pass
+
+
+def run_git(*args: str) -> str:
+    """Run `git <args>` to its end on no input (stdin is the null device).
+
+    Returns stdout decoded with `os.fsdecode`, so odd bytes in a path
+    survive; a nonzero exit raises GitCommandError with git's stderr.
+    """
     import subprocess
 
-    return subprocess.run(["git", *args], stdin=subprocess.DEVNULL, capture_output=True, env=git_env())
+    proc = subprocess.run(["git", *args], stdin=subprocess.DEVNULL, capture_output=True, env=git_env())
+    if proc.returncode != 0:
+        raise GitCommandError(proc.stderr.decode("utf-8", "replace").strip() or f"git {' '.join(args)} failed")
+    return os.fsdecode(proc.stdout)

@@ -21,7 +21,7 @@ import pytest
 from cam.cli import main
 from cam.dataset import HEADER
 from cam.filters import MAX_LINE_LENGTH, evaluate_file, filter_tree
-from cam.gitstats import derived_columns, file_history
+from cam.gitstats import file_history
 from cam.javasrc.parser import parse
 from cam.measure import measure_file, measure_repo
 from cam.repos import DiscoveryCriteria
@@ -285,9 +285,7 @@ def test_criterion_git_history_suite(capsys, tmp_path):
         single, single_sha = single_commit_repo(
             tmp_path / "single", {"A.java": "a\nb\nc\nd\ne\n"}
         )
-        history = file_history(str(single), single_sha, ["A.java"])["A.java"]
-        assert len(history.commits) == 1
-        assert derived_columns(history) == {
+        assert file_history(str(single), single_sha, ["A.java"])["A.java"] == {
             "commits": 1,
             "authors": 1,
             "age_days": 0,
@@ -302,7 +300,7 @@ def test_criterion_git_history_suite(capsys, tmp_path):
         commit_all(multi, "add B", when="2020-01-04T00:00:00Z")
         (multi / "A.java").write_text("one\ntwo\nfour\nfive\n", encoding="utf-8")
         pin = commit_all(multi, "edit A", when="2020-01-11T12:00:00Z", author=AUTHOR_B)
-        columns = derived_columns(file_history(str(multi), pin, ["A.java"])["A.java"])
+        columns = file_history(str(multi), pin, ["A.java"])["A.java"]
         assert columns["commits"] == 2
         assert columns["authors"] == 2
         assert columns["age_days"] == 10
@@ -314,7 +312,7 @@ def test_criterion_git_history_suite(capsys, tmp_path):
         commit_all(renamed, "rename R to S", when="2020-01-02T00:00:00Z")
         (renamed / "S.java").write_text("r1\nr2\nr3\nr4\nr5\nr6\n", encoding="utf-8")
         pin = commit_all(renamed, "extend S", when="2020-01-03T00:00:00Z")
-        columns = derived_columns(file_history(str(renamed), pin, ["S.java"])["S.java"])
+        columns = file_history(str(renamed), pin, ["S.java"])["S.java"]
         assert columns["commits"] == 3
         assert columns["age_days"] == 2
         current_lines = len((renamed / "S.java").read_text(encoding="utf-8").splitlines())

@@ -10,12 +10,13 @@ import inspect
 from itertools import combinations
 
 import cam.measure
-from cam.gitstats import CommitInfo, FileHistory, derived_columns
+from cam.gitstats import file_history
 from cam.javasrc.parser import parse
 from cam.measure import measure_file
 from cam.metrics.code import halstead, line_metrics, member_counts
 from cam.metrics.schema import HEADER
 from cam.metrics.structural import structural_counts
+from conftest import single_commit_repo
 
 SOURCE = "import java.util.List;\nclass A extends B {\n    int f;\n    int g() { return f; }\n}\n"
 
@@ -35,16 +36,17 @@ def literal_row_keys() -> set[str]:
     }
 
 
-def test_column_sources_partition_the_header():
+def test_column_sources_partition_the_header(tmp_path):
     unit = parse(SOURCE)
     model = unit.types[0]
-    history = FileHistory([CommitInfo("a@example.com", 0)], 5, 0)
+    repo, pin = single_commit_repo(tmp_path / "r", {"A.java": SOURCE})
+    git_columns = set(file_history(str(repo), pin, ["A.java"])["A.java"])
     sources = {
         "line_metrics": set(line_metrics(SOURCE, unit.tokens.comments)),
         "halstead": set(halstead(unit.tokens, model.tokens)),
         "member_counts": set(member_counts(model)),
         "structural_counts": set(structural_counts(model, unit.tokens)),
-        "derived_columns": set(derived_columns(history)),
+        "file_history": git_columns,
         "cam.measure": literal_row_keys(),
         "measure_repo": REPO_COLUMNS,
     }
@@ -54,4 +56,4 @@ def test_column_sources_partition_the_header():
     assert sum(map(len, sources.values())) == len(HEADER)
 
     row = measure_file(SOURCE, unit).rows[0]
-    assert set(row) == set(HEADER) - sources["derived_columns"] - REPO_COLUMNS
+    assert set(row) == set(HEADER) - git_columns - REPO_COLUMNS

@@ -4,7 +4,8 @@ import subprocess
 
 import pytest
 
-from cam.gitstats import CommitInfo, FileHistory, GitCommandError, derived_columns, file_history
+from cam.gitstats import file_history
+from cam.repos import GitCommandError
 from conftest import AUTHOR_A, AUTHOR_B, commit_all, git, git_env, init_repo
 
 FIVE_LINES = "class A {\n    int a;\n    int b;\n    int c;\n}\n"
@@ -12,19 +13,14 @@ SIX_LINES = "class K {\n    int k1 = 11;\n    int k2 = 22;\n    int k3 = 33;\n  
 
 
 def columns(repo, pin, path):
-    return derived_columns(file_history(str(repo), pin, [path])[path])
+    return file_history(str(repo), pin, [path])[path]
 
 
 def test_single_commit(tmp_path):
     repo = init_repo(tmp_path / "r")
     (repo / "A.java").write_text(FIVE_LINES)
     pin = commit_all(repo, "start", when="2020-01-01T00:00:00Z")
-    hist = file_history(str(repo), pin, ["A.java"])["A.java"]
-    assert len(hist.commits) == 1
-    assert hist.added == 5
-    assert hist.deleted == 0
-    cols = derived_columns(hist)
-    assert cols == {
+    assert columns(repo, pin, "A.java") == {
         "commits": 1,
         "authors": 1,
         "age_days": 0,
@@ -49,6 +45,28 @@ def test_multi_commit_authors_and_age(tmp_path):
     assert cols["age_days"] == 10
     assert cols["churn_added"] == 2 + 1 + 1
     assert cols["churn_deleted"] == 0 + 0 + 1
+
+
+def test_age_spans_the_earliest_and_latest_author_dates(tmp_path):
+    """Author dates need not follow the commit graph (a rebase or a
+    cherry-pick keeps the original date), so age is max minus min, not
+    the span between the first and last commit of the walk."""
+    repo = init_repo(tmp_path / "r")
+    (repo / "A.java").write_text("class A {\n}\n")
+    commit_all(repo, "one", when="2020-01-10T00:00:00Z")
+    (repo / "A.java").write_text(FIVE_LINES)
+    # committed after its parent, authored three days before it
+    git(repo, "add", "-A")
+    backdated = git_env("2020-01-12T00:00:00Z") | {"GIT_AUTHOR_DATE": "2020-01-07T00:00:00Z"}
+    subprocess.run(["git", "-C", str(repo), "commit", "-q", "-m", "two"], check=True, env=backdated)
+    (repo / "A.java").write_text(FIVE_LINES.replace("int a;", "int aa;"))
+    pin = commit_all(repo, "three", when="2020-01-13T00:00:00Z")
+    stamps = [int(s) for s in git(repo, "log", "--format=%at", pin).split("\n")]
+    assert stamps[1] < stamps[2], "the middle commit must be authored before its parent"
+    cols = columns(repo, pin, "A.java")
+    # first to last in walk order would be 3 days; max minus min is 6
+    assert (cols["commits"], cols["age_days"]) == (3, 6)
+    assert cols == follow_oracle(repo, pin, "A.java")
 
 
 def test_rename_following(tmp_path):
@@ -95,14 +113,14 @@ def test_rename_chain(tmp_path):
     git(repo, "mv", "B.java", "C.java")
     pin = commit_all(repo, "B to C", when="2020-01-08T00:00:00Z")
     histories = file_history(str(repo), pin, ["C.java", "Other.java"])
-    assert derived_columns(histories["C.java"]) == {
+    assert histories["C.java"] == {
         "commits": 4,
         "authors": 2,
         "age_days": 7,
         "churn_added": 6,
         "churn_deleted": 1,
     }
-    assert derived_columns(histories["Other.java"])["commits"] == 1
+    assert histories["Other.java"]["commits"] == 1
 
 
 def test_name_reused_after_a_rename_starts_a_new_history(tmp_path):
@@ -115,14 +133,14 @@ def test_name_reused_after_a_rename_starts_a_new_history(tmp_path):
     pin = commit_all(repo, "new Foo", when="2020-01-04T00:00:00Z")
     histories = file_history(str(repo), pin, ["Foo.java", "FooImpl.java"])
     # the old Foo's commits went with its content to FooImpl
-    assert derived_columns(histories["FooImpl.java"]) == {
+    assert histories["FooImpl.java"] == {
         "commits": 2,
         "authors": 2,
         "age_days": 1,
         "churn_added": 5,
         "churn_deleted": 0,
     }
-    assert derived_columns(histories["Foo.java"]) == {
+    assert histories["Foo.java"] == {
         "commits": 1,
         "authors": 1,
         "age_days": 0,
@@ -141,14 +159,14 @@ def test_deleted_then_readded_is_not_followed_into_a_similar_file(tmp_path):
     (repo / "Gone.java").write_text(SIX_LINES.replace("k4 = 44", "k4 = 45"))
     pin = commit_all(repo, "re-add as a near copy of Keep", when="2020-01-04T00:00:00Z")
     histories = file_history(str(repo), pin, ["Gone.java", "Keep.java"])
-    assert derived_columns(histories["Gone.java"]) == {
+    assert histories["Gone.java"] == {
         "commits": 3,
         "authors": 2,
         "age_days": 3,
         "churn_added": 6 + 5,
         "churn_deleted": 5,
     }
-    assert derived_columns(histories["Keep.java"])["commits"] == 1
+    assert histories["Keep.java"]["commits"] == 1
 
 
 def test_near_copy_keeps_only_its_own_commits(tmp_path):
@@ -175,9 +193,9 @@ def test_history_pinned_below_head(tmp_path):
     pin = commit_all(repo, "one", when="2020-01-01T00:00:00Z")
     (repo / "A.java").write_text(FIVE_LINES)
     commit_all(repo, "two", when="2020-02-01T00:00:00Z")
-    hist = file_history(str(repo), pin, ["A.java"])["A.java"]
-    assert len(hist.commits) == 1
-    assert hist.added == 2
+    cols = columns(repo, pin, "A.java")
+    assert cols["commits"] == 1
+    assert cols["churn_added"] == 2
 
 
 def test_untracked_file(tmp_path):
@@ -194,10 +212,8 @@ def test_binary_numstat_dashes_count_zero(tmp_path):
     repo = init_repo(tmp_path / "r")
     (repo / "Blob.java").write_bytes(b"\x00\x01\x02cafe")
     pin = commit_all(repo, "binary")
-    hist = file_history(str(repo), pin, ["Blob.java"])["Blob.java"]
-    assert hist.added == 0
-    assert hist.deleted == 0
-    assert derived_columns(hist)["commits"] == 1
+    cols = columns(repo, pin, "Blob.java")
+    assert (cols["commits"], cols["churn_added"], cols["churn_deleted"]) == (1, 0, 0)
 
 
 def test_binary_edits_and_rename_count_commits_not_lines(tmp_path):
@@ -241,14 +257,14 @@ def test_merge_commit_counts_for_no_file(tmp_path):
     pin = commit_all(repo, "merge side", when="2020-01-04T00:00:00Z")
     assert git(repo, "rev-list", "--parents", "-n", "1", pin).count(" ") == 2
     histories = file_history(str(repo), pin, ["E.java", "M.java", "N.java"])
-    assert derived_columns(histories["M.java"]) == {
+    assert histories["M.java"] == {
         "commits": 3,
         "authors": 2,
         "age_days": 2,
         "churn_added": 5 + 1 + 1,
         "churn_deleted": 1 + 1,
     }
-    assert derived_columns(histories["E.java"]) == {
+    assert histories["E.java"] == {
         "commits": 1,
         "authors": 1,
         "age_days": 0,
@@ -282,16 +298,23 @@ def follow_oracle(repo, pin, path):
     one-pass walk replaced. It also follows copies and goes on through the
     commits of a name renamed away, so compare on histories with neither."""
     out = git(repo, "log", pin, "--follow", "--format=%ae\x1f%at", "--numstat", "--", path)
-    history = FileHistory([], 0, 0)
+    emails, stamps, added, deleted = set(), [], 0, 0
     for line in out.split("\n"):
         if "\x1f" in line:
             email, stamp = line.split("\x1f")
-            history.commits.append(CommitInfo(email, int(stamp)))
+            emails.add(email.lower())
+            stamps.append(int(stamp))
         elif "\t" in line:
             plus, minus, _ = line.split("\t", 2)
-            history.added += 0 if plus == "-" else int(plus)
-            history.deleted += 0 if minus == "-" else int(minus)
-    return history
+            added += 0 if plus == "-" else int(plus)
+            deleted += 0 if minus == "-" else int(minus)
+    return {
+        "commits": len(stamps),
+        "authors": len(emails),
+        "age_days": (max(stamps) - min(stamps)) // 86400,
+        "churn_added": added,
+        "churn_deleted": deleted,
+    }
 
 
 def random_history_repo(path, rng):
@@ -393,4 +416,4 @@ def test_one_pass_matches_follow_on_random_history(tmp_path, seed):
     histories = file_history(str(repo), pin, paths)
     assert sorted(histories) == sorted(paths)
     for path in paths:
-        assert derived_columns(histories[path]) == derived_columns(follow_oracle(repo, pin, path)), path
+        assert histories[path] == follow_oracle(repo, pin, path), path

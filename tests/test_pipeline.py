@@ -565,6 +565,19 @@ def test_pack_reads_pins_once(tmp_path, monkeypatch):
     assert manifest["discovery"] == {"cap_exceeded": False, "total_available": 2}
 
 
+def test_manifest_criteria_are_the_ones_the_pins_were_discovered_with(tmp_path):
+    replay, work = make_world(tmp_path)
+    common = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
+    assert main(["discover", *common, "--max-repos", "1"]) == 0
+    assert main(["run", *common, "--stages", "clone,measure,pack"]) == 0
+    pins = json.loads((work / "pins.json").read_text(encoding="utf-8"))
+    manifest = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert pins["criteria"]["max_repos"] == 1
+    assert manifest["criteria"] == pins["criteria"]
+    assert [e["full_name"] for e in manifest["repos"]] == ["beta/app"]
+    assert manifest["discovery"]["cap_exceeded"] is True
+
+
 def test_pack_refuses_rows_under_another_header(tmp_path, capsys):
     replay, work = make_world(tmp_path)
     assert run_cli(work, replay) == 0
