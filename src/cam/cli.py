@@ -88,13 +88,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 def _build_config(command: str, settings: dict) -> PipelineConfig:
     if not settings["workdir"]:
         raise ConfigError("--workdir is required (flag or config file)")
+    stages = (command,)
     if command == "run":
-        if settings["stages"]:
-            stages = tuple(s.strip() for s in settings["stages"].split(",") if s.strip())
-        else:
-            stages = STAGES
-    else:
-        stages = (command,)
+        stages = tuple(s.strip() for s in settings["stages"].split(",") if s.strip()) if settings["stages"] else STAGES
     try:
         criteria = DiscoveryCriteria(
             min_stars=settings["min_stars"],

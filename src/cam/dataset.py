@@ -8,7 +8,6 @@ constant timestamps and attributes so equal inputs give equal bytes.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -47,29 +46,32 @@ def merge_stats(target: dict, extra: dict) -> None:
 
 
 def format_value(value) -> str:
-    """One dataset cell: ints verbatim, NaN floats empty, floats repr."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
+    """One dataset cell: strings and ints verbatim, NaN floats empty, floats repr."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
+        return "" if math.isnan(value) else repr(value)
+    if isinstance(value, (str, int)):
+        return str(value)
     raise TypeError(f"unsupported cell type: {type(value).__name__}")
+
+
+class _Echo:
+    write = str  # returns what it is given, so a csv.writer over it hands back each record
+
+
+def csv_cells(values) -> str:
+    """One CSV record of dataset cells, each formatted by `format_value`,
+    with no line end. The writer quotes a field by its line end's
+    characters too, so it has the line end of the rows files."""
+    import csv
+
+    return csv.writer(_Echo, lineterminator="\n").writerow([format_value(value) for value in values])[:-1]
 
 
 def rows_to_csv_bytes(rows: list[dict]) -> bytes:
     """Serialize rows (already formatted or raw) in schema column order,
     one line per row in the order given."""
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HEADER)
-    for row in rows:
-        writer.writerow([format_value(row[name]) for name in HEADER])
-    return buf.getvalue().encode("utf-8")
+    records = [HEADER, *([row[name] for name in HEADER] for row in rows)]
+    return "".join(csv_cells(cells) + "\n" for cells in records).encode("utf-8")
 
 
 def read_csv_rows(path: str | Path) -> list[dict]:
@@ -84,11 +86,14 @@ def read_csv_rows(path: str | Path) -> list[dict]:
         return [dict(zip(header, row)) for row in reader]
 
 
-def write_bytes_atomic(path: str | Path, data: bytes) -> None:
+def write_bytes_atomic(path: str | Path, data: bytes | list[bytes]) -> None:
+    """Write *data*, or its parts in order, to *path* through a temporary
+    file, so *path* never holds part of it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as handle:
+        handle.writelines([data] if isinstance(data, bytes) else data)
     os.replace(tmp, path)
 
 

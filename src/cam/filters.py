@@ -55,6 +55,15 @@ def _looks_like_test(relpath: str, content: str) -> bool:
     return bool(_TEST_IMPORT_RE.search(content))
 
 
+def _name_verdict(relpath: str) -> str | None:
+    """The verdict that a file's name alone decides, if any."""
+    if not relpath.endswith(".java"):
+        return "not-java-ext"
+    if relpath.rsplit("/", 1)[-1] in _FORBIDDEN_BASENAMES:
+        return "forbidden-name"
+    return None
+
+
 def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, MeasuredFile | None]:
     """Apply the rule chain to one file, and measure it if it is kept.
 
@@ -65,10 +74,9 @@ def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, MeasuredFile |
     A file nested deeper than the parser's stack allows is unparseable.
     An error while measuring is not a verdict and propagates.
     """
-    if not relpath.endswith(".java"):
-        return "not-java-ext", None
-    if relpath.rsplit("/", 1)[-1] in _FORBIDDEN_BASENAMES:
-        return "forbidden-name", None
+    reason = _name_verdict(relpath)
+    if reason is not None:
+        return reason, None
     content = _decode(data)
     if content is None:
         return "undecodable", None
@@ -103,23 +111,26 @@ def _read_blob(batch: subprocess.Popen, blob: str) -> bytes:
     batch.stdin.flush()
     header = batch.stdout.readline()
     fields = header.split()
-    data = batch.stdout.read(int(fields[2]) + 1) if len(fields) == 3 else b""
-    if len(fields) != 3 or len(data) != int(fields[2]) + 1:
+    data = batch.stdout.read(int(fields[2])) if len(fields) == 3 else b""
+    # The object ends in a newline, read apart so the bytes are not copied to drop it.
+    if len(fields) != 3 or len(data) != int(fields[2]) or batch.stdout.read(1) != b"\n":
         raise GitCommandError(f"cat-file {blob}: {header.decode('utf-8', 'replace').strip() or 'no reply'}")
-    return data[:-1]
+    return data
 
 
 def filter_tree(repo_dir: str, pin: str) -> tuple[dict, list[tuple[str, MeasuredFile]]]:
     """Classify every file in a repository's tree at the pinned commit.
 
-    Names and bytes come from git's objects, never from a worktree.
-    Symlinks and gitlinks are ignored; a missing object raises
-    GitCommandError. A file whose name is not valid UTF-8 is undecodable
-    before any rule. Returns the `filtered/<key>.json` payload (the
-    counters under "stats", the kept paths under "kept" and a
-    `[path, reason]` pair per file under "verdicts") and a `(path,
-    measured)` pair per kept file, all in lexicographic path order; each
-    measured file is what the file's only parse measured.
+    Names and bytes come from git's objects, never from a worktree, and
+    the bytes of a file that its name rejects are never read. Symlinks and
+    gitlinks are ignored; a missing object raises GitCommandError. A file
+    whose name is not valid UTF-8 is undecodable before any rule. Returns
+    the `filtered/<key>.json` payload (the counters under "stats", the
+    kept paths under "kept" and a `[path, reason]` pair per file under
+    "verdicts") and a `(path, measured)` pair per kept file, all in
+    lexicographic path order; each measured file is what the file's only
+    parse measured. A verdict's path spells a byte that is not UTF-8 as
+    `\\xNN` and a backslash as `\\\\`, so no two files share one.
     """
     stats = empty_stats()
     payload = {"stats": stats, "kept": [], "verdicts": []}
@@ -128,9 +139,11 @@ def filter_tree(repo_dir: str, pin: str) -> tuple[dict, list[tuple[str, Measured
     git = ["git", "-C", repo_dir, "cat-file", "--batch"]
     with subprocess.Popen(git, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=git_env()) as batch:
         for rel, blob in files:
-            # A name that is not UTF-8 comes back surrogate-escaped; escape its bad bytes as \xNN instead.
-            name = os.fsencode(rel).decode("utf-8", "backslashreplace")
-            reason, measured = evaluate_file(rel, _read_blob(batch, blob)) if name == rel else ("undecodable", None)
+            # A name that is not UTF-8 comes back surrogate-escaped.
+            raw = os.fsencode(rel)
+            reason = "undecodable" if _decode(raw) is None else _name_verdict(rel)
+            # Only a file that its name does not reject has its bytes read.
+            reason, measured = evaluate_file(rel, _read_blob(batch, blob)) if reason is None else (reason, None)
             stats["total"] += 1
             if reason is None:
                 stats["kept"] += 1
@@ -138,5 +151,5 @@ def filter_tree(repo_dir: str, pin: str) -> tuple[dict, list[tuple[str, Measured
                 kept.append((rel, measured))
             else:
                 stats["rejected"][reason] += 1
-            payload["verdicts"].append([name, reason])
+            payload["verdicts"].append([raw.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace"), reason])
     return payload, kept

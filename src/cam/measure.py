@@ -5,18 +5,18 @@ repository's parsed units never pile up: what stays of a file is one row
 per top-level class, with file-level figures repeated across the classes
 of a file, and a small graph stub per class. A metric function that
 yields several columns returns them keyed by their schema names, and a
-row is those dicts merged with the single-value metrics. Once the
-repository's git columns are known, `measure_repo` drops the files
-without history, links the stubs of the rest into one class graph, fills
-in the graph and git columns, and keys each row by (repo, path,
-class_name), the order it emits them in.
+row is those dicts merged with the single-value metrics, formatted at
+once as CSV cells in `HEADER` order. Once the repository's git columns
+are known, `measure_repo` drops the files without history, links the
+stubs of the rest into one class graph, and completes each row as one
+CSV line with its key, graph and git cells, by path, then class name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 
+from cam.dataset import csv_cells
 from cam.javasrc.lexer import Tokens
 from cam.javasrc.model import ClassModel, CompilationUnit
 # Unused here; perfbench/tracing.py wraps this name, and fails without it.
@@ -42,23 +42,31 @@ from cam.metrics.oo import (
     tcc,
     wmc,
 )
+from cam.metrics.schema import HEADER
 from cam.metrics.structural import structural_counts
+
+# The cells that measure_file formats, either side of the graph cells
+# (cbo, dit, noc) and the git cells that measure_repo fills in.
+_HEAD = HEADER[HEADER.index("class_name"):HEADER.index("cbo")]
+_GIT = HEADER[HEADER.index("commits"):HEADER.index("churn_deleted") + 1]
+_TAIL = HEADER[HEADER.index("churn_deleted") + 1:]
 
 
 @dataclass
 class MeasuredFile:
-    """One kept file's rows, all but the graph and git columns, and the
-    graph stubs of its top-level classes, in declaration order."""
+    """One kept file's rows, each the pair of CSV cell runs before and
+    after the graph and git cells, and the graph stubs of its top-level
+    classes, in declaration order."""
 
-    rows: list[dict]
+    rows: list[tuple[str, str]]
     stubs: list[ClassStub]
 
 
 @dataclass
 class RepoMeasurement:
-    rows: list[dict] = field(default_factory=list)
-    inheritance_cycles: list[str] = field(default_factory=list)
-    untracked: list[str] = field(default_factory=list)
+    rows: list[bytes]  # UTF-8 CSV lines, each ending in a newline
+    inheritance_cycles: list[str]
+    untracked: list[str]
 
 
 def measure_file(source: str, unit: CompilationUnit) -> MeasuredFile:
@@ -68,10 +76,10 @@ def measure_file(source: str, unit: CompilationUnit) -> MeasuredFile:
         "ncss": unit.ncss,
         "imports_count": unit.import_count,
     }
-    rows = [
-        {"class_name": model.name, **file_row, **_class_columns(model, unit.tokens, file_row["loc"])}
-        for model in unit.types
-    ]
+    rows = []
+    for model in unit.types:
+        row = {"class_name": model.name, **file_row, **_class_columns(model, unit.tokens, file_row["loc"])}
+        rows.append((csv_cells(row[name] for name in _HEAD), csv_cells(row[name] for name in _TAIL)))
     return MeasuredFile(rows, [class_stub(model) for model in unit.types])
 
 
@@ -86,24 +94,22 @@ def measure_repo(
     the filter rules; git_columns maps each of those paths with history to
     its five git columns. A file without history is untracked: it gets no
     rows, its classes stay out of the graph, and its path is listed in
-    `untracked`. The rows are completed in place and come out by path,
-    then by class name; the sort is stable, so classes of one file that
-    share a name keep their declaration order.
+    `untracked`. The rows come out as CSV lines by path, then by class
+    name; the sort is stable, so classes of one file that share a name
+    keep their declaration order.
     """
     paths = sorted(path for path in files if path in git_columns)
     graph = ClassGraph([(path, files[path].stubs) for path in paths])
-
-    result = RepoMeasurement(untracked=sorted(files.keys() - git_columns.keys()))
+    lines = []
     for path in paths:
-        history = git_columns[path]
-        measured = files[path]
-        for row, stub in zip(measured.rows, measured.stubs):
+        key_cells = csv_cells((repo, path))
+        git_cells = csv_cells(git_columns[path][name] for name in _GIT)
+        for stub, (head, tail) in sorted(zip(files[path].stubs, files[path].rows), key=lambda pair: pair[0].name):
             key = (path, stub.name)
-            row.update(repo=repo, path=path, cbo=graph.cbo(key), dit=graph.dit(key), noc=graph.noc(key))
-            row.update(history)
-        result.rows += sorted(measured.rows, key=itemgetter("class_name"))
-    result.inheritance_cycles = [f"{p}::{n}" for p, n in graph.cycle_members()]
-    return result
+            line = f"{key_cells},{head},{graph.cbo(key)},{graph.dit(key)},{graph.noc(key)},{git_cells},{tail}\n"
+            lines.append(line.encode("utf-8"))
+    cycles = [f"{p}::{n}" for p, n in graph.cycle_members()]
+    return RepoMeasurement(lines, cycles, sorted(files.keys() - git_columns.keys()))
 
 
 def _class_columns(model: ClassModel, tokens: Tokens, lines_of_file: int) -> dict:

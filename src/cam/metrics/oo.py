@@ -10,7 +10,9 @@ outlive its own measurement.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from cam.javasrc.model import ClassModel
 
@@ -135,19 +137,19 @@ def rfc(model: ClassModel) -> int:
     return len(model.methods) + len(invoked - declared_names)
 
 
-@dataclass(frozen=True)
-class ClassStub:
-    """What ClassGraph reads of one top-level class.
+class ClassStub(NamedTuple):
+    """What ClassGraph reads of one top-level class, kept until the
+    repository is measured, so as small as a tuple can hold it.
 
-    claimed holds the simple names the class answers to: its own and its
-    nested classes'. referenced holds every type name the class or a
-    nested class mentions, supertypes included.
+    claimed holds the distinct simple names the class answers to: its own
+    and its nested classes'. referenced holds every distinct type name
+    the class or a nested class mentions, supertypes included.
     """
 
     name: str
-    claimed: frozenset[str]
+    claimed: tuple[str, ...]
     extends_name: str | None
-    referenced: frozenset[str]
+    referenced: tuple[str, ...]
 
 
 def class_stub(model: ClassModel) -> ClassStub:
@@ -155,7 +157,8 @@ def class_stub(model: ClassModel) -> ClassStub:
     if model.extends_name:
         referenced.add(model.extends_name)
     referenced.update(model.implements_names)
-    return ClassStub(model.name, frozenset(_claimed_names(model)), model.extends_name, frozenset(referenced))
+    # Interned, so the files of a repository share each name they mention.
+    return ClassStub(model.name, tuple(_claimed_names(model)), model.extends_name, tuple(map(sys.intern, referenced)))
 
 
 def _claimed_names(model: ClassModel) -> set[str]:

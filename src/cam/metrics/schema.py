@@ -10,6 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# CPython's own SHA-256, as hashlib's fallback; hashlib loads OpenSSL (3.5 MB).
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 KEY_COLUMNS = ("repo", "path", "class_name")
 
 
@@ -21,10 +30,7 @@ class ColumnSpec:
 
     @property
     def definition_hash(self) -> str:
-        import hashlib
-
-        text = f"{self.name}: {self.definition}"
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+        return sha256(f"{self.name}: {self.definition}".encode("utf-8")).hexdigest()[:12]
 
 
 COLUMNS: tuple[ColumnSpec, ...] = (

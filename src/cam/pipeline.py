@@ -82,6 +82,11 @@ def __getattr__(name: str):
     return value
 
 
+def _read_json(path: Path, default: dict) -> dict:
+    """The JSON object in *path*, or *default* when there is no such file."""
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else default
+
+
 class ConfigError(Exception):
     pass
 
@@ -176,10 +181,7 @@ class Pipeline:
     # ---- state ----------------------------------------------------------
 
     def _load_state(self, spec: RepoSpec) -> dict:
-        path = self._state_path(spec)
-        if path.exists():
-            return json.loads(path.read_text(encoding="utf-8"))
-        return {"stages": {}, "failure": None}
+        return _read_json(self._state_path(spec), {"stages": {}, "failure": None})
 
     def _save_state(self, spec: RepoSpec, state: dict) -> None:
         write_json_atomic(self._state_path(spec), state)
@@ -306,15 +308,9 @@ class Pipeline:
 
         git_columns = stack.file_history(str(clone_dir), spec.head_commit, payload["kept"])
         result = stack.measure_repo(spec.full_name, dict(kept), git_columns)
-        write_bytes_atomic(self._rows_path(spec), rows_to_csv_bytes(result.rows))
-        write_json_atomic(
-            self._meta_path(spec),
-            {
-                "classes": len(result.rows),
-                "inheritance_cycles": result.inheritance_cycles,
-                "untracked": result.untracked,
-            },
-        )
+        write_bytes_atomic(self._rows_path(spec), [rows_to_csv_bytes([]), *result.rows])
+        meta = {"classes": len(result.rows), "inheritance_cycles": result.inheritance_cycles, "untracked": result.untracked}
+        write_json_atomic(self._meta_path(spec), meta)
         for path in result.untracked:
             self._progress.emit(spec.full_name, "measure", "untracked", path)
 
@@ -329,21 +325,10 @@ class Pipeline:
             entry = spec.to_dict()
             entry["status"] = "ok" if state["stages"].get("measure") == "done" else "failed"
             entry["failure"] = state["failure"]
-            filtered_path = self._filtered_path(spec)
-            if filtered_path.exists():
-                stats = json.loads(filtered_path.read_text(encoding="utf-8"))["stats"]
-            else:
-                stats = empty_stats()
-            entry["filter_stats"] = stats
+            stats = _read_json(self._filtered_path(spec), {"stats": empty_stats()})["stats"]
             merge_stats(global_stats, stats)
-            meta_path = self._meta_path(spec)
-            if meta_path.exists():
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                entry["classes"] = meta["classes"]
-                entry["inheritance_cycles"] = meta["inheritance_cycles"]
-            else:
-                entry["classes"] = 0
-                entry["inheritance_cycles"] = []
+            meta = _read_json(self._meta_path(spec), {"classes": 0, "inheritance_cycles": []})
+            entry.update(filter_stats=stats, classes=meta["classes"], inheritance_cycles=meta["inheritance_cycles"])
             repo_entries.append(entry)
 
         manifest = build_manifest(

@@ -194,9 +194,7 @@ class ReplayTransport(Transport):
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         index = json.loads((self.directory / "index.json").read_text(encoding="utf-8"))
-        self._by_url: dict[str, dict] = {}
-        for entry in index:
-            self._by_url[entry["url"]] = entry
+        self._by_url = {entry["url"]: entry for entry in index}
 
     def get(self, url: str) -> Response:
         entry = self._by_url.get(url)
@@ -269,15 +267,11 @@ def discover(transport: Transport, criteria: DiscoveryCriteria) -> DiscoveryResu
         if len(items) < SEARCH_PAGE_SIZE:
             break
 
-    seen: set[str] = set()
-    candidates: list[dict] = []
+    # The first item of each name, by stars and then name.
+    firsts: dict[str, dict] = {}
     for item in raw:
-        name = item["full_name"]
-        if name in seen:
-            continue
-        seen.add(name)
-        candidates.append(item)
-    candidates.sort(key=lambda it: (-int(it["stargazers_count"]), it["full_name"]))
+        firsts.setdefault(item["full_name"], item)
+    candidates = sorted(firsts.values(), key=lambda it: (-int(it["stargazers_count"]), it["full_name"]))
     cap_exceeded = pages_done == SEARCH_PAGE_LIMIT and total_available > len(raw)
     if len(candidates) > criteria.max_repos:
         candidates = candidates[: criteria.max_repos]
@@ -345,8 +339,9 @@ def _clone_at_pin(spec: RepoSpec, dest: Path, url: str) -> None:
 def git_env() -> dict[str, str]:
     """The environment of every git child. git fails where it would ask for
     credentials (a deleted or private repository over HTTPS), so no run
-    waits on a prompt that nobody answers."""
-    return {**os.environ, "GIT_TERMINAL_PROMPT": "0"}
+    waits on a prompt that nobody answers: no terminal prompt, and an empty
+    GIT_ASKPASS, which makes git skip `core.askPass` and SSH_ASKPASS too."""
+    return {**os.environ, "GIT_TERMINAL_PROMPT": "0", "GIT_ASKPASS": ""}
 
 
 class GitCommandError(Exception):

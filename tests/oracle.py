@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 from cam.javasrc.parser import parse
 from cam.measure import measure_file, measure_repo
+from cam.metrics.schema import HEADER, KEY_COLUMNS
 
 INT_COLUMNS = (
     "loc", "blanks", "comments", "ncss", "cyclomatic", "cognitive",
@@ -18,6 +20,34 @@ INT_COLUMNS = (
 )
 COHESION_COLUMNS = ("lcom5", "nhd", "tcc")
 TOL = 1e-9
+# The cells of a row that measure_repo fills in, after measure_file.
+REPO_CELLS = ("repo", "path", "cbo", "dit", "noc", "commits", "authors", "age_days", "churn_added", "churn_deleted")
+
+
+def _typed(name: str, text: str):
+    """A dataset cell read back as the value it was formatted from."""
+    if name in KEY_COLUMNS:
+        return text
+    if not text:
+        return math.nan
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def repo_rows(result) -> list[dict]:
+    """measure_repo's CSV lines read back as typed row dicts."""
+    return [{n: _typed(n, c) for n, c in zip(HEADER, cells, strict=True)} for cells in csv.reader(line.decode("utf-8") for line in result.rows)]
+
+
+def file_rows(measured) -> list[dict]:
+    """measure_file's rows read back as typed dicts of the cells it formats."""
+    names = [name for name in HEADER if name not in REPO_CELLS]
+    return [
+        {n: _typed(n, c) for n, c in zip(names, [*next(csv.reader([head])), *next(csv.reader([tail]))], strict=True)}
+        for head, tail in measured.rows
+    ]
 
 
 def synthetic_git(loc: int) -> dict[str, int]:
@@ -34,7 +64,7 @@ def measure_case(case, git_columns: dict[str, int] | None = None) -> dict[str, d
     loc = next(iter(case.classes.values()))["loc"]
     git = {case.file: git_columns or synthetic_git(loc)}
     result = measure_repo("fixtures/repo", {case.file: measure_file(case.source, parse(case.source))}, git)
-    return {row["class_name"]: row for row in result.rows}
+    return {row["class_name"]: row for row in repo_rows(result)}
 
 
 def expected_volume(exp: dict) -> float:

@@ -17,6 +17,7 @@ from cam.metrics.code import halstead, line_metrics, member_counts
 from cam.metrics.schema import HEADER
 from cam.metrics.structural import structural_counts
 from conftest import single_commit_repo
+from oracle import file_rows
 
 SOURCE = "import java.util.List;\nclass A extends B {\n    int f;\n    int g() { return f; }\n}\n"
 
@@ -55,5 +56,6 @@ def test_column_sources_partition_the_header(tmp_path):
     assert set().union(*sources.values()) == set(HEADER)
     assert sum(map(len, sources.values())) == len(HEADER)
 
-    row = measure_file(SOURCE, unit).rows[0]
-    assert set(row) == set(HEADER) - git_columns - REPO_COLUMNS
+    row = file_rows(measure_file(SOURCE, unit))[0]
+    assert list(row) == [name for name in HEADER if name not in git_columns | REPO_COLUMNS]
+    assert row["class_name"] == "A"

@@ -57,6 +57,7 @@ def test_row_ordering_and_header():
 def test_measure_repo_orders_rows_by_path_then_class_name():
     from cam.javasrc.parser import parse
     from cam.measure import measure_file, measure_repo
+    from oracle import repo_rows
 
     sources = {
         "b/Z.java": "class Z {}\nclass A { int a; }\nclass M {}\nclass A {}\n",
@@ -64,7 +65,7 @@ def test_measure_repo_orders_rows_by_path_then_class_name():
     }
     files = {path: measure_file(source, parse(source)) for path, source in sources.items()}
     git = {path: {"commits": 1, "authors": 1, "age_days": 0, "churn_added": 1, "churn_deleted": 0} for path in sources}
-    rows = measure_repo("o/r", files, git).rows
+    rows = repo_rows(measure_repo("o/r", files, git))
     # Sorted by path, then by class name; the two classes named A keep their declaration order.
     assert [(r["path"], r["class_name"], r["attributes"]) for r in rows] == [
         ("a/Y.java", "B", 0),

@@ -8,7 +8,7 @@ from cam.filters import MAX_LINE_LENGTH, evaluate_file, filter_tree
 from cam.javasrc.parser import parse
 from cam.measure import measure_repo
 from conftest import commit_all, git, init_repo
-from oracle import synthetic_git
+from oracle import file_rows, repo_rows, synthetic_git
 
 GOOD = b"class Ok {}\n"
 
@@ -27,7 +27,7 @@ def test_reason_vocabulary():
 def test_kept_file():
     reason, measured = evaluate_file("src/Ok.java", GOOD)
     assert reason is None
-    assert [(row["class_name"], row["loc"], row["blanks"]) for row in measured.rows] == [("Ok", 1, 0)]
+    assert [(row["class_name"], row["loc"], row["blanks"]) for row in file_rows(measured)] == [("Ok", 1, 0)]
     assert [stub.name for stub in measured.stubs] == ["Ok"]
 
 
@@ -108,7 +108,7 @@ def test_lone_carriage_return_ends_a_comment():
     reason, measured = evaluate_file("src/A.java", b"class A { int f; // c\r }")
     assert reason is None
     # Two lines, the comment on the first; the '}' after the '\r' is code.
-    row = measured.rows[0]
+    row = file_rows(measured)[0]
     assert (row["loc"], row["comments"], row["attributes"]) == (2, 1, 1)
 
 
@@ -138,7 +138,7 @@ def _else_if_chain(n):
 def test_deep_valid_nesting_is_kept_and_measured(source):
     reason, measured = evaluate_file("src/Deep.java", source.encode())
     assert reason is None
-    rows = measure_repo("deep/lib", {"src/Deep.java": measured}, {"src/Deep.java": synthetic_git(1)}).rows
+    rows = repo_rows(measure_repo("deep/lib", {"src/Deep.java": measured}, {"src/Deep.java": synthetic_git(1)}))
     assert [row["class_name"] for row in rows] == ["Deep"]
 
 
@@ -215,7 +215,7 @@ def test_filter_tree(tmp_path):
     payload, kept = filter_tree(str(tmp_path), pin)
     assert set(payload) == {"stats", "kept", "verdicts"}
     assert [path for path, _measured in kept] == payload["kept"] == ["src/main/Keep.java", "src/main/Zed.java"]
-    assert [measured.rows[0]["class_name"] for _path, measured in kept] == ["Ok", "Zed"]
+    assert [file_rows(measured)[0]["class_name"] for _path, measured in kept] == ["Ok", "Zed"]
     verdict_paths = [path for path, _reason in payload["verdicts"]]
     assert verdict_paths == sorted(verdict_paths)
     assert all("/.git/" not in p and not p.startswith(".git/") for p in verdict_paths)
@@ -230,6 +230,18 @@ def test_filter_tree(tmp_path):
     assert stats["rejected"]["not-java-ext"] == 1
     assert stats["rejected"]["unparseable"] == 1
     assert set(stats["rejected"]) == set(REASONS)
+
+
+def test_verdict_paths_spell_each_name_once(tmp_path):
+    """A name holding the byte 0xE9 and a valid name holding the text
+    `\\xe9` get two verdict paths; the valid one is still kept."""
+    init_repo(tmp_path)
+    for name in (b"Caf\xe9.java", b"Caf\\xe9.java"):
+        with open(os.path.join(os.fsencode(tmp_path), name), "wb") as handle:
+            handle.write(GOOD)
+    payload, kept = filter_tree(str(tmp_path), commit_all(tmp_path, "two names"))
+    assert payload["verdicts"] == [["Caf\\\\xe9.java", None], ["Caf\\xe9.java", "undecodable"]]
+    assert payload["kept"] == [path for path, _measured in kept] == ["Caf\\xe9.java"]
 
 
 def test_filter_tree_skips_symlinks(tmp_path):

@@ -15,6 +15,7 @@ from cam.metrics.code import (
     member_counts,
     method_cyclomatic,
 )
+from oracle import file_rows
 
 EXCLUDED_KEYWORDS = {"class", "interface", "enum", "package", "import"}
 COUNTED_SEPARATORS = set("(){}[];,.")
@@ -231,7 +232,7 @@ def test_long_else_if_chain_is_kept_and_scored():
     source = "class Chain {\n  int y;\n  void f(int x) {\n    if (x == 0) { y = 0; }\n" + arms + "    else { y = -1; }\n  }\n}\n"
     reason, measured = evaluate_file("src/Chain.java", source.encode())
     assert reason is None
-    row = measured.rows[0]
+    row = file_rows(measured)[0]
     # 1000 if decisions plus the method's base path
     assert row["cyclomatic"] == 1001
     # the head if at depth 0 scores 1, each of the 999 chained arms 1, the final else 1
@@ -243,7 +244,7 @@ def test_long_conditional_chain_is_kept_and_scored():
     source = "class Table {\n  int f(int x) {\n    return\n" + arms + "        -1;\n  }\n}\n"
     reason, measured = evaluate_file("src/Table.java", source.encode())
     assert reason is None
-    row = measured.rows[0]
+    row = file_rows(measured)[0]
     # 5000 ternary decisions plus the method's base path
     assert row["cyclomatic"] == 5001
     # each ternary scores 1 whatever its nesting; '==' adds no operator run

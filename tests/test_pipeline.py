@@ -217,7 +217,8 @@ try:
 except OSError:
     stdin = "closed"
 with open({log!r}, "a", encoding="utf-8") as log:
-    log.write(json.dumps([sys.argv[1:], os.environ.get("GIT_TERMINAL_PROMPT"), stdin]) + "\\n")
+    prompt = [os.environ.get(name) for name in ("GIT_TERMINAL_PROMPT", "GIT_ASKPASS")]
+    log.write(json.dumps([sys.argv[1:], prompt, stdin]) + "\\n")
 os.execv({git!r}, [{git!r}, *sys.argv[1:]])
 """
 
@@ -235,6 +236,9 @@ def test_every_git_child_runs_without_prompts_or_input(tmp_path, monkeypatch):
     stub.chmod(0o755)
     monkeypatch.setenv("PATH", f"{stub.parent}{os.pathsep}{os.environ['PATH']}")
     monkeypatch.delenv("GIT_TERMINAL_PROMPT", raising=False)
+    # A helper that would open a prompt window; an empty GIT_ASKPASS skips it.
+    monkeypatch.setenv("GIT_ASKPASS", "/usr/bin/ssh-askpass")
+    monkeypatch.setenv("SSH_ASKPASS", "/usr/bin/ssh-askpass")
     # cam's own stdin is a pipe, so a child that inherits it shows.
     read_end, write_end = os.pipe()
     saved_stdin = os.dup(0)
@@ -251,13 +255,13 @@ def test_every_git_child_runs_without_prompts_or_input(tmp_path, monkeypatch):
     for argv, prompt, stdin in calls:
         if argv[0] == "-C":
             argv = argv[2:]
-        seen.setdefault(argv[0], set()).add((prompt, stdin))
+        seen.setdefault(argv[0], set()).add((*prompt, stdin))
     assert seen == {
-        "clone": {("0", "null")},
-        "rev-parse": {("0", "null")},
-        "ls-tree": {("0", "null")},
-        "log": {("0", "null")},
-        "cat-file": {("0", "input")},
+        "clone": {("0", "", "null")},
+        "rev-parse": {("0", "", "null")},
+        "ls-tree": {("0", "", "null")},
+        "log": {("0", "", "null")},
+        "cat-file": {("0", "", "input")},
     }
     assert len(calls) == 2 * 5
 
@@ -696,7 +700,8 @@ def test_odd_file_names_end_to_end(files):
 
     # Verdicts come in the order of the walk, which sorts the decoded names.
     ordered = sorted(files, key=os.fsdecode)
-    assert verdicts == [[rel.decode("utf-8", "backslashreplace"), expected_verdict(rel, files[rel])] for rel in ordered]
+    spelled = {rel: rel.replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace") for rel in ordered}
+    assert verdicts == [[spelled[rel], expected_verdict(rel, files[rel])] for rel in ordered]
     kept = [(rel.decode(), name) for rel, name in sorted(classes.items()) if expected_verdict(rel, files[rel]) is None]
     assert [(e["status"], e["classes"]) for e in manifest["repos"]] == [("ok", len(kept))]
     for table in tables:
@@ -757,19 +762,23 @@ def test_pack_memory_does_not_grow_with_rows(tmp_path, rows_per_repo):
 GEN_SOURCES = sorted((Path(__file__).parent / "data").glob("Gen*.java"))
 
 
-def measure_stage_peak(root: Path, kept_files: int) -> int:
-    """The tracemalloc peak of the measure stage over one cloned repository
-    of *kept_files* renamed copies of the Gen*.java classes."""
-    files = {}
-    for n in range(kept_files):
-        source = GEN_SOURCES[n % len(GEN_SOURCES)]
-        # The class and its constructors take the new name together.
-        files[f"src/C{n:04d}.java"] = source.read_text(encoding="utf-8").replace(source.stem, f"C{n:04d}")
-    work = root / "work"
+def cloned_workdir(work: Path, files: dict[str, str | bytes]) -> Path:
+    """A work directory whose one repository, of *files*, is cloned."""
     _, sha = single_commit_repo(work / "github" / "gen" / "lib", files)
     spec = RepoSpec("gen/lib", 200, 400, "main", sha, "2020-01-04T10:00:00Z")
     write_json_atomic(work / "pins.json", {"repos": [spec.to_dict()]})
     write_json_atomic(work / "state" / f"{spec.key}.json", {"stages": {"clone": "done"}, "failure": None})
+    return work
+
+
+def measure_stage_peak(root: Path, files: dict[str, str | bytes]) -> tuple[int, dict]:
+    """The tracemalloc peak of the measure stage over one cloned repository
+    of *files*, and the measured repository's `rows/<key>.meta.json`."""
+    work = cloned_workdir(root / "work", files)
+    # A first measure run imports and compiles what the stage loads on
+    # first use (the measure stack, the thread pool, and `locale` on
+    # Python 3.10), which would set the peak; it runs outside the window.
+    assert main(["measure", "--workdir", str(cloned_workdir(root / "warm", {"W.java": "class W {}\n"})), "--quiet"]) == 0
 
     tracemalloc.start()
     try:
@@ -777,19 +786,38 @@ def measure_stage_peak(root: Path, kept_files: int) -> int:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    meta = json.loads((work / "rows" / f"{spec.key}.meta.json").read_text(encoding="utf-8"))
-    assert (meta["classes"], meta["untracked"]) == (kept_files, [])
-    return peak
+    return peak, json.loads((work / "rows" / "gen__lib.meta.json").read_text(encoding="utf-8"))
+
+
+def gen_files(count: int) -> dict[str, str]:
+    """*count* renamed copies of the Gen*.java classes."""
+    files = {}
+    for n in range(count):
+        source = GEN_SOURCES[n % len(GEN_SOURCES)]
+        # The class and its constructors take the new name together.
+        files[f"src/C{n:04d}.java"] = source.read_text(encoding="utf-8").replace(source.stem, f"C{n:04d}")
+    return files
 
 
 def test_measure_memory_does_not_grow_with_kept_files(tmp_path):
-    """Each kept file is measured as it is parsed and its parse dropped, so
-    what stays per file is its rows and graph stubs, not its tokens."""
-    small = measure_stage_peak(tmp_path / "small", 30)
-    large = measure_stage_peak(tmp_path / "large", 130)
+    """Each kept file is measured as it is parsed and its parse dropped, and
+    its rows are kept as CSV text, so what stays per file is that text and
+    its graph stubs. The bound is twice the 1.2 KiB this reads on CPython
+    3.11; with dict rows and set stubs it read 4.4 KiB."""
+    (small, small_meta), (large, large_meta) = (measure_stage_peak(tmp_path / f"r{n}", gen_files(n)) for n in (30, 130))
+    assert [(meta["classes"], meta["untracked"]) for meta in (small_meta, large_meta)] == [(30, []), (130, [])]
     per_file = (large - small) / 100
     print(f"measure stage peak: {small / 1024:.0f} KiB, {large / 1024:.0f} KiB; {per_file / 1024:.1f} KiB per kept file")
-    assert per_file < 16 << 10
+    assert per_file < 2.4 * 1024
+
+
+def test_measure_stage_reads_no_blob_that_its_name_rejects(tmp_path):
+    """A 16 MiB jar is rejected by its name, so its bytes are never read,
+    and a kept file's bytes are read without a second copy."""
+    peak, meta = measure_stage_peak(tmp_path, {"lib/big.jar": os.urandom(16 << 20), "src/Main.java": MAIN_JAVA})
+    assert meta["classes"] == 1
+    print(f"measure stage peak: {peak / 1024:.0f} KiB")
+    assert peak < 2 << 20
 
 
 # ---- garbage collection -------------------------------------------------
@@ -962,16 +990,19 @@ def test_cli_config_stages_are_a_comma_separated_string(tmp_path):
 # ---- what each command loads -------------------------------------------
 
 MEASURE_STACK = ("cam.filters", "cam.measure", "cam.gitstats", "cam.metrics.code", "cam.metrics.oo", "cam.metrics.structural")
+OPENSSL = ("hashlib", "_hashlib")
 
 
 def measure_stack_loaded_by(*argv: str) -> set[str]:
     """The measure stack's modules that a fresh `cam <argv>` process
-    imported, and `subprocess` if it did: only stages that run git need it."""
+    imported, `subprocess` if it did (only stages that run git need it),
+    and `hashlib` and `_hashlib` if it did (the column hashes need neither,
+    and `_hashlib` loads OpenSSL)."""
     script = "import sys; from cam.cli import main; code = main(sys.argv[1:]); print(*sys.modules); sys.exit(code)"
     env = {**os.environ, "PYTHONPATH": str(Path(cam.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return {m for m in proc.stdout.split() if m in MEASURE_STACK or m.startswith("cam.javasrc.") or m == "subprocess"}
+    return {m for m in proc.stdout.split() if m in MEASURE_STACK + OPENSSL or m.startswith("cam.javasrc.") or m == "subprocess"}
 
 
 def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
@@ -980,6 +1011,7 @@ def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
     fresh = measure_stack_loaded_by("run", *args)
     assert set(MEASURE_STACK) | {"subprocess"} <= fresh
     assert {"cam.javasrc.lexer", "cam.javasrc.parser", "cam.javasrc.model"} <= fresh
+    assert not fresh & set(OPENSSL)
     assert (work / "dataset.zip").exists()
 
     assert measure_stack_loaded_by("run", *args) == set()
