@@ -26,8 +26,11 @@ MAX_LINE_LENGTH = 1024
 _FORBIDDEN_BASENAMES = frozenset({"package-info.java", "module-info.java"})
 _TEST_DIR_SEGMENTS = frozenset({"test", "tests", "testfixtures"})
 _TEST_NAME_PATTERNS = ("*Test.java", "*Tests.java", "*TestCase.java", "Test*.java")
+# Blanks before the import, but no newline: '\s*' would scan from each line
+# start of a blank run to its end, which is quadratic in the run's length. An
+# import after blank lines still matches from its own line start.
 _TEST_IMPORT_RE = re.compile(
-    r"^\s*import\s+(static\s+)?(org\.junit|junit\.framework|org\.testng)",
+    r"^[^\S\n]*import\s+(static\s+)?(org\.junit|junit\.framework|org\.testng)",
     re.MULTILINE,
 )
 

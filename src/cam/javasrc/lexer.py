@@ -26,8 +26,8 @@ that starts with '0' is octal (`09` is malformed, `09.5` a float), and a
 hex float needs its binary exponent (`0x1.8` and `0x1p` are malformed),
 and an 'l' or 'L' suffix ends an int only (`1.5L` is malformed).
 Names follow Java's identifier rule by Unicode category, so `€x` and `Ⅷ`
-are names and `x²` is the name `x` and an illegal character. A line and
-column are worked out from an offset (`position`) only for an error.
+are names and `x²` is the name `x` and an illegal character. An error's
+line and column are worked out from its offset (`position`) only when read.
 """
 
 from __future__ import annotations
@@ -97,13 +97,34 @@ def position(source: str, offset: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-class LexError(Exception):
-    """Raised when the scanner hits malformed or unterminated input."""
+class SourceError(Exception):
+    """Input refused at an offset of the source text.
+
+    The line and column are worked out only when read: the parser raises
+    and drops one of these each time a trial parse of a type fails, and
+    counting the lines up to each of them would make a parse quadratic."""
 
     def __init__(self, source: str, offset: int, reason: str):
-        self.line, self.column = position(source, offset)
-        super().__init__(f"line {self.line}, column {self.column}: {reason}")
+        super().__init__(reason)
+        self.source = source
+        self.offset = offset
         self.reason = reason
+
+    @property
+    def line(self) -> int:
+        return position(self.source, self.offset)[0]
+
+    @property
+    def column(self) -> int:
+        return position(self.source, self.offset)[1]
+
+    def __str__(self) -> str:
+        line, column = position(self.source, self.offset)
+        return f"line {line}, column {column}: {self.reason}"
+
+
+class LexError(SourceError):
+    """Raised when the scanner hits malformed or unterminated input."""
 
 
 # Java's Character.isJavaIdentifierStart and isJavaIdentifierPart, by

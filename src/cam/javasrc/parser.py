@@ -8,11 +8,23 @@ and checked but not kept, since no metric reads them.
 
 Grammar coverage is Java 8: generics, lambdas, anonymous and local classes,
 enums, annotation types, try-with-resources, multi-catch, method references.
-One routine parses every type-argument list: of a type, of a generic call
-(`a.<T>f()`) and of a method reference (`A::<T>f`); only a class instance
-creation takes the diamond `<>`, and no type argument takes `&`.
 Later syntax (records, sealed types, `var`, arrow switches) fails with
 JavaSyntaxError, which is the pipeline's exclusion signal.
+
+One routine parses each shape, wherever it occurs:
+- `_type_decl` a class, interface, enum or annotation type, top-level,
+  member or local, and `parse_class_body` its body, an enum's constants
+  first;
+- `parse_type` a type; `_type_args` every type-argument list, of a type,
+  of a generic call (`a.<T>f()`) and of a method reference (`A::<T>f`),
+  where only a class instance creation takes the diamond `<>` and no type
+  argument takes `&`; `_type_name_list` an `extends`, `implements` or
+  `throws` list; `_dims` the `[]` pairs after a type or a declared name;
+- `_type_mention` a type named in an expression (`int.class`,
+  `String[]::new`), and `_parse_creator` a class instance or array creation;
+- `_matching_paren` the extent of a parenthesised list, which tells a
+  lambda's parameters from a parenthesised expression and skips an
+  annotation's arguments.
 
 The cursor is an index into the lexer's kind and lexeme columns, padded
 with end-of-file entries so a lookahead needs no bounds test. A token test
@@ -61,7 +73,7 @@ from __future__ import annotations
 
 from typing import NoReturn
 
-from cam.javasrc.lexer import LITERAL_KINDS, Tokens, position, tokenize
+from cam.javasrc.lexer import LITERAL_KINDS, SourceError, Tokens, tokenize
 from cam.javasrc.model import (
     ClassModel,
     CompilationUnit,
@@ -111,12 +123,8 @@ _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<
 _PAD = 2
 
 
-class JavaSyntaxError(Exception):
+class JavaSyntaxError(SourceError):
     """Input is outside the accepted Java 8 grammar."""
-
-    def __init__(self, source: str, offset: int, message: str):
-        self.line, self.column = position(source, offset)
-        super().__init__(f"line {self.line}, column {self.column}: {message}")
 
 
 class _MethodCtx:
@@ -216,14 +224,22 @@ class _Parser:
         self.glued.setdefault(i, lexeme)
         self.lex[i] = rem
 
+    def _dims(self) -> int:
+        """Consume '[]' pairs; return how many."""
+        lex = self.lex
+        start = i = self.i
+        while lex[i] == "[" and lex[i + 1] == "]":
+            i += 2
+        self.i = i
+        return (i - start) // 2
+
     # ---- expression side-effect plumbing --------------------------------
 
     def _decide(self) -> None:
         self._method.decisions += 1
 
     def _record_refs(self, names: set[str]) -> None:
-        if self._classes:
-            self._classes[-1].model.referenced_type_names |= names
+        self._classes[-1].model.referenced_type_names |= names
 
     def _declare_local(self, name: str) -> None:
         self._method.scopes[-1].add(name)
@@ -271,7 +287,12 @@ class _Parser:
         while self.kinds[self.i] != "eof":
             if self.accept(";"):
                 continue
-            types.append(self.parse_type_decl())
+            start = self.i
+            mods, anns = self.parse_modifiers()
+            model = self._type_decl(start, mods, anns)
+            if model is None:
+                self.error(f"expected a type declaration, found {self.lex[self.i]!r}")
+            types.append(model)
         del self.lex[-_PAD:], self.kinds[-_PAD:]
         for i, lexeme in self.glued.items():
             self.lex[i] = lexeme
@@ -289,18 +310,10 @@ class _Parser:
         self.expect("@")
         self._skip_qualified_name()
         if self.at("("):
-            lex, kinds = self.lex, self.kinds
-            depth = 0
-            while True:
-                if kinds[self.i] == "eof":
-                    self.error("unterminated annotation arguments")
-                if lex[self.i] == "(":
-                    depth += 1
-                elif lex[self.i] == ")":
-                    depth -= 1
-                self.i += 1
-                if depth == 0:
-                    break
+            self.i = self._matching_paren(self.i)
+            if self.kinds[self.i] == "eof":
+                self.error("unterminated annotation arguments")
+            self.i += 1
 
     def _skip_annotations(self) -> None:
         lex = self.lex
@@ -416,70 +429,30 @@ class _Parser:
 
     # ---- type declarations ----------------------------------------------
 
-    def parse_type_decl(self, mods: set[str] | None = None, anns: int | None = None, start: int | None = None) -> ClassModel:
-        if mods is None:
-            start = self.i
-            mods, anns = self.parse_modifiers()
-        assert anns is not None and start is not None
-        lexeme = self.lex[self.i]
-        if lexeme == "class" or lexeme == "interface":
+    def _type_decl(self, start: int, mods: set[str], anns: int) -> ClassModel | None:
+        """The type declaration at the cursor, of any kind, whose modifiers
+        start at *start*; None, with the cursor left alone, when none does."""
+        kind = self.lex[self.i]
+        if kind == "@" and self.lex[self.i + 1] == "interface":
+            kind = "annotation"
             self.i += 1
-            model = self._class_decl(lexeme, mods, anns)
-        elif lexeme == "enum":
-            self.i += 1
-            model = self._enum_decl(mods, anns)
-        elif lexeme == "@" and self.lex[self.i + 1] == "interface":
-            self.i += 2
-            model = self._class_decl("annotation", mods, anns)
-        else:
-            self.error(f"expected a type declaration, found {lexeme!r}")
+        elif kind not in ("class", "interface", "enum"):
+            return None
+        self.i += 1
+        model = self._class_decl(kind, mods, anns)
         model.tokens = (start, self.i)
         return model
 
     def _class_decl(self, kind: str, mods: set[str], anns: int) -> ClassModel:
-        name = self.expect_ident()
+        model = ClassModel(name=self.expect_ident(), kind=kind, modifiers=mods, annotation_count=anns)
         self.ncss += 1
-        model = ClassModel(name=name, kind=kind, modifiers=mods, annotation_count=anns)
-        if self.at("<"):
+        if kind != "enum" and self.at("<"):
             self._skip_type_params()
-        if kind == "class":
-            if self.accept("extends"):
-                model.extends_name = self.parse_type().rstrip("[]")
-            if self.accept("implements"):
-                model.implements_names = self._type_name_list()
-        elif kind == "interface":
-            if self.accept("extends"):
-                model.implements_names = self._type_name_list()
-        self.parse_class_body(model)
-        return model
-
-    def _enum_decl(self, mods: set[str], anns: int) -> ClassModel:
-        name = self.expect_ident()
-        self.ncss += 1
-        model = ClassModel(name=name, kind="enum", modifiers=mods, annotation_count=anns)
-        if self.accept("implements"):
+        if kind == "class" and self.accept("extends"):
+            model.extends_name = self.parse_type().rstrip("[]")
+        if kind != "annotation" and self.accept("extends" if kind == "interface" else "implements"):
             model.implements_names = self._type_name_list()
-        ctx = _ClassCtx(model)
-        self._classes.append(ctx)
-        self.expect("{")
-        if not self.at(";") and not self.at("}"):
-            while True:
-                self._skip_annotations()
-                if self.at("}") or self.at(";"):
-                    break
-                self.expect_ident()
-                if self.at("("):
-                    self._throwaway_args()
-                if self.at("{"):
-                    self._anonymous_body(base_depth=0)
-                if not self.accept(","):
-                    break
-        if self.accept(";"):
-            while not self.at("}"):
-                self._parse_member(ctx)
-        self.expect("}")
-        self._classes.pop()
-        self._resolve_access(ctx)
+        self.parse_class_body(model, enum=kind == "enum")
         return model
 
     def _type_name_list(self) -> list[str]:
@@ -489,18 +462,36 @@ class _Parser:
             if not self.accept(","):
                 return names
 
-    def parse_class_body(self, model: ClassModel) -> None:
+    def parse_class_body(self, model: ClassModel, enum: bool = False) -> None:
+        """A class body, its constants first when *enum*. A method keeps
+        the names it accessed that name a field of the finished class."""
         ctx = _ClassCtx(model)
         self._classes.append(ctx)
         self.expect("{")
-        while not self.at("}"):
-            self._parse_member(ctx)
+        members = True
+        if enum:
+            while True:
+                self._skip_annotations()
+                if self.at("}") or self.at(";"):
+                    break
+                self.expect_ident()
+                if self.at("("):
+                    outer = self._method
+                    self._method = _MethodCtx()
+                    self._parse_args()
+                    self._method = outer
+                if self.at("{"):
+                    self._anonymous_body(base_depth=0)
+                if not self.accept(","):
+                    break
+            # members follow an enum's constants only after a ';'
+            members = self.accept(";")
+        if members:
+            while not self.at("}"):
+                self._parse_member(ctx)
         self.expect("}")
         self._classes.pop()
-        self._resolve_access(ctx)
-
-    def _resolve_access(self, ctx: _ClassCtx) -> None:
-        field_names = {f.name for f in ctx.model.fields}
+        field_names = {f.name for f in model.fields}
         for method, candidates in ctx.pending_access:
             method.accessed_field_names = candidates & field_names
 
@@ -508,21 +499,19 @@ class _Parser:
         lex, kinds = self.lex, self.kinds
         if self.accept(";"):
             return
-        if self.at("{"):
-            self._initializer_block()
-            return
         if self.at("static") and lex[self.i + 1] == "{":
             self.i += 1
+        if self.at("{"):
             self._initializer_block()
             return
 
         start = self.i
         mods, anns = self.parse_modifiers()
-        lexeme = lex[self.i]
-        if lexeme in ("class", "interface", "enum") or (lexeme == "@" and lex[self.i + 1] == "interface"):
-            ctx.model.nested.append(self.parse_type_decl(mods, anns, start))
+        nested = self._type_decl(start, mods, anns)
+        if nested is not None:
+            ctx.model.nested.append(nested)
             return
-        if lexeme == "<":
+        if lex[self.i] == "<":
             self._skip_type_params()
         i = self.i
         if kinds[i] == "identifier" and lex[i] == ctx.model.name and lex[i + 1] == "(":
@@ -551,8 +540,7 @@ class _Parser:
         is_static = "static" in mods or implicit_static
         while True:
             ctx.model.fields.append(FieldModel(self.expect_ident(), is_static))
-            while self.at("[") and self.lex[self.i + 1] == "]":
-                self.i += 2
+            self._dims()
             if self.accept("="):
                 outer = self._method
                 self._method = _MethodCtx()
@@ -564,15 +552,10 @@ class _Parser:
         self.ncss += 1
 
     def _visibility(self, mods: set[str], ctx: _ClassCtx) -> str:
-        if "public" in mods:
-            return "public"
-        if "protected" in mods:
-            return "protected"
-        if "private" in mods:
-            return "private"
-        if ctx.model.kind in ("interface", "annotation"):
-            return "public"
-        return "package"
+        for word in ("public", "protected", "private"):
+            if word in mods:
+                return word
+        return "public" if ctx.model.kind in ("interface", "annotation") else "package"
 
     def _method_decl(self, ctx: _ClassCtx, mods: set[str], constructor: bool) -> None:
         name = self.expect_ident()
@@ -580,13 +563,9 @@ class _Parser:
         outer = self._method, self._sink
         mctx = self._method = _MethodCtx()
         params = self._parse_params()
-        while self.at("[") and self.lex[self.i + 1] == "]":
-            self.i += 2
+        self._dims()
         if self.accept("throws"):
-            while True:
-                self.parse_type()
-                if not self.accept(","):
-                    break
+            self._type_name_list()
         if self.at("default"):  # annotation member default value, which scores nowhere
             self.i += 1
             self._sink = _MethodCtx()
@@ -629,11 +608,7 @@ class _Parser:
                 self.i += 3  # qualified receiver
             else:
                 pname = self.expect_ident()
-                dims = 0
-                while self.at("[") and lex[self.i + 1] == "]":
-                    self.i += 2
-                    dims += 1
-                params.append(ptype + "[]" * dims + ("[]" if varargs else ""))
+                params.append(ptype + "[]" * (self._dims() + varargs))
                 self._record_refs(names)
                 self._declare_local(pname)
             if self.accept(","):
@@ -696,15 +671,14 @@ class _Parser:
             self._switch_stmt(d)
         elif lex == "try":
             self._try_stmt(d)
-        elif lex == "return":
+        elif lex == "return" or lex == "throw" or lex == "assert":
+            # only a return may leave its expression out, only an assert
+            # adds a message
             self.i += 1
-            if not self.at(";"):
+            if lex != "return" or not self.at(";"):
                 self._parse_expr_group(d)
-            self.expect(";")
-            self.ncss += 1
-        elif lex == "throw":
-            self.i += 1
-            self._parse_expr_group(d)
+            if lex == "assert" and self.accept(":"):
+                self._parse_expr_group(d)
             self.expect(";")
             self.ncss += 1
         elif lex == "break" or lex == "continue":
@@ -712,13 +686,6 @@ class _Parser:
             if self.kinds[self.i] == "identifier":
                 self.i += 1
                 self._sink.cognitive += 1
-            self.expect(";")
-            self.ncss += 1
-        elif lex == "assert":
-            self.i += 1
-            self._parse_expr_group(d)
-            if self.accept(":"):
-                self._parse_expr_group(d)
             self.expect(";")
             self.ncss += 1
         elif lex == "synchronized":
@@ -731,13 +698,11 @@ class _Parser:
             lex == "@" and self.lex[i + 1] == "interface"
         ):
             mods, anns = self.parse_modifiers()
-            lexeme = self.lex[self.i]
-            if lexeme in ("class", "interface", "enum") or (lexeme == "@" and self.lex[self.i + 1] == "interface"):
-                self._base_depth.append(d + 1)
-                local = self.parse_type_decl(mods, anns, i)
-                self._base_depth.pop()
-                if self._classes:
-                    self._classes[-1].model.nested.append(local)
+            self._base_depth.append(d + 1)
+            local = self._type_decl(i, mods, anns)
+            self._base_depth.pop()
+            if local is not None:
+                self._classes[-1].model.nested.append(local)
             else:
                 # 'final' (or annotations) opening a local variable declaration
                 self.i = i
@@ -765,8 +730,7 @@ class _Parser:
         lex = self.lex
         while True:
             self._declare_local(self.expect_ident())
-            while lex[self.i] == "[" and lex[self.i + 1] == "]":
-                self.i += 2
+            self._dims()
             if lex[self.i] == "=":
                 self.i += 1
                 self._parse_expr_group(d, self._parse_variable_init)
@@ -922,11 +886,8 @@ class _Parser:
                 self._declare_local(self.expect_ident())
                 self.expect("=")
                 self._parse_expr_group(d)
-                if self.accept(";"):
-                    if self.at(")"):
-                        break
-                    continue
-                break
+                if not self.accept(";") or self.at(")"):
+                    break
             self.expect(")")
         self.parse_block(d)
         scopes.pop()
@@ -979,11 +940,10 @@ class _Parser:
         if self.kinds[i] == "identifier" and lex[i + 1] == "->":
             self.i = i + 2
             names = [lex[i]]
-        else:
-            end = self._matching_paren(i) if lex[i] == "(" else None
-            if end is None or lex[end + 1] != "->":
-                return False
+        elif lex[i] == "(" and lex[self._matching_paren(i) + 1] == "->":
             names = self._lambda_params()
+        else:
+            return False
         scopes = self._method.scopes
         scopes.append(set(names))
         outer = self._sink, self._depth
@@ -997,7 +957,9 @@ class _Parser:
         scopes.pop()
         return True
 
-    def _matching_paren(self, start: int) -> int | None:
+    def _matching_paren(self, start: int) -> int:
+        """Index of the ')' that closes the '(' at *start*, or of the end of
+        file when none does."""
         lex, kinds = self.lex, self.kinds
         depth = 0
         j = start
@@ -1010,7 +972,7 @@ class _Parser:
                 if depth == 0:
                     return j
             elif kinds[j] == "eof":
-                return None
+                return j
             j += 1
 
     def _lambda_params(self) -> list[str]:
@@ -1029,8 +991,7 @@ class _Parser:
                     self.parse_modifiers()
                     self.parse_type()
                     names.append(self.expect_ident())
-                    while self.at("[") and lex[self.i + 1] == "]":
-                        self.i += 2
+                    self._dims()
                     if not self.accept(","):
                         break
         self.expect(")")
@@ -1148,26 +1109,15 @@ class _Parser:
             self.expect(")")
         elif kind == "keyword":
             self.i = i + 1
-            if lexeme == "this":
+            if lexeme == "this" or lexeme == "super":
                 if lex[i + 1] == "(":
                     self._parse_args()  # constructor delegation
                 else:
-                    bare_this = True
-            elif lexeme == "super":
-                if lex[i + 1] == "(":
-                    self._parse_args()
+                    bare_this = lexeme == "this"
             elif lexeme == "new":
                 self._parse_creator()
             elif lexeme in PRIMITIVES or lexeme == "void":
-                # int.class, int[].class, double[][]::new
-                while self.at("[") and lex[self.i + 1] == "]":
-                    self.i += 2
-                if self.at("::"):
-                    self.i += 1
-                    self.expect("new")
-                else:
-                    self.expect(".")
-                    self.expect("class")
+                self._type_mention()  # int.class, int[].class, double[][]::new
             elif lexeme not in ("true", "false", "null"):
                 self.i = i
                 self.error(f"unexpected keyword {lexeme!r} in expression")
@@ -1207,15 +1157,7 @@ class _Parser:
                         self._method.candidates.add(name)
             elif lexeme == "[":
                 if lex[self.i + 1] == "]":
-                    # an array type mention: String[]::new or String[].class
-                    while self.at("[") and lex[self.i + 1] == "]":
-                        self.i += 2
-                    if self.at("::"):
-                        self.i += 1
-                        self.expect("new")
-                    else:
-                        self.expect(".")
-                        self.expect("class")
+                    self._type_mention()  # String[]::new, String[].class
                 else:
                     self.i += 1
                     self.parse_expression()
@@ -1231,6 +1173,16 @@ class _Parser:
                 else:
                     self.expect_ident()
             bare_this = False
+
+    def _type_mention(self) -> None:
+        """The rest of a type named in an expression after its name: its
+        dimensions, then '::new' or '.class'."""
+        self._dims()
+        if self.accept("::"):
+            self.expect("new")
+        else:
+            self.expect(".")
+            self.expect("class")
 
     def _scan_type_args(self, start: int) -> int | None:
         """Lookahead from a '<' at *start*; index just past the closing '>'
@@ -1265,23 +1217,17 @@ class _Parser:
             self.i += 1
         self.expect(")")
 
-    def _throwaway_args(self) -> None:
-        outer = self._method
-        self._method = _MethodCtx()
-        self._parse_args()
-        self._method = outer
-
     def _parse_creator(self) -> None:
         if self.at("<"):
             self._skip_type_params()
         refs: set[str] = set()
         erased = self.parse_type(refs, diamond=True)
+        # an array's element type counts as a created reference too
         created = erased.rstrip("[]")
         if created not in PRIMITIVES:
             refs.add(created)
         self._record_refs(refs)
-        if self.at("["):
-            # array creation; the element type counts as a created reference
+        if self.at("[") or erased.endswith("[]"):
             while self.at("["):
                 self.i += 1
                 if not self.at("]"):
@@ -1290,17 +1236,11 @@ class _Parser:
             if self.at("{"):
                 self._parse_variable_init()
             return
-        if erased.endswith("[]"):
-            if self.at("{"):
-                self._parse_variable_init()
-            return
         self._parse_args()
         if self.at("{"):
             self._anonymous_body(base_depth=self._depth + 1)
 
     def _anonymous_body(self, base_depth: int) -> None:
-        if not self._classes:
-            self.error("anonymous class outside a class")
         owner = self._classes[-1]
         owner.anon_seq += 1
         model = ClassModel(name=f"{owner.model.name}${owner.anon_seq}", kind="class")

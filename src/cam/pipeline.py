@@ -280,8 +280,7 @@ class Pipeline:
                 success = False
                 break
             state["stages"][stage] = "done"
-            if all(state["stages"].get(s) != "failed" for s in REPO_STAGES):
-                state["failure"] = None
+            state["failure"] = None
             self._save_state(spec, state)
             self._progress.emit(spec.full_name, stage, "done")
         self._progress.repo_done(success)

@@ -1,4 +1,5 @@
-"""Lint: every module-level import in `cam` is used by its module.
+"""Lint: every module-level import in `cam` is used by its module, and
+every private function, method or class is named somewhere else in `cam`.
 
 Only the standard library's `ast` is needed, so this runs with the rest of
 the tests and no linter installed.
@@ -53,3 +54,25 @@ def test_no_unused_module_imports():
 
 def test_allowed_unused_imports_are_still_needed():
     assert ALLOWED_UNUSED <= unused_imports()
+
+
+def orphan_helpers() -> set[tuple[str, str]]:
+    """Private functions, methods and classes (`_name`, not a dunder) that
+    no code in `cam` names."""
+    defined: set[tuple[str, str]] = set()
+    named: set[str] = set()
+    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+        relpath = path.relative_to(SOURCE_ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add((relpath, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return {(relpath, name) for relpath, name in defined if name not in named}
+
+
+def test_no_orphan_private_helpers():
+    assert orphan_helpers() == set()

@@ -1,5 +1,6 @@
 """The filter's verdict against javac's, on number literals (JLS
-3.10.1-3.10.2) and on explicit type arguments.
+3.10.1-3.10.2), on explicit type arguments and on the grammar sample
+`tests/data/Grammar8.java`.
 
 Each case goes into a class file of its own, one `javac` run compiles
 them all, and a file is one javac rejects when an error line names it.
@@ -12,10 +13,13 @@ from __future__ import annotations
 import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
 from cam.filters import evaluate_file
+
+GRAMMAR_SAMPLE = Path(__file__).parent / "data" / "Grammar8.java"
 
 # Each literal and whether javac compiles it.
 LITERALS = [
@@ -93,3 +97,18 @@ def test_evaluate_file_agrees_with_javac(javac_rejects, k, declaration, compiles
     reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, declaration).encode("utf-8"))
     assert reason in (None, "unparseable")
     assert (reason is None) == javac_keeps == compiles
+
+
+def test_grammar_sample_compiles_as_java_8_and_is_kept(tmp_path):
+    javac = shutil.which("javac")
+    if javac is None:
+        pytest.skip("javac is not on PATH")
+    proc = subprocess.run(
+        [javac, "--release", "8", "-encoding", "UTF-8", "-d", str(tmp_path), str(GRAMMAR_SAMPLE)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    reason, _measured = evaluate_file("src/Grammar8.java", GRAMMAR_SAMPLE.read_bytes())
+    assert reason is None

@@ -12,6 +12,13 @@ move them). A change to the parser that is meant to leave its output alone
 must leave the digest alone; a deliberate change to the output records the
 new digest here.
 
+`tests/data/Grammar8.java` is a hand-written grammar sample that javac
+compiles with `--release 8` (`tests/test_javac_agreement.py` checks it). It
+reaches the accepting shapes that none of the inputs above holds: `throws`,
+`throw` and `assert`, wildcard bounds, class literals, `this(...)`,
+`outer.new Inner()`, typed lambda parameters and the like. Its dump is
+pinned under a digest of its own, `GRAMMAR8_SHA256`.
+
 Rejected inputs are pinned one by one, with the line, column and message
 of their error.
 """
@@ -31,6 +38,7 @@ from test_filters import _anonymous_classes, _else_if_chain, _lambdas, _parens
 DATA = Path(__file__).parent / "data"
 
 SNAPSHOT_SHA256 = "0e874957b11c82a24c95d567a14b089f021fb6359482a0f226983068ee2659ee"
+GRAMMAR8_SHA256 = "eeb5d90f26ffc2e4e69bbb1ceda76c8dfab6a8c518f7ccdd8bbde543045fd4a6"
 
 
 def _merged_index(tokens) -> list[int]:
@@ -100,6 +108,11 @@ def test_snapshot_inputs_are_all_there():
 def test_parse_model_snapshot():
     text = "".join(dump(label, source) for label, source in snapshot_inputs())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SNAPSHOT_SHA256
+
+
+def test_grammar_sample_snapshot():
+    text = dump("Grammar8.java", (DATA / "Grammar8.java").read_text(encoding="utf-8"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GRAMMAR8_SHA256
 
 
 @pytest.mark.parametrize(

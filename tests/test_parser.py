@@ -1,5 +1,7 @@
 import pytest
 
+import cam.javasrc.lexer
+import cam.javasrc.parser
 from cam.javasrc.lexer import tokenize
 from cam.javasrc.parser import JavaSyntaxError, parse
 
@@ -360,3 +362,23 @@ def test_unit_tokens_are_raw_stream():
     unit = parse("class C {} // tail\n")
     assert unit.tokens.comments == [(11, "// tail")]
     assert unit.tokens.kinds[-1] == "eof"
+
+
+def test_a_valid_parse_works_out_no_error_position(monkeypatch):
+    """A statement that opens with `this` is first tried as a declaration,
+    and the error of that trial is dropped. Counting lines up to each such
+    error made a parse quadratic in the number of these statements."""
+    calls = []
+    real = cam.javasrc.lexer.position
+
+    def counting(source, offset):
+        calls.append(offset)
+        return real(source, offset)
+
+    for module in (cam.javasrc.lexer, cam.javasrc.parser):
+        if hasattr(module, "position"):
+            monkeypatch.setattr(module, "position", counting)
+    body = "    this.x = i;\n    ((x)).hashCode();\n" * 2000
+    unit = parse("class A {\n  int x;\n  void f(int i) {\n" + body + "  }\n}\n")
+    assert unit.ncss == 3 + 4000  # class, field, method, statements
+    assert calls == []
