@@ -33,6 +33,9 @@ _TEST_IMPORT_RE = re.compile(
     r"^[^\S\n]*import\s+(static\s+)?(org\.junit|junit\.framework|org\.testng)",
     re.MULTILINE,
 )
+# Anchored at line starts, so each line is scanned at most once and no list
+# of lines is built; unanchored, a long line is rescanned from each position.
+_has_long_line = re.compile(rf"^[^\n]{{{MAX_LINE_LENGTH + 1}}}", re.MULTILINE).search
 
 
 def _decode(data: bytes) -> str | None:
@@ -42,8 +45,6 @@ def _decode(data: bytes) -> str | None:
         return None
 
 
-def _has_long_line(content: str) -> bool:
-    return any(len(line) > MAX_LINE_LENGTH for line in content.split("\n"))
 
 
 def _looks_like_test(relpath: str, content: str) -> bool:

@@ -24,7 +24,9 @@ One routine parses each shape, wherever it occurs:
   `String[]::new`), and `_parse_creator` a class instance or array creation;
 - `_matching_paren` the extent of a parenthesised list, which tells a
   lambda's parameters from a parenthesised expression and skips an
-  annotation's arguments.
+  annotation's arguments;
+- `parse_modifiers` every modifier list, where no word comes twice and a
+  variable takes no modifier but `final`.
 
 The cursor is an index into the lexer's kind and lexeme columns, padded
 with end-of-file entries so a lookahead needs no bounds test. A token test
@@ -85,6 +87,9 @@ MODIFIER_WORDS = frozenset(
     "public protected private abstract static final strictfp native "
     "synchronized transient volatile default".split()
 )
+
+# A parameter, local, resource, catch or lambda variable takes only 'final'.
+_VARIABLE_MODIFIERS = frozenset(["final"])
 
 PRIMITIVES = frozenset("boolean byte short int long char float double".split())
 
@@ -320,7 +325,9 @@ class _Parser:
         while lex[self.i] == "@" and lex[self.i + 1] != "interface":
             self._skip_annotation()
 
-    def parse_modifiers(self) -> tuple[set[str], int]:
+    def parse_modifiers(self, allowed: frozenset[str] = MODIFIER_WORDS) -> tuple[set[str], int]:
+        """Annotations and modifier words; a word given twice, or one not in
+        *allowed*, is an error."""
         lex = self.lex
         mods: set[str] = set()
         anns = 0
@@ -330,6 +337,10 @@ class _Parser:
                 self._skip_annotation()
                 anns += 1
             elif lexeme in MODIFIER_WORDS:
+                if lexeme in mods:
+                    self.error(f"repeated modifier {lexeme!r}")
+                if lexeme not in allowed:
+                    self.error(f"modifier {lexeme!r} not allowed here")
                 mods.add(lexeme)
                 self.i += 1
             else:
@@ -598,7 +609,7 @@ class _Parser:
         if self.accept(")"):
             return params
         while True:
-            self.parse_modifiers()  # 'final' and annotations
+            self.parse_modifiers(_VARIABLE_MODIFIERS)
             names: set[str] = set()
             ptype = self.parse_type(names)
             varargs = self.accept("...")
@@ -713,7 +724,7 @@ class _Parser:
     def _local_decl_or_expr(self, d: int, force_decl: bool) -> None:
         saved = self.i
         if force_decl:
-            self.parse_modifiers()
+            self.parse_modifiers(_VARIABLE_MODIFIERS)
         if self._type_then_name():
             self._declarators(d)
         else:
@@ -802,7 +813,7 @@ class _Parser:
         """Consume 'Type name :' of an enhanced for, or nothing."""
         saved = self.i
         lex = self.lex
-        self.parse_modifiers()
+        self.parse_modifiers(_VARIABLE_MODIFIERS)
         if self._type_then_name():
             i = self.i
             if lex[i + 1] == ":" and lex[i + 2] != ":":
@@ -814,7 +825,7 @@ class _Parser:
 
     def _for_init(self, d: int) -> None:
         saved = self.i
-        self.parse_modifiers()
+        self.parse_modifiers(_VARIABLE_MODIFIERS)
         if self._type_then_name():
             self._declarators(d)
             return
@@ -881,7 +892,7 @@ class _Parser:
         if self.at("("):
             self.i += 1
             while True:
-                self.parse_modifiers()
+                self.parse_modifiers(_VARIABLE_MODIFIERS)
                 self.parse_type()
                 self._declare_local(self.expect_ident())
                 self.expect("=")
@@ -898,7 +909,7 @@ class _Parser:
             self._sink.cognitive += 1 + d
             self.expect("(")
             scopes.append(set())
-            self.parse_modifiers()
+            self.parse_modifiers(_VARIABLE_MODIFIERS)
             names: set[str] = set()
             self.parse_type(names)
             while self.accept("|"):
@@ -988,7 +999,7 @@ class _Parser:
                         break
             else:
                 while True:
-                    self.parse_modifiers()
+                    self.parse_modifiers(_VARIABLE_MODIFIERS)
                     self.parse_type()
                     names.append(self.expect_ident())
                     self._dims()
@@ -1228,12 +1239,16 @@ class _Parser:
             refs.add(created)
         self._record_refs(refs)
         if self.at("[") or erased.endswith("[]"):
+            sized = False
             while self.at("["):
                 self.i += 1
                 if not self.at("]"):
                     self.parse_expression()
+                    sized = True
                 self.expect("]")
             if self.at("{"):
+                if sized:
+                    self.error("array creation with both dimension expression and initialization")
                 self._parse_variable_init()
             return
         self._parse_args()

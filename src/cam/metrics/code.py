@@ -1,8 +1,10 @@
 """Size and complexity metrics counted over tokens and statements.
 
-File-level figures (line counts) are computed once per source file and
-repeated on every class row of that file. Class-level figures work on the
-class's own range of its unit's token columns and on its parsed members.
+File-level figures (line counts) are computed once per source file, from
+one split of its text and one walk of its comments, and repeated on every
+class row of that file. Class-level figures work on the class's parsed
+members and on its own slice of its unit's token columns, which `halstead`
+walks once.
 A function that yields several columns returns them as a dict keyed by
 their names in `cam.metrics.schema`, ready to merge into a row.
 """
@@ -10,7 +12,6 @@ their names in `cam.metrics.schema`, ready to merge into a row.
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 from cam.javasrc.lexer import LITERAL_KINDS, Tokens
 from cam.javasrc.model import ClassModel, MethodModel
@@ -49,7 +50,7 @@ def halstead(tokens: Tokens, span: tuple[int, int]) -> dict[str, int | float]:
     operands: set[str] = set()
     total_ops = 0
     total_rands = 0
-    for kind, lexeme in zip(islice(tokens.kinds, *span), islice(tokens.lexemes, *span)):
+    for kind, lexeme in zip(tokens.kinds[slice(*span)], tokens.lexemes[slice(*span)]):
         if kind == "identifier" or kind in LITERAL_KINDS:
             operands.add(lexeme)
             total_rands += 1

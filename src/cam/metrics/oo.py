@@ -2,7 +2,9 @@
 
 Cohesion works on two small matrices derived from a single class: which
 instance methods touch which instance fields, and which methods use which
-parameter types. Coupling links top-level classes of one repository into a
+parameter types. Each is read in one pass over its rows: `tcc` and `lcom1`
+count the method pairs that share a field with one integer bitmask of
+methods per field, and `nhd` counts the methods of each type name. Coupling links top-level classes of one repository into a
 graph keyed by (file path, class name) and resolved by simple name; the
 graph reads only a small stub of each class, so a file's parse need not
 outlive its own measurement.
@@ -11,6 +13,7 @@ outlive its own measurement.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,32 +61,32 @@ def lcom5(matrix: AccessMatrix) -> float:
     return (m - coverage / a) / (m - 1)
 
 
+def _pairs_sharing_a_field(rows: list[set[str]]) -> int:
+    """The pairs of *rows* that share a field: a row's earlier partners are
+    the OR of the masks of rows so far that touch each of its fields."""
+    masks: dict[str, int] = {}
+    together = 0
+    for position, row in enumerate(rows):
+        partners = 0
+        for name in row:
+            mask = masks.get(name, 0)
+            partners |= mask
+            masks[name] = mask | 1 << position
+        together += partners.bit_count()
+    return together
+
+
 def tcc(matrix: AccessMatrix) -> float:
-    idx = matrix.visible_rows
-    n = len(idx)
+    n = len(matrix.visible_rows)
     if n <= 1:
         return NAN
-    connected = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            if matrix.rows[idx[p]] & matrix.rows[idx[q]]:
-                connected += 1
-    return connected / (n * (n - 1) // 2)
+    return _pairs_sharing_a_field([matrix.rows[i] for i in matrix.visible_rows]) / (n * (n - 1) // 2)
 
 
 def lcom1(matrix: AccessMatrix) -> int:
+    """Pairs of rows that share no field less pairs that share one, or 0."""
     m = len(matrix.rows)
-    if m < 2:
-        return 0
-    apart = 0
-    together = 0
-    for p in range(m):
-        for q in range(p + 1, m):
-            if matrix.rows[p] & matrix.rows[q]:
-                together += 1
-            else:
-                apart += 1
-    return max(apart - together, 0)
+    return max(m * (m - 1) // 2 - 2 * _pairs_sharing_a_field(matrix.rows), 0)
 
 
 @dataclass
@@ -99,18 +102,9 @@ class ParamTypeMatrix:
 
 
 def param_type_matrix(model: ClassModel) -> ParamTypeMatrix:
-    matrix = ParamTypeMatrix()
-    seen: set[str] = set()
-    for method in model.methods:
-        if method.is_constructor:
-            continue
-        used = set(method.parameter_type_names)
-        matrix.rows.append(used)
-        for name in method.parameter_type_names:
-            if name not in seen:
-                seen.add(name)
-                matrix.type_names.append(name)
-    return matrix
+    methods = [m for m in model.methods if not m.is_constructor]
+    names = dict.fromkeys(name for m in methods for name in m.parameter_type_names)
+    return ParamTypeMatrix(list(names), [set(m.parameter_type_names) for m in methods])
 
 
 def nhd(matrix: ParamTypeMatrix) -> float:
@@ -118,10 +112,7 @@ def nhd(matrix: ParamTypeMatrix) -> float:
     l = len(matrix.type_names)
     if k <= 1 or l == 0:
         return NAN
-    acc = 0
-    for name in matrix.type_names:
-        cj = sum(1 for row in matrix.rows if name in row)
-        acc += cj * (k - cj)
+    acc = sum(c * (k - c) for c in Counter(name for row in matrix.rows for name in row).values())
     return 1.0 - (2.0 / (l * k * (k - 1))) * acc
 
 

@@ -1,8 +1,10 @@
-"""Declaration-shape counts taken from the class model and its token range."""
+"""Declaration-shape counts taken from the class model and its token range.
+
+The token counts are `list.count` over the lexemes of the range: a lexeme
+has one kind, so each `->` is an operator and each `try`, `catch` and
+`return` a keyword."""
 
 from __future__ import annotations
-
-from itertools import islice
 
 from cam.javasrc.lexer import Tokens
 from cam.javasrc.model import ClassModel
@@ -14,20 +16,7 @@ def structural_counts(model: ClassModel, tokens: Tokens) -> dict[str, int]:
     for method in model.methods:
         if not method.is_constructor:
             visibility[method.visibility] += 1
-    lambdas = 0
-    tries = 0
-    catches = 0
-    returns = 0
-    for kind, lexeme in zip(islice(tokens.kinds, *model.tokens), islice(tokens.lexemes, *model.tokens)):
-        if kind == "operator" and lexeme == "->":
-            lambdas += 1
-        elif kind == "keyword":
-            if lexeme == "try":
-                tries += 1
-            elif lexeme == "catch":
-                catches += 1
-            elif lexeme == "return":
-                returns += 1
+    lexemes = tokens.lexemes[slice(*model.tokens)]
     return {
         "interfaces_implemented": len(model.implements_names),
         "extends_flag": 1 if model.extends_name is not None else 0,
@@ -38,8 +27,8 @@ def structural_counts(model: ClassModel, tokens: Tokens) -> dict[str, int]:
         "protected_methods": visibility["protected"],
         "default_visibility_methods": visibility["package"],
         "annotations_on_class": model.annotation_count,
-        "lambda_count": lambdas,
-        "try_blocks": tries,
-        "catch_blocks": catches,
-        "returns_count": returns,
+        "lambda_count": lexemes.count("->"),
+        "try_blocks": lexemes.count("try"),
+        "catch_blocks": lexemes.count("catch"),
+        "returns_count": lexemes.count("return"),
     }

@@ -1,11 +1,12 @@
 import os
 import time
+import tracemalloc
 
 import pytest
 
 import cam.measure
 from cam.dataset import REASONS, empty_stats, merge_stats
-from cam.filters import MAX_LINE_LENGTH, evaluate_file, filter_tree
+from cam.filters import MAX_LINE_LENGTH, _has_long_line, evaluate_file, filter_tree
 from cam.javasrc.parser import parse
 from cam.measure import measure_repo
 from conftest import commit_all, git, init_repo
@@ -207,6 +208,20 @@ def test_a_long_run_of_blank_lines_is_kept_in_linear_time():
     reason, _measured = evaluate_file("src/A.java", b"\n" * 80_000 + b"class A {}\n")
     assert reason is None
     assert time.perf_counter() - start < 5
+
+
+def test_the_long_line_rule_allocates_no_list_of_lines():
+    """Splitting a 4 MiB text into lines to find one over the limit
+    allocated about 10 MiB; the search anchored at line starts allocates
+    nothing."""
+    text = "    int x = 1;\n" * 280_000
+    tracemalloc.start()
+    try:
+        assert not _has_long_line(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def make_tree(root):

@@ -1,6 +1,6 @@
 """The filter's verdict against javac's, on number literals (JLS
-3.10.1-3.10.2), on explicit type arguments and on the grammar sample
-`tests/data/Grammar8.java`.
+3.10.1-3.10.2), on explicit type arguments, on variable modifiers and
+array creations, and on the grammar sample `tests/data/Grammar8.java`.
 
 Each case goes into a class file of its own, one `javac` run compiles
 them all, and a file is one javac rejects when an error line names it.
@@ -58,13 +58,37 @@ DECLARATIONS = [
     ("field-type-intersection", "List<String & Runnable> f = null", False),
 ]
 
-CASES = [(f"Object x = {literal}", compiles) for literal, compiles in LITERALS]
-CASES += [(declaration, compiles) for _id, declaration, compiles in DECLARATIONS]
-IDS = [literal for literal, _compiles in LITERALS] + [case_id for case_id, _d, _c in DECLARATIONS]
+# Members whose variables or modifiers javac checks, and their ids. A
+# variable takes no modifier but 'final', no modifier may be repeated, and
+# an array creation takes dimension expressions or an initializer, not both.
+MEMBERS = [
+    ("sized-array-initializer", "Object x = new int[3] {1};", False),
+    ("unsized-array-initializer", "Object x = new int[] {1};", True),
+    ("public-for-variable", "void f() { for (public int i = 0; ;) {} }", False),
+    ("final-for-variable", "void f() { for (final int i = 0; ;) {} }", True),
+    ("static-foreach-variable", "void f(List<Integer> xs) { for (static int x : xs) {} }", False),
+    ("final-foreach-variable", "void f(List<Integer> xs) { for (final int x : xs) {} }", True),
+    ("public-parameter", "void f(public int x) {}", False),
+    ("final-parameter", "void f(final int x) {}", True),
+    ("static-catch-parameter", "void f() { try {} catch (static RuntimeException e) {} }", False),
+    ("final-catch-parameter", "void f() { try {} catch (final RuntimeException e) {} }", True),
+    ("private-lambda-parameter", "IntUnaryOperator f = (private int x) -> x;", False),
+    ("final-lambda-parameter", "IntUnaryOperator f = (final int x) -> x;", True),
+    ("static-local", "void f() { static int x = 1; }", False),
+    ("static-resource", "void f() { try (static java.io.StringReader r = null) {} }", False),
+    ("repeated-method-modifier", "public public void f() {}", False),
+    ("repeated-field-modifier", "final final int x = 1;", False),
+    ("repeated-local-modifier", "void f() { final final int x = 1; }", False),
+]
+
+CASES = [(f"Object x = {literal};", compiles) for literal, compiles in LITERALS]
+CASES += [(f"{declaration};", compiles) for _id, declaration, compiles in DECLARATIONS]
+CASES += [(member, compiles) for _id, member, compiles in MEMBERS]
+IDS = [literal for literal, _compiles in LITERALS] + [case_id for case_id, _d, _c in DECLARATIONS + MEMBERS]
 
 
-def _source(k: int, declaration: str) -> str:
-    return f"import java.util.*; import java.util.function.*; class L{k} {{ {declaration}; }}\n"
+def _source(k: int, body: str) -> str:
+    return f"import java.util.*; import java.util.function.*; class L{k} {{ {body} }}\n"
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +99,9 @@ def javac_rejects(tmp_path_factory) -> set[str]:
         pytest.skip("javac is not on PATH")
     src = tmp_path_factory.mktemp("javac-src")
     files = []
-    for k, (declaration, _compiles) in enumerate(CASES):
+    for k, (body, _compiles) in enumerate(CASES):
         path = src / f"L{k}.java"
-        path.write_text(_source(k, declaration), encoding="utf-8")
+        path.write_text(_source(k, body), encoding="utf-8")
         files.append(str(path))
     out = tmp_path_factory.mktemp("javac-out")
     proc = subprocess.run(
@@ -91,10 +115,10 @@ def javac_rejects(tmp_path_factory) -> set[str]:
     return rejects
 
 
-@pytest.mark.parametrize("k, declaration, compiles", [(k, *case) for k, case in enumerate(CASES)], ids=IDS)
-def test_evaluate_file_agrees_with_javac(javac_rejects, k, declaration, compiles):
+@pytest.mark.parametrize("k, body, compiles", [(k, *case) for k, case in enumerate(CASES)], ids=IDS)
+def test_evaluate_file_agrees_with_javac(javac_rejects, k, body, compiles):
     javac_keeps = f"L{k}" not in javac_rejects
-    reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, declaration).encode("utf-8"))
+    reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, body).encode("utf-8"))
     assert reason in (None, "unparseable")
     assert (reason is None) == javac_keeps == compiles
 

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from cam.javasrc.parser import parse
 from cam.metrics.oo import (
     AccessMatrix,
@@ -119,6 +121,23 @@ def test_cohesion_against_brute_force():
         assert same(tcc(am), brute_tcc(am))
         assert lcom1(am) == brute_lcom1(am)
         pm = random_param_matrix(rng)
+        assert same(nhd(pm), brute_nhd(pm))
+
+
+@pytest.mark.parametrize("m", [60, 63, 64, 65, 127, 128, 129, 200])
+def test_cohesion_of_wide_classes_against_brute_force(m):
+    """Rows past one machine word, so the row bitmasks of tcc and lcom1
+    span several."""
+    rng = random.Random(m)
+    for _ in range(3):
+        fields = [f"f{i}" for i in range(rng.randrange(1, 41))]
+        rows = [set(rng.sample(fields, rng.randrange(0, min(len(fields), 3) + 1))) for _ in range(m)]
+        visible = [i for i in range(m) if rng.random() < 0.6]
+        am = AccessMatrix(field_names=fields, rows=rows, visible_rows=visible)
+        assert same(tcc(am), brute_tcc(am))
+        assert lcom1(am) == brute_lcom1(am)
+        rows = [set(rng.sample(fields, rng.randrange(0, min(len(fields), 4) + 1))) for _ in range(m)]
+        pm = ParamTypeMatrix(type_names=[name for name in fields if any(name in row for row in rows)], rows=rows)
         assert same(nhd(pm), brute_nhd(pm))
 
 

@@ -39,10 +39,13 @@ def test_evaluate_file_always_returns_a_verdict(text):
 @given(st.one_of(soup, st.text()))
 def test_tokenize_is_lossless_or_raises_lex_error(text):
     try:
-        tokenize(text)
+        tokens = tokenize(text)
     except LexError:
         return
     assert_lossless(text)
+    # One kind per lexeme, so structural_counts may count '->' operators and
+    # 'try', 'catch' and 'return' keywords by their lexemes alone.
+    assert len(set(zip(tokens.lexemes, tokens.kinds))) == len(set(tokens.lexemes))
 
 
 class _ScoredBody:
