@@ -16,10 +16,11 @@ One routine parses each shape, wherever it occurs:
   member or local, and `parse_class_body` its body, an enum's constants
   first;
 - `parse_type` a type; `_type_args` every type-argument list, of a type,
-  of a generic call (`a.<T>f()`) and of a method reference (`A::<T>f`),
+  a call (`a.<T>f()`, `new <T>A()`) or a method reference (`A::<T>f`),
   where only a class instance creation takes the diamond `<>` and no type
-  argument takes `&`; `_type_name_list` an `extends`, `implements` or
-  `throws` list; `_dims` the `[]` pairs after a type or a declared name;
+  argument takes `&`; `_type_params` every type-parameter list;
+  `_type_name_list` an `extends`, `implements`, `throws` or `&` list;
+  `_dims` the `[]` pairs after a type or a declared name;
 - `_type_mention` a type named in an expression (`int.class`,
   `String[]::new`), and `_parse_creator` a class instance or array creation;
 - `_matching_paren` the extent of a parenthesised list, which tells a
@@ -28,12 +29,14 @@ One routine parses each shape, wherever it occurs:
 - `parse_modifiers` every modifier list, where no word comes twice and a
   variable takes no modifier but `final`.
 
-The cursor is an index into the lexer's kind and lexeme columns, padded
-with end-of-file entries so a lookahead needs no bounds test. A token test
-is one list lookup and one string compare; the empty end-of-file lexeme
-matches no expected token. When a '>' is split off a glued '>>'
-(generics), `expect_gt` rewrites that lexeme, keeping the original, which
-a finished parse puts back as it drops the padding.
+The cursor is an index into the parser's own copies of the lexer's kind
+and lexeme columns, padded with end-of-file entries so a lookahead needs no
+bounds test; the lexer's columns are never written. A token test is one
+list lookup and one string compare; the empty end-of-file lexeme matches no
+expected token. When a '>' is split off a glued '>>' (generics),
+`expect_gt` rewrites the copy and logs the old lexeme on a trail, and
+every backtrack goes through `_rewind`, which undoes the splits made past
+the point it returns to.
 
 The cognitive score (after Campbell, 2018) is added up while parsing. An
 `if` head, a loop, a `switch` and a `catch` score 1 plus their depth, each
@@ -66,9 +69,9 @@ branches of a conditional chain (`a ? b : c ? d : e`) are taken by the
 expression loop, so they cost no recursion either. At Python's default
 recursion limit of 1000 a method body holds about 315 levels of
 parentheses (327 when the parse starts at the top of a script's stack;
-tests/test_filters.py measures it). Nesting
-deeper than the interpreter's recursion limit raises RecursionError, which
-the filter rules map to the unparseable verdict.
+tests/test_filters.py measures it). Nesting deeper than the interpreter's
+recursion limit raises RecursionError, which the filter rules map to the
+unparseable verdict.
 """
 
 from __future__ import annotations
@@ -165,12 +168,10 @@ class _Parser:
     def __init__(self, tokens: Tokens, source: str):
         self.tokens = tokens
         self.source = source
-        self.lex = tokens.lexemes
-        self.kinds = tokens.kinds
-        self.lex += [""] * _PAD
-        self.kinds += ["eof"] * _PAD
-        # The lexeme a split '>' came from, by index.
-        self.glued: dict[int, str] = {}
+        self.lex = tokens.lexemes + [""] * _PAD
+        self.kinds = tokens.kinds + ["eof"] * _PAD
+        # (index, lexeme before) of each split of a glued '>' run, in order.
+        self.trail: list[tuple[int, str]] = []
         self.i = 0
         self.ncss = 0
         self._classes: list[_ClassCtx] = []
@@ -211,9 +212,7 @@ class _Parser:
 
     def error(self, message: str) -> NoReturn:
         i = self.i
-        offset = self.tokens.starts[i]
-        if i in self.glued:
-            offset += len(self.glued[i]) - len(self.lex[i])
+        offset = self.tokens.starts[i] + len(self.tokens.lexemes[i]) - len(self.lex[i])
         raise JavaSyntaxError(self.source, offset, message)
 
     def expect_gt(self) -> None:
@@ -226,8 +225,15 @@ class _Parser:
         rem = _GT_REMAINDERS.get(lexeme)
         if rem is None:
             self.error(f"expected '>', found {lexeme!r}")
-        self.glued.setdefault(i, lexeme)
+        self.trail.append((i, lexeme))
         self.lex[i] = rem
+
+    def _rewind(self, saved: int) -> None:
+        """Move the cursor back to *saved*, undoing the splits made at or past it."""
+        while self.trail and self.trail[-1][0] >= saved:
+            i, lexeme = self.trail.pop()
+            self.lex[i] = lexeme
+        self.i = saved
 
     def _dims(self) -> int:
         """Consume '[]' pairs; return how many."""
@@ -279,18 +285,18 @@ class _Parser:
             self.expect(";")
             self.ncss += 1
         else:
-            self.i = saved
-        while self.at("import"):
-            self.i += 1
-            self.accept("static")
-            self._skip_qualified_name()
-            if self.accept("."):
-                self.expect("*")
-            self.expect(";")
-            self.ncss += 1
-            imports += 1
+            self._rewind(saved)
         while self.kinds[self.i] != "eof":
             if self.accept(";"):
+                continue  # a stray ';', among the imports too, as javac takes it
+            if not types and self.accept("import"):
+                self.accept("static")
+                self._skip_qualified_name()
+                if self.accept("."):
+                    self.expect("*")
+                self.expect(";")
+                self.ncss += 1
+                imports += 1
                 continue
             start = self.i
             mods, anns = self.parse_modifiers()
@@ -298,9 +304,6 @@ class _Parser:
             if model is None:
                 self.error(f"expected a type declaration, found {self.lex[self.i]!r}")
             types.append(model)
-        del self.lex[-_PAD:], self.kinds[-_PAD:]
-        for i, lexeme in self.glued.items():
-            self.lex[i] = lexeme
         return CompilationUnit(imports, types, self.ncss, self.tokens)
 
     def _skip_qualified_name(self) -> None:
@@ -414,7 +417,7 @@ class _Parser:
         try:
             return self.parse_type()
         except JavaSyntaxError:
-            self.i = saved
+            self._rewind(saved)
             return None
 
     def _type_then_name(self) -> bool:
@@ -422,21 +425,18 @@ class _Parser:
         type is consumed, on False the cursor is past a type or where it was."""
         return self._try_type() is not None and self.kinds[self.i] == "identifier"
 
-    def _skip_type_params(self) -> None:
-        lex, kinds = self.lex, self.kinds
-        self.expect("<")
-        depth = 1
-        while depth > 0:
-            lexeme = lex[self.i]
-            if kinds[self.i] == "eof" or lexeme in ("{", "}", ";"):
-                self.error("unterminated type parameter list")
-            if lexeme == "<":
-                depth += 1
-            elif lexeme in _GT_RUNS:
-                depth -= len(lexeme)
-                if depth < 0:
-                    self.error("unbalanced type parameter list")
-            self.i += 1
+    def _type_params(self) -> None:
+        """Type parameters, entered at their '<': each an annotated name,
+        bounded by an optional 'extends' list of types joined by '&'."""
+        self.i += 1
+        while True:
+            self._skip_annotations()
+            self.expect_ident()
+            if self.accept("extends"):
+                self._type_name_list("&")
+            if not self.accept(","):
+                self.expect_gt()
+                return
 
     # ---- type declarations ----------------------------------------------
 
@@ -458,7 +458,7 @@ class _Parser:
         model = ClassModel(name=self.expect_ident(), kind=kind, modifiers=mods, annotation_count=anns)
         self.ncss += 1
         if kind != "enum" and self.at("<"):
-            self._skip_type_params()
+            self._type_params()
         if kind == "class" and self.accept("extends"):
             model.extends_name = self.parse_type().rstrip("[]")
         if kind != "annotation" and self.accept("extends" if kind == "interface" else "implements"):
@@ -466,11 +466,11 @@ class _Parser:
         self.parse_class_body(model, enum=kind == "enum")
         return model
 
-    def _type_name_list(self) -> list[str]:
+    def _type_name_list(self, separator: str = ",") -> list[str]:
         names = []
         while True:
             names.append(self.parse_type().rstrip("[]"))
-            if not self.accept(","):
+            if not self.accept(separator):
                 return names
 
     def parse_class_body(self, model: ClassModel, enum: bool = False) -> None:
@@ -523,7 +523,7 @@ class _Parser:
             ctx.model.nested.append(nested)
             return
         if lex[self.i] == "<":
-            self._skip_type_params()
+            self._type_params()
         i = self.i
         if kinds[i] == "identifier" and lex[i] == ctx.model.name and lex[i + 1] == "(":
             self._method_decl(ctx, mods, constructor=True)
@@ -716,7 +716,7 @@ class _Parser:
                 self._classes[-1].model.nested.append(local)
             else:
                 # 'final' (or annotations) opening a local variable declaration
-                self.i = i
+                self._rewind(i)
                 self._local_decl_or_expr(d, force_decl=True)
         else:
             self._local_decl_or_expr(d, force_decl=False)
@@ -730,7 +730,7 @@ class _Parser:
         else:
             if force_decl:
                 self.error("expected a declaration")
-            self.i = saved
+            self._rewind(saved)
             self._parse_expr_group(d)
         self.expect(";")
         self.ncss += 1
@@ -820,7 +820,7 @@ class _Parser:
                 self.i = i + 2
                 self._declare_local(lex[i])
                 return True
-        self.i = saved
+        self._rewind(saved)
         return False
 
     def _for_init(self, d: int) -> None:
@@ -829,7 +829,7 @@ class _Parser:
         if self._type_then_name():
             self._declarators(d)
             return
-        self.i = saved
+        self._rewind(saved)
         while True:
             self._parse_expr_group(d)
             if not self.accept(","):
@@ -1064,7 +1064,7 @@ class _Parser:
             while lex[self.i] == "&":
                 self.i += 1
                 if self._try_type() is None:
-                    self.i = saved
+                    self._rewind(saved)
                     return False
             if lex[self.i] == ")":
                 j = self.i + 1
@@ -1072,7 +1072,7 @@ class _Parser:
                 if kinds[j] in _CAST_FOLLOW_KINDS or nxt in _CAST_FOLLOW_LEXEMES or (ctype in PRIMITIVES and nxt in _PREFIX_OPS):
                     self.i = j
                     return True
-        self.i = saved
+        self._rewind(saved)
         return False
 
     def _parse_operand(self) -> None:
@@ -1230,7 +1230,7 @@ class _Parser:
 
     def _parse_creator(self) -> None:
         if self.at("<"):
-            self._skip_type_params()
+            self._type_args(None)
         refs: set[str] = set()
         erased = self.parse_type(refs, diamond=True)
         # an array's element type counts as a created reference too

@@ -1,6 +1,7 @@
 """The filter's verdict against javac's, on number literals (JLS
 3.10.1-3.10.2), on explicit type arguments, on variable modifiers and
-array creations, and on the grammar sample `tests/data/Grammar8.java`.
+array creations, on type-parameter lists, on stray ';'s among the imports,
+and on the grammar sample `tests/data/Grammar8.java`.
 
 Each case goes into a class file of its own, one `javac` run compiles
 them all, and a file is one javac rejects when an error line names it.
@@ -79,16 +80,38 @@ MEMBERS = [
     ("repeated-method-modifier", "public public void f() {}", False),
     ("repeated-field-modifier", "final final int x = 1;", False),
     ("repeated-local-modifier", "void f() { final final int x = 1; }", False),
+    # A type parameter is an annotated name with an optional 'extends'
+    # list of types joined by '&'.
+    ("type-param-without-name", "class A< extends Number & Comparable<A>> {}", False),
+    ("type-param-with-two-names", "class A<U U extends Number> {}", False),
+    ("type-param-diamond-bound", "class A<T extends Comparable<>> {}", False),
+    ("type-param-list-empty", "class A<> {}", False),
+    ("type-param-list-unclosed", "<T extends Number void f() {}", False),
+    ("type-param-wildcard-bound", "class A<T extends Comparable<? super T>> {}", True),
+    ("type-param-bound-on-a-later-param", "<K, V extends List<K>> void f() {}", True),
+    ("type-param-intersection-bound", "<T extends Number & Runnable> void f() {}", True),
+    ("constructor-type-args", "Object x = new <List<String>>ArrayList<String>(1);", True),
 ]
 
-CASES = [(f"Object x = {literal};", compiles) for literal, compiles in LITERALS]
-CASES += [(f"{declaration};", compiles) for _id, declaration, compiles in DECLARATIONS]
-CASES += [(member, compiles) for _id, member, compiles in MEMBERS]
-IDS = [literal for literal, _compiles in LITERALS] + [case_id for case_id, _d, _c in DECLARATIONS + MEMBERS]
+# Import lists and whether javac compiles a class after them. javac 17
+# takes a stray ';' before or between imports, for which the JLS 8 grammar
+# has no place; cam follows javac.
+IMPORTS = "import java.util.*; import java.util.function.*; "
+HEADERS = [
+    ("stray-semicolon-between-imports", "import java.util.List;;\nimport java.util.Map;\n", True),
+    ("stray-semicolon-before-imports", "package p;;\n;import java.util.List; import java.util.Map;\n", True),
+]
+HEADER_BODY = "List<String> a; Map<String, String> b;"
+
+CASES = [(IMPORTS, f"Object x = {literal};", compiles) for literal, compiles in LITERALS]
+CASES += [(IMPORTS, f"{declaration};", compiles) for _id, declaration, compiles in DECLARATIONS]
+CASES += [(IMPORTS, member, compiles) for _id, member, compiles in MEMBERS]
+CASES += [(header, HEADER_BODY, compiles) for _id, header, compiles in HEADERS]
+IDS = [literal for literal, _compiles in LITERALS] + [case_id for case_id, _d, _c in DECLARATIONS + MEMBERS + HEADERS]
 
 
-def _source(k: int, body: str) -> str:
-    return f"import java.util.*; import java.util.function.*; class L{k} {{ {body} }}\n"
+def _source(k: int, header: str, body: str) -> str:
+    return f"{header}class L{k} {{ {body} }}\n"
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +122,9 @@ def javac_rejects(tmp_path_factory) -> set[str]:
         pytest.skip("javac is not on PATH")
     src = tmp_path_factory.mktemp("javac-src")
     files = []
-    for k, (body, _compiles) in enumerate(CASES):
+    for k, (header, body, _compiles) in enumerate(CASES):
         path = src / f"L{k}.java"
-        path.write_text(_source(k, body), encoding="utf-8")
+        path.write_text(_source(k, header, body), encoding="utf-8")
         files.append(str(path))
     out = tmp_path_factory.mktemp("javac-out")
     proc = subprocess.run(
@@ -115,10 +138,10 @@ def javac_rejects(tmp_path_factory) -> set[str]:
     return rejects
 
 
-@pytest.mark.parametrize("k, body, compiles", [(k, *case) for k, case in enumerate(CASES)], ids=IDS)
-def test_evaluate_file_agrees_with_javac(javac_rejects, k, body, compiles):
+@pytest.mark.parametrize("k, header, body, compiles", [(k, *case) for k, case in enumerate(CASES)], ids=IDS)
+def test_evaluate_file_agrees_with_javac(javac_rejects, k, header, body, compiles):
     javac_keeps = f"L{k}" not in javac_rejects
-    reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, body).encode("utf-8"))
+    reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, header, body).encode("utf-8"))
     assert reason in (None, "unparseable")
     assert (reason is None) == javac_keeps == compiles
 

@@ -137,7 +137,14 @@ def test_grammar_sample_snapshot():
         ("class A { void f() { switch (x) { g(); } } }", 1, 35, "statement outside any switch label"),
         ("class A { void f() { final 1; } }", 1, 28, "expected a declaration"),
         ("class A { @Bad(1 void f() {} }", 1, 31, "unterminated annotation arguments"),
-        ("class A { <T extends X void f() {} }", 1, 33, "unterminated type parameter list"),
+        ("class A { <T extends X void f() {} }", 1, 24, "expected '>', found 'void'"),
+        # A type parameter is an annotated name, bounded by types joined by '&'.
+        ("class A< extends Number & Comparable<A>> {}", 1, 10, "expected identifier, found 'extends'"),
+        ("class A<U U extends Number> {}", 1, 11, "expected '>', found 'U'"),
+        ("class A<T extends Comparable<>> {}", 1, 30, "expected a type, found '>>'"),
+        ("class A<T extends B & > {}", 1, 23, "expected a type, found '>'"),
+        ("class A<> {}", 1, 9, "expected identifier, found '>'"),
+        ("class A { Object x = new <>A(); }", 1, 27, "expected a type, found '>'"),
         ("class A { void f() { x = new; } }", 1, 29, "expected a type, found ';'"),
         ("class A { void f() { x = class; } }", 1, 26, "unexpected keyword 'class' in expression"),
         ("class A { void f() { return (int) ; } }", 1, 33, "expected '.', found ')'"),

@@ -352,10 +352,39 @@ def test_class_token_slice_excludes_file_preamble():
 
 
 def test_parse_leaves_the_lexer_columns_as_they_were():
-    """The parse pads the columns and splits glued '>'s in place; the unit
-    gets them back as the lexer made them."""
+    """The parser pads and splits glued '>'s in copies of the columns, so
+    the unit holds them as the lexer made them."""
     source = "class A { Map<K, List<V>> m; List<List<List<T>>> l; int f() { return a >>> 2; } }"
     assert parse(source).tokens == tokenize(source)
+
+
+def test_a_rejected_parse_leaves_the_lexer_columns_as_they_were():
+    source = "class A { List<List<String>> x = (List<List<String>>) y; void f() { int x = ; } }"
+    tokens = tokenize(source)
+    with pytest.raises(JavaSyntaxError):
+        cam.javasrc.parser._Parser(tokens, source).run()
+    assert tokens == tokenize(source)
+
+
+@pytest.mark.parametrize("declared", ["Map<String, String>", "Map<String, List<String>>"])
+def test_a_split_glued_gt_is_undone_when_its_trial_parse_backs_out(declared):
+    """`_foreach_header` parses the type, finds no ':' and backs out; the
+    '>>' it split must be whole again when `_for_init` parses the type, or
+    the local `m` is read as the field `m`."""
+    model = only_class(f"class A {{ int m; int f() {{ for ({declared} m = null; ;) {{ return m.size(); }} }} }}")
+    assert model.methods[0].accessed_field_names == set()
+
+
+@pytest.mark.parametrize(
+    "source, imports, ncss",
+    [
+        ("import java.util.List;;\nimport java.util.Map;\nclass E {}\n", 2, 3),
+        ("package p;;\n;import java.util.List;\nclass E {};\n", 1, 3),
+    ],
+)
+def test_a_stray_semicolon_among_the_imports_counts_no_statement(source, imports, ncss):
+    unit = parse(source)
+    assert (unit.import_count, unit.ncss) == (imports, ncss)
 
 
 def test_unit_tokens_are_raw_stream():
