@@ -4,6 +4,8 @@ Everything here is bit-stable: cell formatting is fixed, JSON is emitted
 in one canonical form, rows keep the order `measure_repo` gives them
 (by path, then class name), and archive members carry
 constant timestamps and attributes so equal inputs give equal bytes.
+The column catalog, `cam.metrics.schema`, is imported only where a
+header or the manifest is written, so `cam discover` starts without it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from cam import __version__
-from cam.metrics.schema import HEADER, column_hashes
 
 SCHEMA_VERSION = 1
 _EPOCH_TIME = "1970-01-01T00:00:00Z"
@@ -70,6 +71,8 @@ def csv_cells(values) -> str:
 def rows_to_csv_bytes(rows: list[dict]) -> bytes:
     """Serialize rows (already formatted or raw) in schema column order,
     one line per row in the order given."""
+    from cam.metrics.schema import HEADER
+
     records = [HEADER, *([row[name] for name in HEADER] for row in rows)]
     return "".join(csv_cells(cells) + "\n" for cells in records).encode("utf-8")
 
@@ -77,6 +80,8 @@ def rows_to_csv_bytes(rows: list[dict]) -> bytes:
 def read_csv_rows(path: str | Path) -> list[dict]:
     """Read a dataset CSV back as string-valued rows."""
     import csv
+
+    from cam.metrics.schema import HEADER
 
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -121,6 +126,8 @@ def build_manifest(
     reproducible: bool,
     stamp: str,
 ) -> dict:
+    from cam.metrics.schema import column_hashes
+
     parse_rejects = global_filter_stats["rejected"]["unparseable"]
     return {
         "schema_version": SCHEMA_VERSION,

@@ -1240,9 +1240,12 @@ class _Parser:
         self._record_refs(refs)
         if self.at("[") or erased.endswith("[]"):
             sized = False
+            empty = erased.endswith("[]")
             while self.at("["):
                 self.i += 1
-                if not self.at("]"):
+                if self.at("]"):
+                    empty = True
+                elif not empty:  # no dimension expression after a `[]`
                     self.parse_expression()
                     sized = True
                 self.expect("]")
@@ -1250,6 +1253,8 @@ class _Parser:
                 if sized:
                     self.error("array creation with both dimension expression and initialization")
                 self._parse_variable_init()
+            elif not sized:
+                self.error("array dimension missing")
             return
         self._parse_args()
         if self.at("{"):

@@ -8,7 +8,7 @@ meaning changed, not just its name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # CPython's own SHA-256, as hashlib's fallback; hashlib loads OpenSSL (3.5 MB).
 try:
@@ -22,8 +22,7 @@ except ImportError:
 KEY_COLUMNS = ("repo", "path", "class_name")
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(NamedTuple):
     name: str
     group: str
     definition: str

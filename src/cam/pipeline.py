@@ -31,7 +31,6 @@ import json
 import shutil
 import sys
 import threading
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +47,6 @@ from cam.dataset import (
     write_bytes_atomic,
     write_json_atomic,
 )
-from cam.metrics.schema import schema_markdown
 from cam.repos import (
     CloneFailed,
     DiscoveryCriteria,
@@ -66,6 +64,8 @@ REPO_STAGES = ("clone", "measure")
 # The measure stage's entry points and their modules. Only a measure stage
 # imports them, with the parser and the metrics behind them, so discover,
 # pack and a resumed run with nothing to measure start without that stack.
+# Likewise cam.metrics.schema is imported only where a header, the manifest
+# or schema.md is written.
 _MEASURE_STACK = {
     "filter_tree": "cam.filters",
     "file_history": "cam.gitstats",
@@ -97,21 +97,26 @@ class StageError(Exception):
         self.reason = reason
 
 
-@dataclass
 class PipelineConfig:
-    workdir: Path
-    criteria: DiscoveryCriteria = field(default_factory=DiscoveryCriteria)
-    stages: tuple[str, ...] = STAGES
-    jobs: int = 4
-    force: bool = False
-    reproducible: bool = False
-    replay: Path | None = None
-    quiet: bool = False
-
-    def __post_init__(self) -> None:
-        self.workdir = Path(self.workdir)
-        if self.replay is not None:
-            self.replay = Path(self.replay)
+    def __init__(
+        self,
+        workdir: Path,
+        criteria: DiscoveryCriteria = DiscoveryCriteria(),
+        stages: tuple[str, ...] = STAGES,
+        jobs: int = 4,
+        force: bool = False,
+        reproducible: bool = False,
+        replay: Path | None = None,
+        quiet: bool = False,
+    ):
+        self.workdir = Path(workdir)
+        self.criteria = criteria
+        self.stages = stages
+        self.jobs = jobs
+        self.force = force
+        self.reproducible = reproducible
+        self.replay = None if replay is None else Path(replay)
+        self.quiet = quiet
         unknown = [s for s in self.stages if s not in STAGES]
         if unknown:
             raise ConfigError(f"unknown stages: {', '.join(unknown)}")
@@ -200,11 +205,7 @@ class Pipeline:
         repo_ok = 0
         requested_repo_stages = [s for s in self.config.stages if s in REPO_STAGES]
         if requested_repo_stages:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.config.jobs) as pool:
-                results = list(pool.map(self._process_repo, specs))
-            repo_ok = sum(1 for ok in results if ok)
+            repo_ok = sum(1 for ok in self._process_repos(specs) if ok)
 
         if "pack" in self.config.stages:
             self._stage_pack(specs, pins)
@@ -237,6 +238,52 @@ class Pipeline:
             raise StageError(f"discover: {exc}") from exc
         write_json_atomic(path, result.to_dict(self.config.criteria))
         self._progress.emit("-", "discover", "done", f"repos={len(result.specs)}")
+
+    def _process_repos(self, specs: list[RepoSpec]) -> list[bool]:
+        """Each repository's stages, on `jobs` worker threads that take the
+        specs in order. Every job count runs them on fresh threads, so the
+        parser's recursion limit, and so each verdict, is the same for any
+        `--jobs`."""
+        # A repository whose clone failed is not measured unless a retried
+        # clone succeeds, so a resume over failed clones imports nothing.
+        states = (self._load_state(spec)["stages"] for spec in specs)
+        if "measure" in self.config.stages and (
+            self.config.force or any(s.get("measure") != "done" and s.get("clone") != "failed" for s in states)
+        ):
+            # Imported on this thread, not in the first worker: there it
+            # raised cam's peak RSS by 0.7 MB (many_small_repos, --jobs 2).
+            for name in _MEASURE_STACK:
+                getattr(sys.modules[__name__], name)
+        results: list = [None] * len(specs)
+        pending = iter(enumerate(specs))
+        lock = threading.Lock()
+
+        def take():
+            with lock:
+                return next(pending, None)
+
+        def attempt(spec: RepoSpec):
+            # _process_repo starts two frames above the thread's run(), as
+            # in the thread pool these workers replaced, so a file at the
+            # nesting limit gets the same verdict as before.
+            try:
+                return self._process_repo(spec)
+            except BaseException as exc:  # raised below, once every worker is done
+                return exc
+
+        def work() -> None:
+            for index, spec in iter(take, None):
+                results[index] = attempt(spec)
+
+        workers = [threading.Thread(target=work) for _ in range(min(self.config.jobs, len(specs)))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        return results
 
     def _process_repo(self, spec: RepoSpec) -> bool:
         state = self._load_state(spec)
@@ -314,6 +361,8 @@ class Pipeline:
             self._progress.emit(spec.full_name, "measure", "untracked", path)
 
     def _stage_pack(self, specs: list[RepoSpec], pins: dict) -> None:
+        from cam.metrics.schema import schema_markdown
+
         self._progress.emit("-", "pack", "start")
         out_dir = self.workdir / "out"
 

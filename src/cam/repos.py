@@ -19,26 +19,39 @@ import shutil
 import time
 import urllib.parse
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 SEARCH_PAGE_SIZE = 100
 SEARCH_PAGE_LIMIT = 10
 
 _SHA_RE = re.compile(r"[0-9a-f]{40}")
 _TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+# An IMF-fixdate (RFC 9110, section 5.6.7), the form servers send a Date in.
+_IMF_FIXDATE = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{2}) "
+    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) ([0-9]{4}) "
+    r"([0-9]{2}):([0-9]{2}):([0-9]{2}) GMT"
+)
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
-@dataclass(frozen=True)
-class DiscoveryCriteria:
+# Named tuples and plain classes rather than dataclasses: importing
+# `dataclasses` (with `inspect`) took a quarter of a `cam discover` process.
+class _Criteria(NamedTuple):
     language: str = "java"
     min_stars: int = 1000
     max_stars: int = 10000
     min_size_kb: int = 200
     max_repos: int = 1000
 
-    def __post_init__(self) -> None:
+
+class DiscoveryCriteria(_Criteria):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "DiscoveryCriteria":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.language:
             raise ValueError("language must be non-empty")
         if self.min_stars < 0 or self.max_stars < 0 or self.min_size_kb < 0:
@@ -47,13 +60,13 @@ class DiscoveryCriteria:
             raise ValueError("min_stars exceeds max_stars")
         if self.max_repos < 1:
             raise ValueError("max_repos must be at least 1")
+        return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class RepoSpec:
+class _Spec(NamedTuple):
     full_name: str
     stars: int
     size_kb: int
@@ -61,33 +74,36 @@ class RepoSpec:
     head_commit: str
     discovered_at: str
 
-    def __post_init__(self) -> None:
+
+class RepoSpec(_Spec):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RepoSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if "/" not in self.full_name:
             raise ValueError(f"full_name must be owner/name: {self.full_name!r}")
         if not _SHA_RE.fullmatch(self.head_commit):
             raise ValueError(f"head_commit must be 40 lowercase hex digits: {self.head_commit!r}")
+        return self
 
     @property
     def key(self) -> str:
         return self.full_name.replace("/", "__")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "RepoSpec":
         """The spec from its fields in *data*; other keys are ignored."""
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+        return cls(**{name: data[name] for name in cls._fields})
 
 
-@dataclass
 class Response:
-    status: int
-    headers: dict[str, str]  # names lowercased
-    body: bytes
-
-    def __post_init__(self) -> None:
-        self.headers = {key.lower(): value for key, value in self.headers.items()}
+    def __init__(self, status: int, headers: dict[str, str], body: bytes):
+        self.status = status
+        self.headers = {key.lower(): value for key, value in headers.items()}  # names lowercased
+        self.body = body
 
     def json(self):
         return json.loads(self.body.decode("utf-8"))
@@ -224,11 +240,11 @@ def branch_url(full_name: str, branch: str) -> str:
     return f"/repos/{full_name}/branches/{urllib.parse.quote(branch, safe='')}"
 
 
-@dataclass
 class DiscoveryResult:
-    specs: list[RepoSpec] = field(default_factory=list)
-    cap_exceeded: bool = False
-    total_available: int = 0
+    def __init__(self, specs: list[RepoSpec], cap_exceeded: bool, total_available: int):
+        self.specs = specs
+        self.cap_exceeded = cap_exceeded
+        self.total_available = total_available
 
     def to_dict(self, criteria: DiscoveryCriteria) -> dict:
         return {
@@ -240,16 +256,28 @@ class DiscoveryResult:
 
 
 def _response_time(resp: Response) -> str:
+    """The response's Date in UTC, or the clock's time when it has none
+    that `email.utils.parsedate_to_datetime` can read."""
     stamp = resp.header("Date")
     if stamp:
-        from email.utils import parsedate_to_datetime
-
         try:
-            parsed = parsedate_to_datetime(stamp)
-            return parsed.astimezone(timezone.utc).strftime(_TIME_FORMAT)
+            return _parse_date(stamp).astimezone(timezone.utc).strftime(_TIME_FORMAT)
         except (ValueError, TypeError):
             pass
     return datetime.now(timezone.utc).strftime(_TIME_FORMAT)
+
+
+def _parse_date(stamp: str) -> datetime:
+    """`email.utils.parsedate_to_datetime(stamp)`, without importing
+    `email` for an IMF-fixdate of a four-digit year."""
+    match = _IMF_FIXDATE.fullmatch(stamp)
+    # email reads a year below 100 as two digits, 0099 as 1999.
+    if match is None or match[3] < "0100":
+        from email.utils import parsedate_to_datetime
+
+        return parsedate_to_datetime(stamp)
+    day, month, year, hour, minute, second = match.groups()
+    return datetime(int(year), _MONTHS.index(month) + 1, int(day), int(hour), int(minute), int(second), tzinfo=timezone.utc)
 
 
 def discover(transport: Transport, criteria: DiscoveryCriteria) -> DiscoveryResult:

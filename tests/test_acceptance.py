@@ -19,11 +19,11 @@ from pathlib import Path
 import pytest
 
 from cam.cli import main
-from cam.dataset import HEADER
 from cam.filters import MAX_LINE_LENGTH, evaluate_file, filter_tree
 from cam.gitstats import file_history
 from cam.javasrc.parser import parse
 from cam.measure import measure_file, measure_repo
+from cam.metrics.schema import HEADER
 from cam.repos import DiscoveryCriteria
 
 import fixtures

@@ -61,10 +61,16 @@ DECLARATIONS = [
 
 # Members whose variables or modifiers javac checks, and their ids. A
 # variable takes no modifier but 'final', no modifier may be repeated, and
-# an array creation takes dimension expressions or an initializer, not both.
+# an array creation takes dimension expressions or an initializer: one of
+# them, not both, and no dimension expression after an empty `[]`.
 MEMBERS = [
     ("sized-array-initializer", "Object x = new int[3] {1};", False),
     ("unsized-array-initializer", "Object x = new int[] {1};", True),
+    ("unsized-array-creation", "Object x = new int[];", False),
+    ("unsized-nested-array-creation", "Object x = new String[][];", False),
+    ("sized-then-unsized-array-creation", "Object x = new String[2][];", True),
+    ("dimension-after-empty-brackets", "Object x = new int[][3];", False),
+    ("dimension-after-sized-then-empty", "Object x = new int[3][][2];", False),
     ("public-for-variable", "void f() { for (public int i = 0; ;) {} }", False),
     ("final-for-variable", "void f() { for (final int i = 0; ;) {} }", True),
     ("static-foreach-variable", "void f(List<Integer> xs) { for (static int x : xs) {} }", False),

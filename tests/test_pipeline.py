@@ -22,8 +22,8 @@ import cam
 import cam.javasrc.parser
 import cam.pipeline
 from cam.cli import main
-from cam.dataset import HEADER, read_csv_rows, rows_to_csv_bytes, write_json_atomic
-from cam.metrics.schema import COLUMNS
+from cam.dataset import read_csv_rows, rows_to_csv_bytes, write_json_atomic
+from cam.metrics.schema import COLUMNS, HEADER
 from cam.pipeline import STAGES, ConfigError, Pipeline, PipelineConfig
 from cam.repos import DiscoveryCriteria, RepoSpec
 from conftest import build_replay_dir, commit_all, git, init_repo, single_commit_repo
@@ -776,8 +776,8 @@ def measure_stage_peak(root: Path, files: dict[str, str | bytes]) -> tuple[int, 
     of *files*, and the measured repository's `rows/<key>.meta.json`."""
     work = cloned_workdir(root / "work", files)
     # A first measure run imports and compiles what the stage loads on
-    # first use (the measure stack, the thread pool, and `locale` on
-    # Python 3.10), which would set the peak; it runs outside the window.
+    # first use (the measure stack and `locale` on Python 3.10), which
+    # would set the peak; it runs outside the window.
     assert main(["measure", "--workdir", str(cloned_workdir(root / "warm", {"W.java": "class W {}\n"})), "--quiet"]) == 0
 
     tracemalloc.start()
@@ -993,16 +993,21 @@ MEASURE_STACK = ("cam.filters", "cam.measure", "cam.gitstats", "cam.metrics.code
 OPENSSL = ("hashlib", "_hashlib")
 
 
+def modules_loaded_by(*argv: str) -> set[str]:
+    """Every module that a fresh `cam <argv>` process imported."""
+    script = "import sys; from cam.cli import main; code = main(sys.argv[1:]); print(*sys.modules); sys.exit(code)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cam.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 def measure_stack_loaded_by(*argv: str) -> set[str]:
     """The measure stack's modules that a fresh `cam <argv>` process
     imported, `subprocess` if it did (only stages that run git need it),
     and `hashlib` and `_hashlib` if it did (the column hashes need neither,
     and `_hashlib` loads OpenSSL)."""
-    script = "import sys; from cam.cli import main; code = main(sys.argv[1:]); print(*sys.modules); sys.exit(code)"
-    env = {**os.environ, "PYTHONPATH": str(Path(cam.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return {m for m in proc.stdout.split() if m in MEASURE_STACK + OPENSSL or m.startswith("cam.javasrc.") or m == "subprocess"}
+    return {m for m in modules_loaded_by(*argv) if m in MEASURE_STACK + OPENSSL or m.startswith("cam.javasrc.") or m == "subprocess"}
 
 
 def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
@@ -1020,3 +1025,99 @@ def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
     assert (tmp_path / "pins" / "pins.json").exists()
     assert measure_stack_loaded_by("clone", "--force", *args) == {"subprocess"}
     assert json.loads((work / "state" / "alpha__lib.json").read_text(encoding="utf-8"))["stages"] == {"clone": "done"}
+
+
+def test_a_resume_that_only_retries_failed_clones_loads_no_measure_stack(tmp_path):
+    replay, work = make_world(tmp_path, beta_sha="0" * 40)
+    args = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
+    assert set(MEASURE_STACK) <= measure_stack_loaded_by("run", *args)
+    assert json.loads((work / "state" / "beta__app.json").read_text(encoding="utf-8"))["stages"] == {"clone": "failed"}
+    assert measure_stack_loaded_by("run", *args) == {"subprocess"}
+
+
+# Slow to import and needed by no command that only discovers or packs:
+# `dataclasses` (with `inspect`) for the measure stack's records and `email`
+# for a Date header in any form but an IMF-fixdate. No command imports
+# `concurrent.futures`: the repository workers are plain threads.
+STARTUP_COST = {"dataclasses", "inspect", "email", "concurrent.futures"}
+
+
+def test_commands_that_do_not_measure_skip_dataclasses_email_and_the_pool(tmp_path):
+    replay, work = make_world(tmp_path)
+    args = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet", "--jobs", "1"]
+    fresh = modules_loaded_by("run", *args)
+    assert "cam.measure" in fresh
+    assert not fresh & {"email", "concurrent.futures"}
+    assert (work / "dataset.zip").exists()
+
+    assert not modules_loaded_by("run", *args) & STARTUP_COST
+    assert "concurrent.futures" not in modules_loaded_by("run", "--force", *args[:-1], "4")
+    assert not modules_loaded_by("pack", *args) & STARTUP_COST
+    assert not modules_loaded_by("discover", "--workdir", str(tmp_path / "pins"), "--replay", str(replay), "--quiet") & STARTUP_COST
+    assert (tmp_path / "pins" / "pins.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_the_measure_stack_is_imported_before_the_workers_start(tmp_path, monkeypatch, jobs):
+    """With a measure stage to run, the stack is imported on the calling
+    thread before any worker starts; with none, it is not imported."""
+    import threading
+
+    replay, work = make_world(tmp_path)
+    stack_at_start = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        stack_at_start.append({name for name in cam.pipeline._MEASURE_STACK if name in vars(cam.pipeline)})
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    for name in cam.pipeline._MEASURE_STACK:
+        monkeypatch.delitem(vars(cam.pipeline), name, raising=False)
+    assert run_cli(work, replay, "--jobs", jobs) == 0
+    assert stack_at_start and all(names == set(cam.pipeline._MEASURE_STACK) for names in stack_at_start)
+
+    stack_at_start.clear()
+    for name in cam.pipeline._MEASURE_STACK:
+        monkeypatch.delitem(vars(cam.pipeline), name)
+    assert run_cli(work, replay, "--jobs", jobs) == 0
+    assert stack_at_start and not any(stack_at_start)
+    assert not set(cam.pipeline._MEASURE_STACK) & set(vars(cam.pipeline))
+
+
+def test_every_job_count_measures_at_the_same_stack_depth(tmp_path, monkeypatch):
+    """The parser turns a RecursionError into "unparseable", so a verdict
+    near the nesting limit must not depend on `--jobs` or on how deep the
+    caller's stack is: every repository runs at the bottom of a fresh thread."""
+    depths = {}
+    measure = Pipeline._stage_measure
+
+    def recording_measure(self, spec):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        depths.setdefault(self.config.jobs, set()).add(depth)
+        return measure(self, spec)
+
+    monkeypatch.setattr(Pipeline, "_stage_measure", recording_measure)
+    replay, _ = make_world(tmp_path)
+    for jobs in ("1", "3"):
+        assert run_cli(tmp_path / f"work{jobs}", replay, "--jobs", jobs) == 0
+    assert depths[1] == depths[3] and len(depths[1]) == 1
+
+
+def test_a_worker_error_surfaces_after_every_repository_ran(tmp_path, monkeypatch):
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay, "--stages", "discover") == 0
+    seen = []
+
+    def first_one_fails(self, spec):
+        seen.append(spec.full_name)
+        if len(seen) == 1:
+            raise KeyboardInterrupt
+        return True
+
+    monkeypatch.setattr(Pipeline, "_process_repo", first_one_fails)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(work, replay, "--stages", "clone", "--jobs", "1")
+    assert sorted(seen) == ["alpha/lib", "beta/app"]

@@ -1,4 +1,7 @@
 import json
+import random
+from datetime import datetime, timezone
+from email.utils import format_datetime, parsedate_to_datetime
 
 import pytest
 
@@ -18,6 +21,7 @@ from cam.repos import (
     discover,
     search_url,
 )
+from cam.repos import _response_time
 from conftest import commit_all, git, init_repo
 
 DATE = "Sat, 04 Jan 2020 10:00:00 GMT"
@@ -144,6 +148,39 @@ def test_discover_lowercases_pin():
     t = FakeTransport(crit, [[make_item("a/up", 10)]], {"a/up": SHA_A.upper()})
     result = discover(t, crit)
     assert result.specs[0].head_commit == SHA_A
+
+
+
+def date_time(stamp):
+    return _response_time(Response(200, {"Date": stamp}, b""))
+
+
+def email_time(stamp):
+    return parsedate_to_datetime(stamp).astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def test_response_time_reads_a_date_as_email_utils_does():
+    rng = random.Random(25)
+    first, last = datetime(1970, 1, 1, tzinfo=timezone.utc), datetime(2099, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+    seconds = [rng.randint(int(first.timestamp()), int(last.timestamp())) for _ in range(2000)]
+    fixdates = [format_datetime(datetime.fromtimestamp(s, timezone.utc), usegmt=True) for s in seconds]
+    fixdates += [format_datetime(first, usegmt=True), format_datetime(last, usegmt=True)]
+    other_forms = [
+        "Sunday, 06-Nov-94 08:49:37 GMT",  # RFC 850
+        "Sun Nov  6 08:49:37 1994",  # asctime
+        "Sun, 06 Nov 1994 10:49:37 +0200",  # numeric offset
+        "Sun, 06 Nov 0094 08:49:37 GMT",  # email reads a year below 100 as two digits
+    ]
+    for stamp in fixdates + other_forms:
+        assert date_time(stamp) == email_time(stamp), stamp
+    assert date_time("Sun, 06 Nov 1994 10:49:37 +0200") == "1994-11-06T08:49:37Z"
+
+
+@pytest.mark.parametrize("stamp", ["not a date", "Mon, 31 Feb 2020 10:00:00 GMT", "Sat, 04 Jan 2020 24:00:00 GMT", ""])
+def test_response_time_without_a_readable_date_is_the_clock(stamp):
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    stamped = datetime.strptime(date_time(stamp), "%Y-%m-%dT%H:%M:%S%z")
+    assert before <= stamped <= datetime.now(timezone.utc)
 
 
 class FakeRaw:
