@@ -90,7 +90,7 @@ def _build_config(command: str, settings: dict) -> PipelineConfig:
         raise ConfigError("--workdir is required (flag or config file)")
     stages = (command,)
     if command == "run":
-        stages = tuple(s.strip() for s in settings["stages"].split(",") if s.strip()) if settings["stages"] else STAGES
+        stages = tuple(s.strip() for s in settings["stages"].split(",") if s.strip()) if settings["stages"] is not None else STAGES
     try:
         criteria = DiscoveryCriteria(
             min_stars=settings["min_stars"],

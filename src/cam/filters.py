@@ -75,8 +75,8 @@ def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, MeasuredFile |
     measured rows; a rejected file has its reason and None. Every rule
     after decoding sees the text with "\r\n" and lone "\r" line ends
     turned into "\n", as Java reads lines, and so does the measurement.
-    A file nested deeper than the parser's stack allows is unparseable.
-    An error while measuring is not a verdict and propagates.
+    A file nested deeper than the parser allows is unparseable; any other
+    error, while parsing or measuring, is not a verdict and propagates.
     """
     reason = _name_verdict(relpath)
     if reason is not None:
@@ -92,7 +92,7 @@ def evaluate_file(relpath: str, data: bytes) -> tuple[str | None, MeasuredFile |
         return "test-file", None
     try:
         unit = parse(content)
-    except (LexError, JavaSyntaxError, RecursionError):
+    except (LexError, JavaSyntaxError):
         return "unparseable", None
     return None, measure_file(content, unit)
 

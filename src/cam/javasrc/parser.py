@@ -60,18 +60,18 @@ Binary operators are taken by one loop over an operator table
 operators are counted and logged in source order, so the loop keeps only
 the one rule precedence imposes on acceptance (after `instanceof Type` no
 tighter operator may follow). Prefix operators and casts are taken in a
-loop too, and a primary and its postfix chain are one method. So a level
-of parentheses costs three Python frames (parse_expression, _parse_binary,
-_parse_operand), every operand one, and a nested lambda three
-(parse_expression, _try_lambda, _parse_expr_group). An `else if` chain is
-parsed in a loop, so a chain of any length costs no recursion. The false
-branches of a conditional chain (`a ? b : c ? d : e`) are taken by the
-expression loop, so they cost no recursion either. At Python's default
-recursion limit of 1000 a method body holds about 315 levels of
-parentheses (327 when the parse starts at the top of a script's stack;
-tests/test_filters.py measures it). Nesting deeper than the interpreter's
-recursion limit raises RecursionError, which the filter rules map to the
-unparseable verdict.
+loop too, and a primary and its postfix chain are one method. An `else if`
+chain and the false branches of a conditional chain (`a ? b : c ? d : e`)
+are parsed in loops, so a chain of any length opens no nesting.
+
+The parser bounds its own nesting: a class body, a block, a statement
+other than a block, an expression, an argument list, a type-argument list
+and a variable initializer or element value each open a level while they
+are parsed, and the token that would open level MAX_NESTING + 1 is a
+JavaSyntaxError. Every cycle of calls among the parse routines opens a
+level at least every four frames, so a parse takes at most about 850 of
+the 1000 frames Python allows a thread by default; any caller that leaves
+it that room gets the same verdict.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ _ASSIGN_OPS = frozenset(["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<
 # Lookahead reaches at most two tokens past the cursor.
 _PAD = 2
 
+# The most levels of nesting a file may hold (see the module docstring).
+MAX_NESTING = 210
+
 
 class JavaSyntaxError(SourceError):
     """Input is outside the accepted Java 8 grammar."""
@@ -160,9 +163,10 @@ class _ClassCtx:
 class _Parser:
     """One file's parse.
 
-    A syntax error abandons the whole parse, so the context stacks are
-    pushed and popped without try/finally. The one place that recovers
-    from an error is `_try_type`, and a type touches none of them.
+    A syntax error abandons the whole parse, so the context stacks and the
+    nesting count are pushed and popped without try/finally. The one place
+    that recovers from an error is `_try_type`, which puts the nesting
+    count back; a type touches none of the stacks.
     """
 
     def __init__(self, tokens: Tokens, source: str):
@@ -185,6 +189,7 @@ class _Parser:
         self._sink = self._owner = self._method
         self._last_op = ""
         self._depth = 0
+        self.nesting = 0  # levels open now, at most MAX_NESTING
 
     # ---- cursor helpers -------------------------------------------------
 
@@ -214,6 +219,12 @@ class _Parser:
         i = self.i
         offset = self.tokens.starts[i] + len(self.tokens.lexemes[i]) - len(self.lex[i])
         raise JavaSyntaxError(self.source, offset, message)
+
+    def _enter(self) -> None:
+        """Open one level of nesting; the caller closes it on its way out."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING}")
 
     def expect_gt(self) -> None:
         """Consume one '>' even when the lexer glued several together."""
@@ -391,33 +402,36 @@ class _Parser:
     def _type_args(self, names: set[str] | None, diamond: bool = False) -> None:
         """Type arguments, entered at their '<'; '<>' only with *diamond*."""
         lex = self.lex
+        self._enter()
         self.i += 1
-        if diamond and (lex[self.i] == ">" or lex[self.i] in _GT_REMAINDERS):
-            self.expect_gt()
-            return
-        while True:
-            if lex[self.i] == "@":
-                self._skip_annotations()
-            if lex[self.i] == "?":
-                self.i += 1
-                if lex[self.i] == "extends" or lex[self.i] == "super":
+        if not (diamond and (lex[self.i] == ">" or lex[self.i] in _GT_REMAINDERS)):
+            while True:
+                if lex[self.i] == "@":
+                    self._skip_annotations()
+                if lex[self.i] == "?":
                     self.i += 1
+                    if lex[self.i] == "extends" or lex[self.i] == "super":
+                        self.i += 1
+                        self.parse_type(names)
+                else:
                     self.parse_type(names)
-            else:
-                self.parse_type(names)
-            if lex[self.i] == ",":
+                if lex[self.i] != ",":
+                    break
                 self.i += 1
-                continue
-            self.expect_gt()
-            return
+        self.expect_gt()
+        self.nesting -= 1
 
     def _try_type(self) -> str | None:
-        """parse_type, or None with the cursor left alone when no type is here."""
-        saved = self.i
+        """parse_type, or None with the cursor and nesting put back when no
+        type is here; running out of nesting budget is no wrong guess."""
+        saved, nesting = self.i, self.nesting
         try:
             return self.parse_type()
         except JavaSyntaxError:
+            if self.nesting > MAX_NESTING:
+                raise
             self._rewind(saved)
+            self.nesting = nesting
             return None
 
     def _type_then_name(self) -> bool:
@@ -450,11 +464,6 @@ class _Parser:
         elif kind not in ("class", "interface", "enum"):
             return None
         self.i += 1
-        model = self._class_decl(kind, mods, anns)
-        model.tokens = (start, self.i)
-        return model
-
-    def _class_decl(self, kind: str, mods: set[str], anns: int) -> ClassModel:
         model = ClassModel(name=self.expect_ident(), kind=kind, modifiers=mods, annotation_count=anns)
         self.ncss += 1
         if kind != "enum" and self.at("<"):
@@ -464,6 +473,7 @@ class _Parser:
         if kind != "annotation" and self.accept("extends" if kind == "interface" else "implements"):
             model.implements_names = self._type_name_list()
         self.parse_class_body(model, enum=kind == "enum")
+        model.tokens = (start, self.i)
         return model
 
     def _type_name_list(self, separator: str = ",") -> list[str]:
@@ -478,6 +488,7 @@ class _Parser:
         the names it accessed that name a field of the finished class."""
         ctx = _ClassCtx(model)
         self._classes.append(ctx)
+        self._enter()
         self.expect("{")
         members = True
         if enum:
@@ -501,6 +512,7 @@ class _Parser:
             while not self.at("}"):
                 self._parse_member(ctx)
         self.expect("}")
+        self.nesting -= 1
         self._classes.pop()
         field_names = {f.name for f in model.fields}
         for method, candidates in ctx.pending_access:
@@ -555,7 +567,7 @@ class _Parser:
             if self.accept("="):
                 outer = self._method
                 self._method = _MethodCtx()
-                self._parse_variable_init()
+                self._parse_initializer()
                 self._method = outer
             if not self.accept(","):
                 break
@@ -580,7 +592,7 @@ class _Parser:
         if self.at("default"):  # annotation member default value, which scores nowhere
             self.i += 1
             self._sink = _MethodCtx()
-            self._parse_element_value()
+            self._parse_initializer(element=True)
         has_body = self.at("{")
         if has_body:
             self._sink = mctx
@@ -627,24 +639,30 @@ class _Parser:
             self.expect(")")
             return params
 
-    def _parse_element_value(self) -> None:
-        if self.at("@"):
-            self._skip_annotation()
-            return
+    def _parse_initializer(self, element: bool = False) -> None:
+        """A variable initializer, or with *element* an annotation element value:
+        a '{...}' list of them, which a ',' may end, or an expression (or annotation)."""
+        self._enter()
         if self.at("{"):
             self.i += 1
             while not self.at("}"):
-                self._parse_element_value()
+                self._parse_initializer(element)
                 if not self.accept(","):
                     break
             self.expect("}")
-            return
-        self._parse_expr_group(self._depth, self.parse_ternary)
+        elif not element:
+            self.parse_expression()
+        elif self.at("@"):
+            self._skip_annotation()
+        else:
+            self._parse_expr_group(self._depth, self.parse_ternary)
+        self.nesting -= 1
 
     # ---- statements ------------------------------------------------------
 
     def parse_block(self, depth: int) -> None:
         lex = self.lex
+        self._enter()
         self.expect("{")
         scopes = self._method.scopes
         scopes.append(set())
@@ -652,10 +670,15 @@ class _Parser:
             self.parse_statement(depth)
         self.i += 1
         scopes.pop()
+        self.nesting -= 1
 
     def parse_statement(self, d: int) -> None:
         i = self.i
         lex = self.lex[i]
+        if lex == "{":
+            self.parse_block(d)  # one level, the block's
+            return
+        self._enter()
         kind = self.kinds[i]
         if kind == "identifier":
             if self.lex[i + 1] == ":":
@@ -665,8 +688,6 @@ class _Parser:
                 self._local_decl_or_expr(d, force_decl=False)
         elif kind == "eof":
             self.error("unexpected end of file in statement")
-        elif lex == "{":
-            self.parse_block(d)
         elif lex == ";":
             self.i += 1
             self.ncss += 1
@@ -720,6 +741,7 @@ class _Parser:
                 self._local_decl_or_expr(d, force_decl=True)
         else:
             self._local_decl_or_expr(d, force_decl=False)
+        self.nesting -= 1
 
     def _local_decl_or_expr(self, d: int, force_decl: bool) -> None:
         saved = self.i
@@ -744,21 +766,10 @@ class _Parser:
             self._dims()
             if lex[self.i] == "=":
                 self.i += 1
-                self._parse_expr_group(d, self._parse_variable_init)
+                self._parse_expr_group(d, self._parse_initializer)
             if lex[self.i] != ",":
                 return
             self.i += 1
-
-    def _parse_variable_init(self) -> None:
-        if self.at("{"):
-            self.i += 1
-            while not self.at("}"):
-                self._parse_variable_init()
-                if not self.accept(","):
-                    break
-            self.expect("}")
-            return
-        self.parse_expression()
 
     def _if_stmt(self, d: int) -> None:
         """An if statement and its whole else-if chain, parsed in a loop.
@@ -929,17 +940,19 @@ class _Parser:
         """A lambda, or a ternary; assignments and ternary false branches
         chain to the right in this loop, so a long chain costs no recursion."""
         lex, kinds = self.lex, self.kinds
+        self._enter()
         while True:
             i = self.i
             if (lex[i] == "(" or (kinds[i] == "identifier" and lex[i + 1] == "->")) and self._try_lambda():
-                return
+                break
             self._parse_binary()
             if lex[self.i] == "?":
                 self._ternary_head()
                 continue
             if lex[self.i] not in _ASSIGN_OPS:
-                return
+                break
             self.i += 1
+        self.nesting -= 1
 
     def _try_lambda(self) -> bool:
         """Parse a lambda when one starts at the cursor.
@@ -963,7 +976,9 @@ class _Parser:
         if self.at("{"):
             self.parse_block(depth)
         else:
-            self._parse_expr_group(depth)
+            last_op, self._last_op = self._last_op, ""
+            self.parse_expression()  # a group, without _parse_expr_group's frame
+            self._last_op = last_op
         self._sink, self._depth = outer
         scopes.pop()
         return True
@@ -1010,10 +1025,12 @@ class _Parser:
         return names
 
     def parse_ternary(self) -> None:
+        self._enter()
         self._parse_binary()
         if self.at("?"):
             self._ternary_head()
             self.parse_expression()
+        self.nesting -= 1
 
     def _ternary_head(self) -> None:
         """'? true-branch :' after a condition; the caller parses the false branch."""
@@ -1217,16 +1234,16 @@ class _Parser:
 
     def _parse_args(self) -> None:
         lex = self.lex
+        self._enter()
         self.expect("(")
-        if lex[self.i] == ")":
-            self.i += 1
-            return
-        while True:
-            self.parse_expression()
-            if lex[self.i] != ",":
-                break
-            self.i += 1
+        if lex[self.i] != ")":
+            while True:
+                self.parse_expression()
+                if lex[self.i] != ",":
+                    break
+                self.i += 1
         self.expect(")")
+        self.nesting -= 1
 
     def _parse_creator(self) -> None:
         if self.at("<"):
@@ -1252,7 +1269,7 @@ class _Parser:
             if self.at("{"):
                 if sized:
                     self.error("array creation with both dimension expression and initialization")
-                self._parse_variable_init()
+                self._parse_initializer()
             elif not sized:
                 self.error("array dimension missing")
             return

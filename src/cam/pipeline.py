@@ -241,9 +241,7 @@ class Pipeline:
 
     def _process_repos(self, specs: list[RepoSpec]) -> list[bool]:
         """Each repository's stages, on `jobs` worker threads that take the
-        specs in order. Every job count runs them on fresh threads, so the
-        parser's recursion limit, and so each verdict, is the same for any
-        `--jobs`."""
+        specs in order."""
         # A repository whose clone failed is not measured unless a retried
         # clone succeeds, so a resume over failed clones imports nothing.
         states = (self._load_state(spec)["stages"] for spec in specs)
@@ -262,18 +260,12 @@ class Pipeline:
             with lock:
                 return next(pending, None)
 
-        def attempt(spec: RepoSpec):
-            # _process_repo starts two frames above the thread's run(), as
-            # in the thread pool these workers replaced, so a file at the
-            # nesting limit gets the same verdict as before.
-            try:
-                return self._process_repo(spec)
-            except BaseException as exc:  # raised below, once every worker is done
-                return exc
-
         def work() -> None:
             for index, spec in iter(take, None):
-                results[index] = attempt(spec)
+                try:
+                    results[index] = self._process_repo(spec)
+                except BaseException as exc:  # raised below, once every worker is done
+                    results[index] = exc
 
         workers = [threading.Thread(target=work) for _ in range(min(self.config.jobs, len(specs)))]
         for worker in workers:

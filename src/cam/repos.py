@@ -194,10 +194,10 @@ def _is_rate_limit(resp: Response) -> bool:
 
 
 def _retry_after_seconds(resp: Response) -> float | None:
-    try:
-        return max(float(resp.headers["retry-after"]), 0.0)
-    except (KeyError, ValueError):  # absent, or not a number of seconds
-        return None
+    """The delay a Retry-After header asks for, when it is delay-seconds
+    (RFC 9110: 1*DIGIT); a date, 'nan', 'inf' or anything else is no delay."""
+    value = (resp.header("retry-after") or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 class ReplayTransport(Transport):

@@ -1,16 +1,21 @@
+import json
 import os
+import threading
 import time
 import tracemalloc
+import zipfile
 
 import pytest
 
+import cam.filters
 import cam.measure
 from cam.dataset import REASONS, empty_stats, merge_stats
 from cam.filters import MAX_LINE_LENGTH, _has_long_line, evaluate_file, filter_tree
-from cam.javasrc.parser import parse
+from cam.javasrc.parser import MAX_NESTING, JavaSyntaxError, parse
 from cam.measure import measure_repo
 from conftest import commit_all, git, init_repo
 from oracle import file_rows, repo_rows, synthetic_git
+from test_pipeline import make_world, run_cli
 
 GOOD = b"class Ok {}\n"
 
@@ -145,35 +150,116 @@ def test_deep_valid_nesting_is_kept_and_measured(source):
     assert [row["class_name"] for row in rows] == ["Deep"]
 
 
-def test_a_measurement_error_is_not_a_verdict(monkeypatch):
-    """The metrics run outside the parse's except clause: even a
-    RecursionError from them reaches the caller, where it fails the
-    repository, instead of calling the file unparseable."""
+def test_a_measurement_error_is_not_a_verdict(tmp_path, monkeypatch):
+    """The metrics run outside the parse's except clause, which takes only
+    lex and syntax errors: even a RecursionError, from the metrics or from
+    the parser, reaches the caller, where it fails the repository, instead
+    of calling the file unparseable."""
 
     def too_deep(*_args):
-        raise RecursionError("metric")
+        raise RecursionError("deep")
 
-    monkeypatch.setattr(cam.measure, "structural_counts", too_deep)
-    with pytest.raises(RecursionError, match="metric"):
+    with monkeypatch.context() as patch:
+        patch.setattr(cam.measure, "structural_counts", too_deep)
+        with pytest.raises(RecursionError, match="deep"):
+            evaluate_file("src/Ok.java", GOOD)
+    real_parse = cam.filters.parse
+    # Only beta/app's file parses; every file of alpha/lib overflows.
+    monkeypatch.setattr(cam.filters, "parse", lambda source: real_parse(source) if "class App" in source else too_deep())
+    with pytest.raises(RecursionError, match="deep"):
         evaluate_file("src/Ok.java", GOOD)
 
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay) == 0
+    with zipfile.ZipFile(work / "dataset.zip") as archive:
+        names = archive.namelist()
+        manifest = json.loads(archive.read("manifest.json"))
+    assert [(e["full_name"], e["status"], e["failure"]) for e in manifest["repos"]] == [
+        ("alpha/lib", "failed", "internal-error:RecursionError"),
+        ("beta/app", "ok", None),
+    ]
+    assert "data/beta__app.csv" in names and "data/alpha__lib.csv" not in names
 
-def test_parenthesis_depth_limit():
-    """The deepest parenthesised expression that still parses, found by
-    bisection; 400 levels stay beyond the default recursion limit."""
-    def kept(n):
-        return evaluate_file("src/Deep.java", _parens(n).encode())[0] is None
 
-    low, high = 1, 400
-    while low < high:
-        mid = (low + high + 1) // 2
-        if kept(mid):
-            low = mid
-        else:
-            high = mid - 1
-    print(f"deepest parentheses kept: {low}")
-    assert 250 <= low < 400
-    assert evaluate_file("src/Deep.java", _parens(400).encode()) == ("unparseable", None)
+def _in_method(body):
+    return "class Deep {\n  int[] a;\n  Object f(boolean c, Object x) {\n" + body + "\n  }\n}\n"
+
+
+def _returning(expression):
+    return _in_method("    return " + expression + ";")
+
+
+# Every recursive shape of the grammar: its source nested n deep, the
+# levels each nesting opens, and the levels the file opens around the nest.
+NESTED_SHAPES = {
+    "parentheses": (lambda n: _returning("(\n" * n + "x" + "\n)" * n), 1, 4),
+    "calls": (lambda n: _returning("f(c,\n" * n + "x" + "\n)" * n), 2, 4),
+    "creations": (lambda n: _returning("new Deep(\n" * n + "\n)" * n), 2, 4),
+    "indexes": (lambda n: _returning("a[\n" * n + "0" + "\n]" * n), 1, 4),
+    "dimensions": (lambda n: _returning("new int[\n" * n + "0" + "\n].length" * n), 1, 4),
+    "lambdas": (lambda n: _returning("y ->\n" * n + "null"), 1, 4),
+    "block-lambdas": (lambda n: _returning("() -> { return\n" * n + "null" + ";\n}" * n), 3, 4),
+    "cast-lambdas": (lambda n: _returning("(Runnable) () ->\n" * n + "null"), 1, 4),
+    "ternaries": (lambda n: _returning("c ?\n" * n + "x" + "\n: x" * n), 1, 4),
+    "ifs": (lambda n: _in_method("if (c)\n" * n + ";"), 1, 3),
+    "ifs-with-braces": (lambda n: _in_method("if (c) {\n" * n + "\n}" * n), 2, 2),
+    "blocks": (lambda n: _in_method("{\n" * n + "\n}" * n), 1, 2),
+    "tries": (lambda n: _in_method("try {\n" * n + "} finally {}\n" * n), 2, 2),
+    "labels": (lambda n: _in_method("".join(f"l{k}:\n" for k in range(n)) + ";"), 1, 3),
+    "switches": (lambda n: _in_method("switch (1) { case 1:\n" * n + "\n}" * n), 1, 3),
+    "anonymous-classes": (lambda n: _returning("new Object() { Object g() { return\n" * n + "null" + "; } }\n" * n), 4, 4),
+    "local-classes": (lambda n: _in_method("class L { void g() {\n" * n + "}}\n" * n), 3, 2),
+    "member-classes": (lambda n: "class Deep {\n" + "class M {\n" * n + "\n}" * n + "}\n", 1, 1),
+    "generics-in-a-cast": (lambda n: _returning("(A<\n" + "A<\n" * (n - 1) + "B" + "\n>" * n + ") x"), 1, 4),
+    "array-initializers": (lambda n: _in_method("Object[] o = " + "{\n" * n + "\n}" * n + ";"), 1, 3),
+    "annotation-defaults": (lambda n: "@interface Deep {\n  int[] v() default " + "{\n" * n + "\n}" * n + ";\n}\n", 1, 1),
+}
+
+
+def _on_a_fresh_thread(call, caller_frames):
+    """What call() returns when run on a new thread, *caller_frames* frames
+    above the thread's first; what it raises is raised here."""
+    outcome = []
+
+    def climb(frames):
+        if frames:
+            return climb(frames - 1)
+        try:
+            outcome.append((call(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    worker = threading.Thread(target=climb, args=(caller_frames,))
+    worker.start()
+    worker.join()
+    value, error = outcome[0]
+    if error is not None:
+        raise error
+    return value
+
+
+@pytest.mark.parametrize("caller_frames", [0, 100])
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
+def test_every_shape_nests_to_the_budget_and_no_deeper(shape, caller_frames):
+    """Each shape is kept and measured as deep as the nesting budget allows
+    and is unparseable one nesting deeper, with the same verdicts whatever
+    the caller's depth: the parser's budget decides, not Python's stack."""
+    build, per_nesting, around = NESTED_SHAPES[shape]
+    deepest = (MAX_NESTING - around) // per_nesting
+
+    def verdicts():
+        reason, measured = evaluate_file("src/Deep.java", build(deepest).encode())
+        rows = repo_rows(measure_repo("deep/lib", {"src/Deep.java": measured}, {"src/Deep.java": synthetic_git(1)}))
+        try:
+            parse(build(deepest + 1))
+            error = None
+        except JavaSyntaxError as exc:
+            error = exc.reason
+        return reason, [row["class_name"] for row in rows], evaluate_file("src/Deep.java", build(deepest + 1).encode()), error
+
+    assert _on_a_fresh_thread(verdicts, caller_frames) == (
+        None, ["Deep"], ("unparseable", None), f"nesting deeper than {MAX_NESTING}"
+    )
 
 
 def test_rule_order_extension_beats_test_dir():

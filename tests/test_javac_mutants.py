@@ -96,7 +96,7 @@ def mutants(per_file: int, seed: int = SEED) -> dict[str, str]:
 def cam_keeps(text: str) -> bool:
     try:
         parse(text)
-    except (SourceError, RecursionError):
+    except SourceError:
         return False
     return True
 

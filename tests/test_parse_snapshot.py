@@ -164,6 +164,8 @@ def test_grammar_sample_snapshot():
         ("class A { List<A & B> x; }", 1, 18, "expected '>', found '&'"),
         ("class A { Object f = Arrays::<>asList; }", 1, 31, "expected a type, found '>'"),
         ("class A { Object f = Collections.<A & B>emptyList(); }", 1, 37, "expected '>', found '&'"),
+        # Level 211: a class body, a block, a statement and 208 expressions.
+        ("class A { Object f() { return " + "(" * 207 + "x" + ")" * 207 + "; } }", 1, 238, "nesting deeper than 210"),
     ],
 )
 def test_rejected_input_positions(source, line, column, message):

@@ -1,3 +1,7 @@
+import ast
+import graphlib
+import inspect
+
 import pytest
 
 import cam.javasrc.lexer
@@ -411,3 +415,85 @@ def test_a_valid_parse_works_out_no_error_position(monkeypatch):
     unit = parse("class A {\n  int x;\n  void f(int i) {\n" + body + "  }\n}\n")
     assert unit.ncss == 3 + 4000  # class, field, method, statements
     assert calls == []
+
+
+def _parse_calls():
+    """Each parse routine's calls, read from the parser's source, as
+    {routine: {callee: opened}}, where *opened* tells whether the routine
+    opened its level of nesting (`self._enter()`) before that call. A
+    routine passed to another, which calls it (`self._parse_expr_group(d,
+    self.parse_ternary)`), is reached through a node of its own,
+    `passer[passed]`. Where calls to one callee differ, the one that opened
+    no level stands."""
+    routines = {
+        f.name: f for f in ast.parse(inspect.getsource(cam.javasrc.parser._Parser)).body[0].body if isinstance(f, ast.FunctionDef)
+    }
+
+    def routine(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+            return node.attr if node.attr in routines else None
+        return None
+
+    def enter_line(name):
+        lines = [c.lineno for c in ast.walk(routines[name]) if isinstance(c, ast.Call) and routine(c.func) == "_enter"]
+        return min(lines, default=None)
+
+    calls = {}
+    for name in routines:
+        out = calls.setdefault(name, {})
+        opened_at = enter_line(name)
+        for call in ast.walk(routines[name]):
+            callee = routine(call.func) if isinstance(call, ast.Call) else None
+            if callee is None:
+                continue
+            opened = opened_at is not None and call.lineno > opened_at
+            passed = [routine(a) for a in call.args + [k.value for k in call.keywords] if routine(a)]
+            for target in passed or [callee]:
+                node = f"{callee}[{target}]" if passed else callee
+                out[node] = out.get(node, True) and opened
+                if passed:
+                    calls[node] = {target: enter_line(callee) is not None}
+    return calls
+
+
+def test_the_nesting_budget_fits_in_the_default_stack():
+    """Every cycle of calls among the parse routines opens a level of
+    nesting, so MAX_NESTING bounds the parser's stack, and the deepest stack
+    a parse can reach within the budget, counted from `run`, leaves room in
+    Python's default 1000 frames for a caller 130 frames deep: cam's worker
+    threads call `run` about ten frames deep."""
+    calls = _parse_calls()
+    callers = {name: set() for name in calls}
+    for name, out in calls.items():
+        for callee, opened in out.items():
+            if not opened:
+                callers[callee].add(name)
+    # Raises CycleError, naming the cycle, if some cycle opens no level.
+    order = list(graphlib.TopologicalSorter(callers).static_order())
+
+    # deepest[levels][routine]: the most frames on a stack whose top is
+    # *routine*, with *levels* opened below it.
+    budget = cam.javasrc.parser.MAX_NESTING
+    deepest = [dict.fromkeys(calls, 0) for _ in range(budget + 1)]
+    deepest[0]["run"] = 1
+    for levels in range(budget + 1):
+        for name in order:
+            frames = deepest[levels][name]
+            if not frames:
+                continue
+            for callee, opened in calls[name].items():
+                if not opened:
+                    deepest[levels][callee] = max(deepest[levels][callee], frames + 1)
+                elif levels < budget:
+                    deepest[levels + 1][callee] = max(deepest[levels + 1][callee], frames + 1)
+    frames = max(max(row.values()) for row in deepest)
+    # Parentheses alone take three frames a level: a smaller figure would
+    # mean the call graph was misread.
+    assert 3 * budget <= frames <= 1000 - 130, frames
+
+
+def test_a_type_trial_that_backs_out_gives_its_levels_back():
+    """Each '(a < b)' is tried as a cast, whose type opens a level in its
+    type arguments before the trial fails; 300 of them in a row still parse."""
+    source = "class A { boolean f(int a, int b) { return " + " && ".join(["(a < b)"] * 300) + "; } }"
+    assert only_class(source).methods[0].decisions == 299

@@ -987,6 +987,21 @@ def test_cli_config_stages_are_a_comma_separated_string(tmp_path):
     assert not (work / "github").exists()
 
 
+@pytest.mark.parametrize("stages", ["", ",", " , "])
+def test_cli_an_empty_stage_list_selects_no_stage(tmp_path, capsys, stages):
+    """An empty --stages, or an empty "stages" in a config file, runs no
+    stage and exits 2, rather than running every stage."""
+    work = tmp_path / "w"
+    replay = tmp_path / "no-replay"  # a run that went ahead would fail here, offline
+    assert main(["run", "--workdir", str(work), "--replay", str(replay), "--stages", stages]) == 2
+    assert "no stages selected" in capsys.readouterr().err
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"workdir": str(work), "replay": str(replay), "stages": stages}), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    assert "no stages selected" in capsys.readouterr().err
+    assert not work.exists()
+
+
 # ---- what each command loads -------------------------------------------
 
 MEASURE_STACK = ("cam.filters", "cam.measure", "cam.gitstats", "cam.metrics.code", "cam.metrics.oo", "cam.metrics.structural")
@@ -1083,27 +1098,6 @@ def test_the_measure_stack_is_imported_before_the_workers_start(tmp_path, monkey
     assert run_cli(work, replay, "--jobs", jobs) == 0
     assert stack_at_start and not any(stack_at_start)
     assert not set(cam.pipeline._MEASURE_STACK) & set(vars(cam.pipeline))
-
-
-def test_every_job_count_measures_at_the_same_stack_depth(tmp_path, monkeypatch):
-    """The parser turns a RecursionError into "unparseable", so a verdict
-    near the nesting limit must not depend on `--jobs` or on how deep the
-    caller's stack is: every repository runs at the bottom of a fresh thread."""
-    depths = {}
-    measure = Pipeline._stage_measure
-
-    def recording_measure(self, spec):
-        frame, depth = sys._getframe(), 0
-        while frame is not None:
-            frame, depth = frame.f_back, depth + 1
-        depths.setdefault(self.config.jobs, set()).add(depth)
-        return measure(self, spec)
-
-    monkeypatch.setattr(Pipeline, "_stage_measure", recording_measure)
-    replay, _ = make_world(tmp_path)
-    for jobs in ("1", "3"):
-        assert run_cli(tmp_path / f"work{jobs}", replay, "--jobs", jobs) == 0
-    assert depths[1] == depths[3] and len(depths[1]) == 1
 
 
 def test_a_worker_error_surfaces_after_every_repository_ran(tmp_path, monkeypatch):

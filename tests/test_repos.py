@@ -257,6 +257,17 @@ def test_live_transport_honors_retry_after_on_rate_limit():
     assert sleeps == [7.0, 1.0]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5", "1e3", "²", "", "Wed, 21 Oct 2015 07:28:00 GMT"])
+def test_live_transport_ignores_a_retry_after_that_is_not_delay_seconds(value):
+    """RFC 9110 delay-seconds is 1*DIGIT; any other value, which `float`
+    may read as nan or inf, asks for no pause."""
+    sleeps = []
+    limited = FakeRaw(403, {"X-RateLimit-Remaining": "0", "Retry-After": value})
+    t = live([limited, FakeRaw(200)], sleeps)
+    t.get("/x")
+    assert sleeps == [1.0]
+
+
 def test_live_transport_plain_403_is_fatal():
     sleeps = []
     t = live([FakeRaw(403, {"X-RateLimit-Remaining": "4999"})], sleeps)
