@@ -22,7 +22,11 @@ One routine parses each shape, wherever it occurs:
   `_type_name_list` an `extends`, `implements`, `throws` or `&` list;
   `_dims` the `[]` pairs after a type or a declared name;
 - `_type_mention` a type named in an expression (`int.class`,
-  `String[]::new`), and `_parse_creator` a class instance or array creation;
+  `String[]::new`), and `parse_type` a generic one before `::`, found by
+  javac's rule (`isUnboundMemberRef`: a name's type arguments, then `::`,
+  `.` or `[`); `_parse_creator` a class instance or array creation;
+- `_local_type` the modifiers and type of a local variable, in a statement
+  or a `for` header, told from an expression in one trial;
 - `_matching_paren` the extent of a parenthesised list, which tells a
   lambda's parameters from a parenthesised expression and skips an
   annotation's arguments;
@@ -176,6 +180,7 @@ class _Parser:
         self.kinds = tokens.kinds + ["eof"] * _PAD
         # (index, lexeme before) of each split of a glued '>' run, in order.
         self.trail: list[tuple[int, str]] = []
+        self._type_arg_ends: dict[int, int | None] = {}  # _scan_type_args's answers
         self.i = 0
         self.ncss = 0
         self._classes: list[_ClassCtx] = []
@@ -434,11 +439,6 @@ class _Parser:
             self.nesting = nesting
             return None
 
-    def _type_then_name(self) -> bool:
-        """Whether a type followed by a name is at the cursor; on True the
-        type is consumed, on False the cursor is past a type or where it was."""
-        return self._try_type() is not None and self.kinds[self.i] == "identifier"
-
     def _type_params(self) -> None:
         """Type parameters, entered at their '<': each an annotated name,
         bounded by an optional 'extends' list of types joined by '&'."""
@@ -634,10 +634,9 @@ class _Parser:
                 params.append(ptype + "[]" * (self._dims() + varargs))
                 self._record_refs(names)
                 self._declare_local(pname)
-            if self.accept(","):
-                continue
-            self.expect(")")
-            return params
+            if varargs or not self.accept(","):  # '...' on the last parameter only
+                self.expect(")")
+                return params
 
     def _parse_initializer(self, element: bool = False) -> None:
         """A variable initializer, or with *element* an annotation element value:
@@ -685,7 +684,7 @@ class _Parser:
                 self.i = i + 2
                 self.parse_statement(d)
             else:
-                self._local_decl_or_expr(d, force_decl=False)
+                self._local_decl_or_expr(d)
         elif kind == "eof":
             self.error("unexpected end of file in statement")
         elif lex == ";":
@@ -736,26 +735,33 @@ class _Parser:
             if local is not None:
                 self._classes[-1].model.nested.append(local)
             else:
-                # 'final' (or annotations) opening a local variable declaration
-                self._rewind(i)
-                self._local_decl_or_expr(d, force_decl=True)
+                self._rewind(i)  # 'final' opening a local variable declaration
+                self._local_decl_or_expr(d)
         else:
-            self._local_decl_or_expr(d, force_decl=False)
+            self._local_decl_or_expr(d)
         self.nesting -= 1
 
-    def _local_decl_or_expr(self, d: int, force_decl: bool) -> None:
-        saved = self.i
-        if force_decl:
-            self.parse_modifiers(_VARIABLE_MODIFIERS)
-        if self._type_then_name():
+    def _local_decl_or_expr(self, d: int) -> None:
+        if self._local_type():
             self._declarators(d)
         else:
-            if force_decl:
-                self.error("expected a declaration")
-            self._rewind(saved)
             self._parse_expr_group(d)
         self.expect(";")
         self.ncss += 1
+
+    def _local_type(self) -> bool:
+        """Whether a local variable declaration starts here, whose modifiers
+        and type are then consumed; modifiers that start none are an error."""
+        saved = self.i
+        modified = self.lex[saved] == "@" or self.lex[saved] in MODIFIER_WORDS
+        if modified:
+            self.parse_modifiers(_VARIABLE_MODIFIERS)
+        if self._try_type() is not None and self.kinds[self.i] == "identifier":
+            return True
+        if modified:
+            self.error("expected a declaration")
+        self._rewind(saved)
+        return False
 
     def _declarators(self, d: int) -> None:
         """Names of a local declaration whose type was just consumed, each
@@ -796,51 +802,32 @@ class _Parser:
         self.expect("for")
         self.ncss += 1
         self._sink.cognitive += 1 + d
+        self._decide()
         self.expect("(")
         scopes = self._method.scopes
         scopes.append(set())
-        if self._foreach_header():
-            self._decide()
+        declared = self._local_type()
+        i = self.i
+        if declared and self.lex[i + 1] == ":":  # an enhanced for
+            self.i = i + 2
+            self._declare_local(self.lex[i])
             self._parse_expr_group(d)
-            self.expect(")")
         else:
-            self._decide()
-            if not self.at(";"):
-                self._for_init(d)
+            if declared:
+                self._declarators(d)
+            elif not self.at(";"):
+                self._expr_list(d)
             self.expect(";")
             if not self.at(";"):
                 self._parse_expr_group(d)
             self.expect(";")
             if not self.at(")"):
-                while True:
-                    self._parse_expr_group(d)
-                    if not self.accept(","):
-                        break
-            self.expect(")")
+                self._expr_list(d)
+        self.expect(")")
         self.parse_statement(d + 1)
         scopes.pop()
 
-    def _foreach_header(self) -> bool:
-        """Consume 'Type name :' of an enhanced for, or nothing."""
-        saved = self.i
-        lex = self.lex
-        self.parse_modifiers(_VARIABLE_MODIFIERS)
-        if self._type_then_name():
-            i = self.i
-            if lex[i + 1] == ":" and lex[i + 2] != ":":
-                self.i = i + 2
-                self._declare_local(lex[i])
-                return True
-        self._rewind(saved)
-        return False
-
-    def _for_init(self, d: int) -> None:
-        saved = self.i
-        self.parse_modifiers(_VARIABLE_MODIFIERS)
-        if self._type_then_name():
-            self._declarators(d)
-            return
-        self._rewind(saved)
+    def _expr_list(self, d: int) -> None:
         while True:
             self._parse_expr_group(d)
             if not self.accept(","):
@@ -1016,9 +1003,10 @@ class _Parser:
                 while True:
                     self.parse_modifiers(_VARIABLE_MODIFIERS)
                     self.parse_type()
+                    varargs = self.accept("...")
                     names.append(self.expect_ident())
                     self._dims()
-                    if not self.accept(","):
+                    if varargs or not self.accept(","):
                         break
         self.expect(")")
         self.expect("->")
@@ -1120,8 +1108,11 @@ class _Parser:
                 self._parse_args()
             else:
                 end = self._scan_type_args(i + 1) if after == "<" else None
-                if end is not None and lex[end] == "::":
-                    self._type_args(None)
+                if end is not None and lex[end] in ("::", ".", "["):
+                    self.i = i  # javac's isUnboundMemberRef: a generic type, then '::'
+                    self.parse_type()
+                    if lex[self.i] != "::":
+                        self.expect("::")
                 else:
                     ctx = self._method
                     for scope in ctx.scopes:
@@ -1214,23 +1205,29 @@ class _Parser:
 
     def _scan_type_args(self, start: int) -> int | None:
         """Lookahead from a '<' at *start*; index just past the closing '>'
-        run, or None when this cannot be a type-argument list."""
-        lex, kinds = self.lex, self.kinds
-        depth = 0
-        j = start
-        while True:
-            lexeme = lex[j]
-            if lexeme == "<":
-                depth += 1
-            elif lexeme in _GT_RUNS:
-                depth -= len(lexeme)
-                if depth < 0:
-                    return None
-                if depth == 0:
-                    return j + 1
-            elif kinds[j] != "identifier" and lexeme not in _TYPE_ARG_LEXEMES:
-                return None
-            j += 1
+        run, or None when this cannot be a type-argument list. One pass over
+        the lexer's lexemes, which no '>>' split changes, answers every '<'
+        of a run of type-like tokens for the file: a '>' run of length k
+        closes the k innermost open '<', and only the outermost ends there."""
+        ends = self._type_arg_ends
+        if start not in ends:
+            lex, kinds = self.tokens.lexemes, self.kinds
+            ends[start] = None
+            opened = [start]
+            j = start
+            while opened:
+                j += 1
+                lexeme = lex[j]
+                if lexeme == "<":
+                    opened.append(j)
+                    ends[j] = None
+                elif lexeme in _GT_RUNS:
+                    if len(lexeme) <= len(opened):
+                        ends[opened[-len(lexeme)]] = j + 1
+                    del opened[-len(lexeme) :]
+                elif kinds[j] != "identifier" and lexeme not in _TYPE_ARG_LEXEMES:
+                    break
+        return ends[start]
 
     def _parse_args(self) -> None:
         lex = self.lex

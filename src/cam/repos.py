@@ -127,8 +127,8 @@ class LiveTransport(Transport):
     """Real HTTP transport with bounded retries.
 
     Retries server errors and rate limits up to max_tries with exponential
-    backoff (base 1s, factor 2), honoring Retry-After when present. The
-    sleep function is injectable for tests.
+    backoff (base 1s, factor 2), honoring a Retry-After of up to an hour;
+    a longer one fails at once. The sleep function is injectable for tests.
     """
 
     def __init__(
@@ -172,6 +172,8 @@ class LiveTransport(Transport):
             if resp.status in (403, 429) and _is_rate_limit(resp):
                 retry_after = _retry_after_seconds(resp)
                 if retry_after is not None:
+                    if retry_after > 3600:  # past GitHub's one-hour rate-limit window
+                        raise TransportError(f"GET {url} asked to wait {retry_after:.0f} s, over an hour")
                     self._sleep(retry_after)
                 last_error = f"rate limited (status {resp.status})"
                 continue

@@ -56,18 +56,28 @@ def test_allowed_unused_imports_are_still_needed():
     assert ALLOWED_UNUSED <= unused_imports()
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def orphan_helpers() -> set[tuple[str, str]]:
-    """Private functions, methods and classes (`_name`, not a dunder) that
-    no code in `cam` names."""
+    """Private functions, methods, classes and module-level constants
+    (`_name`, not a dunder) that no code in `cam` names; assigning a name
+    does not count as naming it."""
     defined: set[tuple[str, str]] = set()
     named: set[str] = set()
     for path in sorted(SOURCE_ROOT.rglob("*.py")):
         relpath = path.relative_to(SOURCE_ROOT).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((relpath, t.id) for t in targets if isinstance(t, ast.Name) and _private(t.id))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
+                if _private(node.name):
                     defined.add((relpath, node.name))
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)

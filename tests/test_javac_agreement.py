@@ -1,7 +1,8 @@
 """The filter's verdict against javac's, on number literals (JLS
 3.10.1-3.10.2), on explicit type arguments, on variable modifiers and
-array creations, on type-parameter lists, on stray ';'s among the imports,
-and on the grammar sample `tests/data/Grammar8.java`.
+array creations, on type-parameter lists, on varargs parameters, on
+generic types before '::', on stray ';'s among the imports, and on the
+grammar sample `tests/data/Grammar8.java`.
 
 Each case goes into a class file of its own, one `javac` run compiles
 them all, and a file is one javac rejects when an error line names it.
@@ -59,6 +60,9 @@ DECLARATIONS = [
     ("field-type-intersection", "List<String & Runnable> f = null", False),
 ]
 
+# A generic class with an inner class, for the method references below.
+INNER = "static class O<T> { class I { void m() {} } }"
+
 # Members whose variables or modifiers javac checks, and their ids. A
 # variable takes no modifier but 'final', no modifier may be repeated, and
 # an array creation takes dimension expressions or an initializer: one of
@@ -97,6 +101,17 @@ MEMBERS = [
     ("type-param-bound-on-a-later-param", "<K, V extends List<K>> void f() {}", True),
     ("type-param-intersection-bound", "<T extends Number & Runnable> void f() {}", True),
     ("constructor-type-args", "Object x = new <List<String>>ArrayList<String>(1);", True),
+    ("annotated-final-local", "void f() { @Deprecated final int x = 1; }", True),
+    # Only the last parameter of a method or a lambda takes '...'.
+    ("varargs-lambda-parameter", "interface V { void f(String... a); } V v = (String... a) -> {};", True),
+    ("varargs-before-last-parameter", "void f(int... a, int b) {}", False),
+    ("varargs-before-last-lambda-parameter", "interface V { void f(int[] a, int b); } V v = (int... a, int b) -> {};", False),
+    # A name, type arguments and then '::', '.' or '[' start a generic type,
+    # which '::' must follow (javac's isUnboundMemberRef).
+    ("generic-array-constructor-ref", "IntFunction<List<?>[]> f = List<?>[]::new;", True),
+    ("generic-inner-method-ref", f"{INNER} Consumer<O<String>.I> f = O<String>.I::m;", True),
+    ("generic-inner-without-ref", f"{INNER} Object f = O<String>.I;", False),
+    ("generic-type-indexed", "Object f = List<String>[0];", False),
 ]
 
 # Import lists and whether javac compiles a class after them. javac 17

@@ -131,12 +131,15 @@ def test_explicit_type_arguments_in_calls_and_method_references():
         "class R {\n"
         "    Function<String[], List<String>> f = Arrays::<String>asList;\n"
         "    Supplier<List<String>> s = ArrayList<String>::new;\n"
+        "    IntFunction<List<?>[]> a = List<?>[]::new;\n"
+        "    Consumer<O<String>.I> i = O<String>.I::m;\n"
+        "    boolean[] c = {a < b, c > d};\n"
         "    Function<Object, String> t = this::<Integer>show;\n"
         "    List<String> e() { return Collections.<String>emptyList(); }\n"
         "    <T> String show(Object o) { return String.valueOf(o); }\n"
         "}\n"
     )
-    assert [f.name for f in model.fields] == ["f", "s", "t"]
+    assert [f.name for f in model.fields] == ["f", "s", "a", "i", "c", "t"]
     assert model.methods[0].invoked_method_names == {"emptyList"}
 
 
@@ -327,6 +330,16 @@ def test_annotations_counted_on_class():
         "class Y { void f() { if } }",
         "class I { int f(Object o) { return o instanceof String * 2; } }",
         "int x = 1;",
+        # Modifiers that open no declaration.
+        "class A { void f() { @Deprecated g(); } }",
+        "class A { void f() { for (final g(); ;) {} } }",
+        # A generic type in an expression is one before '::' (javac's
+        # isUnboundMemberRef: '::', '.' or '[' after the type arguments).
+        "class A { Object f = O<String>.I; }",
+        "class A { Object f = List<String>[0]; }",
+        # '...' goes on the last parameter only.
+        "class A { void f(int... a, int b) {} }",
+        "class A { V v = (int... a, int b) -> {}; }",
     ],
 )
 def test_rejected_sources(source):
@@ -372,10 +385,34 @@ def test_a_rejected_parse_leaves_the_lexer_columns_as_they_were():
 
 @pytest.mark.parametrize("declared", ["Map<String, String>", "Map<String, List<String>>"])
 def test_a_split_glued_gt_is_undone_when_its_trial_parse_backs_out(declared):
-    """`_foreach_header` parses the type, finds no ':' and backs out; the
-    '>>' it split must be whole again when `_for_init` parses the type, or
+    """The type of a `for` header's local is read by a trial parse, which
+    splits the '>>'; any trial that backs out must leave it whole again, or
     the local `m` is read as the field `m`."""
     model = only_class(f"class A {{ int m; int f() {{ for ({declared} m = null; ;) {{ return m.size(); }} }} }}")
+    assert model.methods[0].accessed_field_names == set()
+
+
+def test_a_basic_for_header_tries_its_declaration_once(monkeypatch):
+    """One trial tells a declaration from an expression, and a basic `for`
+    from an enhanced one."""
+    calls = []
+    try_type = cam.javasrc.parser._Parser._try_type
+    monkeypatch.setattr(cam.javasrc.parser._Parser, "_try_type", lambda self: calls.append(self.i) or try_type(self))
+    parse("class A { void f(int n) { for (final int i = 0; i < n; i++) {} } }")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["@Deprecated final int x = 1;", "final @Deprecated int x = 1;", "for (@Deprecated final int x : xs) {}"],
+)
+def test_annotations_and_final_open_a_local_in_a_statement_or_for_header(statement):
+    model = only_class(f"class A {{ int x; void f(int[] xs) {{ {statement} x++; }} }}")
+    assert model.methods[0].accessed_field_names == ({"x"} if statement.startswith("for") else set())
+
+
+def test_a_lambda_takes_a_varargs_parameter_as_a_local():
+    model = only_class("class A { String[] a; void f() { V v = (String... a) -> a.length; } }")
     assert model.methods[0].accessed_field_names == set()
 
 

@@ -268,6 +268,18 @@ def test_live_transport_ignores_a_retry_after_that_is_not_delay_seconds(value):
     assert sleeps == [1.0]
 
 
+def test_live_transport_fails_on_a_retry_after_over_an_hour_without_sleeping():
+    """A pause past GitHub's one-hour rate-limit window is a failed try
+    that ends `get`; a Retry-After of 99999999 would sleep about three years."""
+    sleeps = []
+    limited = FakeRaw(403, {"X-RateLimit-Remaining": "0", "Retry-After": "99999999"})
+    t = live([limited, FakeRaw(200)], sleeps)
+    with pytest.raises(TransportError, match="99999999 s"):
+        t.get("/x")
+    assert sleeps == []
+    assert len(t._session.requests) == 1
+
+
 def test_live_transport_plain_403_is_fatal():
     sleeps = []
     t = live([FakeRaw(403, {"X-RateLimit-Remaining": "4999"})], sleeps)

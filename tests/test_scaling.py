@@ -62,6 +62,12 @@ def _member_classes(n: int) -> str:
     return "class O {\n" + "".join(f"  static class N{i} {{ int x; }}\n" for i in range(n)) + "}\n"
 
 
+def _comparisons(n: int) -> str:
+    """A list of comparisons, each of whose '<' might open type arguments."""
+    items = "".join(f"\n    a{i} < b{i}," for i in range(n))
+    return f"class C {{\n  boolean[] z = {{{items}\n  }};\n}}\n"
+
+
 # Each shape and its smaller size.
 SHAPES = [
     (_classes, 4_000),
@@ -73,6 +79,7 @@ SHAPES = [
     (_lambdas, 5_000),
     (_else_if_chain, 7_000),
     (_member_classes, 5_000),
+    (_comparisons, 15_000),
 ]
 
 
