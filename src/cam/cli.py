@@ -14,52 +14,48 @@ import json
 import sys
 from pathlib import Path
 
-from cam.pipeline import STAGES, ConfigError, Pipeline, PipelineConfig, StageError
+from cam.pipeline import DEFAULT_JOBS, STAGES, ConfigError, Pipeline, PipelineConfig, StageError
 from cam.repos import DiscoveryCriteria
 
-_DEFAULTS = {
-    "workdir": None,
-    "jobs": 4,
-    "min_stars": 1000,
-    "max_stars": 10000,
-    "min_size_kb": 200,
-    "max_repos": 1000,
-    "force": False,
-    "reproducible": False,
-    "replay": None,
-    "quiet": False,
-    "stages": None,
+_CRITERIA = DiscoveryCriteria()
+# Each setting once: its type, default and help. Its flag is --<key> with
+# dashes for underscores, and an integer's help gives its default. A config
+# value must have the setting's type; null is taken where the default is null.
+_SETTINGS = {
+    "workdir": (str, None, "work directory holding all stage outputs"),
+    "jobs": (int, DEFAULT_JOBS, "parallel repository workers"),
+    "min_stars": (int, _CRITERIA.min_stars, "minimum star count"),
+    "max_stars": (int, _CRITERIA.max_stars, "maximum star count"),
+    "min_size_kb": (int, _CRITERIA.min_size_kb, "minimum repository size in KB"),
+    "max_repos": (int, _CRITERIA.max_repos, "maximum repositories to keep"),
+    "force": (bool, False, "re-run stages that already finished"),
+    "reproducible": (bool, False, "no effect: every run derives the manifest timestamp from the pins"),
+    "replay": (str, None, "directory of recorded API responses and clone remotes"),
+    "quiet": (bool, False, "suppress progress output"),
 }
-# A config value must have its flag's type: a setting whose default is None
-# takes a string (stages a comma-separated one) or null.
 _TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--workdir", help="work directory holding all stage outputs")
-    shared.add_argument("--jobs", type=int, help="parallel repository workers (default 4)")
-    shared.add_argument("--min-stars", type=int, help="minimum star count (default 1000)")
-    shared.add_argument("--max-stars", type=int, help="maximum star count (default 10000)")
-    shared.add_argument("--min-size-kb", type=int, help="minimum repository size in KB (default 200)")
-    shared.add_argument("--max-repos", type=int, help="maximum repositories to keep (default 1000)")
-    shared.add_argument("--force", action="store_true", default=None, help="re-run stages that already finished")
-    shared.add_argument("--reproducible", action="store_true", default=None, help="derive the manifest timestamp from the pins instead of the clock")
-    shared.add_argument("--replay", help="directory of recorded API responses and clone remotes")
-    shared.add_argument("--quiet", action="store_true", default=None, help="suppress progress output")
+    for key, (kind, default, text) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            shared.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            shared.add_argument(flag, type=kind, help=text if default is None else f"{text} (default {default})")
     shared.add_argument("--config", help="JSON file with defaults for any flag")
 
     parser = argparse.ArgumentParser(prog="cam", description="Build a per-class Java metrics dataset from public repositories.")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", parents=[shared], help="run every stage in order")
-    run.add_argument("--stages", help="comma-separated subset of stages to run")
+    sub.add_parser("run", parents=[shared], help="run every stage in order")
     for stage in STAGES:
         sub.add_parser(stage, parents=[shared], help=f"run only the {stage} stage")
     return parser
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = {key: default for key, (_kind, default, _text) in _SETTINGS.items()}
     if args.config:
         config_path = Path(args.config)
         try:
@@ -68,18 +64,16 @@ def _merge_settings(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
-        unknown = set(loaded) - set(_DEFAULTS)
+        unknown = set(loaded) - set(_SETTINGS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, value in loaded.items():
-            default = _DEFAULTS[key]
-            expected = str if default is None else type(default)
-            if type(value) is not expected and not (default is None and value is None):
-                kind = "a comma-separated string" if key == "stages" else _TYPE_NAMES[expected]
-                raise ConfigError(f"config key {key} must be {kind}, not {json.dumps(value)}")
+            kind, default, _text = _SETTINGS[key]
+            if type(value) is not kind and not (default is None and value is None):
+                raise ConfigError(f"config key {key} must be {_TYPE_NAMES[kind]}, not {json.dumps(value)}")
         settings.update(loaded)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
+    for key in _SETTINGS:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
     return settings
@@ -88,25 +82,16 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 def _build_config(command: str, settings: dict) -> PipelineConfig:
     if not settings["workdir"]:
         raise ConfigError("--workdir is required (flag or config file)")
-    stages = (command,)
-    if command == "run":
-        stages = tuple(s.strip() for s in settings["stages"].split(",") if s.strip()) if settings["stages"] is not None else STAGES
     try:
-        criteria = DiscoveryCriteria(
-            min_stars=settings["min_stars"],
-            max_stars=settings["max_stars"],
-            min_size_kb=settings["min_size_kb"],
-            max_repos=settings["max_repos"],
-        )
+        criteria = DiscoveryCriteria(**{field: settings[field] for field in DiscoveryCriteria._fields})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return PipelineConfig(
         workdir=Path(settings["workdir"]),
         criteria=criteria,
-        stages=stages,
+        stages=STAGES if command == "run" else (command,),
         jobs=settings["jobs"],
         force=settings["force"],
-        reproducible=settings["reproducible"],
         replay=Path(settings["replay"]) if settings["replay"] else None,
         quiet=settings["quiet"],
     )

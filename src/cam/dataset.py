@@ -14,7 +14,6 @@ import json
 import math
 import os
 import shutil
-from datetime import datetime, timezone
 from pathlib import Path
 
 from cam import __version__
@@ -110,12 +109,10 @@ def write_json_atomic(path: str | Path, obj) -> None:
     write_bytes_atomic(path, canonical_json(obj) + b"\n")
 
 
-def generated_at(reproducible: bool, specs) -> str:
-    """Manifest timestamp: pin-derived when reproducible, else wall clock."""
-    if reproducible:
-        stamps = [spec.discovered_at for spec in specs]
-        return max(stamps) if stamps else _EPOCH_TIME
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def generated_at(specs) -> str:
+    """Manifest timestamp: the latest discovery time of the pins, so the
+    same pins always give the same manifest."""
+    return max((spec.discovered_at for spec in specs), default=_EPOCH_TIME)
 
 
 def build_manifest(
@@ -123,7 +120,6 @@ def build_manifest(
     repo_entries: list[dict],
     global_filter_stats: dict,
     discovery_info: dict,
-    reproducible: bool,
     stamp: str,
 ) -> dict:
     from cam.metrics.schema import column_hashes
@@ -133,7 +129,7 @@ def build_manifest(
         "schema_version": SCHEMA_VERSION,
         "generated_at": stamp,
         "tool": {"name": "cam", "version": __version__},
-        "reproducible": reproducible,
+        "reproducible": True,  # every manifest comes from its pins alone
         "criteria": criteria_dict,
         "metric_schema": column_hashes(),
         "repos": sorted(repo_entries, key=lambda e: e["full_name"]),

@@ -23,8 +23,9 @@ One routine parses each shape, wherever it occurs:
   `_dims` the `[]` pairs after a type or a declared name;
 - `_type_mention` a type named in an expression (`int.class`,
   `String[]::new`), and `parse_type` a generic one before `::`, found by
-  javac's rule (`isUnboundMemberRef`: a name's type arguments, then `::`,
-  `.` or `[`); `_parse_creator` a class instance or array creation;
+  javac's rule (`isUnboundMemberRef`: type arguments after any part of a
+  name, then `::`, `.` or `[`); `_parse_creator` a class instance or
+  array creation;
 - `_local_type` the modifiers and type of a local variable, in a statement
   or a `for` header, told from an expression in one trial;
 - `_matching_paren` the extent of a parenthesised list, which tells a
@@ -725,9 +726,7 @@ class _Parser:
             self._parse_expr_group(d)
             self.expect(")")
             self.parse_block(d)
-        elif lex in ("class", "interface", "enum", "abstract", "final", "static", "strictfp") or (
-            lex == "@" and self.lex[i + 1] == "interface"
-        ):
+        elif lex in ("class", "interface", "enum", "abstract", "final", "static", "strictfp", "@"):
             mods, anns = self.parse_modifiers()
             self._base_depth.append(d + 1)
             local = self._type_decl(i, mods, anns)
@@ -735,7 +734,7 @@ class _Parser:
             if local is not None:
                 self._classes[-1].model.nested.append(local)
             else:
-                self._rewind(i)  # 'final' opening a local variable declaration
+                self._rewind(i)  # 'final' or an annotation opening a local variable declaration
                 self._local_decl_or_expr(d)
         else:
             self._local_decl_or_expr(d)
@@ -1107,9 +1106,12 @@ class _Parser:
                 self._method.invoked.add(lexeme)
                 self._parse_args()
             else:
-                end = self._scan_type_args(i + 1) if after == "<" else None
+                j = i + 1  # javac's isUnboundMemberRef: a generic type, then '::'
+                while lex[j] == "." and kinds[j + 1] == "identifier":
+                    j += 2
+                end = self._scan_type_args(j) if lex[j] == "<" else None
                 if end is not None and lex[end] in ("::", ".", "["):
-                    self.i = i  # javac's isUnboundMemberRef: a generic type, then '::'
+                    self.i = i
                     self.parse_type()
                     if lex[self.i] != "::":
                         self.expect("::")
@@ -1195,11 +1197,9 @@ class _Parser:
 
     def _type_mention(self) -> None:
         """The rest of a type named in an expression after its name: its
-        dimensions, then '::new' or '.class'."""
+        dimensions, then '.class' or a '::' left to the postfix loop."""
         self._dims()
-        if self.accept("::"):
-            self.expect("new")
-        else:
+        if not self.at("::"):
             self.expect(".")
             self.expect("class")
 

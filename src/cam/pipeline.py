@@ -60,6 +60,7 @@ from cam.repos import (
 
 STAGES = ("discover", "clone", "measure", "pack")
 REPO_STAGES = ("clone", "measure")
+DEFAULT_JOBS = 4
 
 # The measure stage's entry points and their modules. Only a measure stage
 # imports them, with the parser and the metrics behind them, so discover,
@@ -103,9 +104,8 @@ class PipelineConfig:
         workdir: Path,
         criteria: DiscoveryCriteria = DiscoveryCriteria(),
         stages: tuple[str, ...] = STAGES,
-        jobs: int = 4,
+        jobs: int = DEFAULT_JOBS,
         force: bool = False,
-        reproducible: bool = False,
         replay: Path | None = None,
         quiet: bool = False,
     ):
@@ -114,14 +114,8 @@ class PipelineConfig:
         self.stages = stages
         self.jobs = jobs
         self.force = force
-        self.reproducible = reproducible
         self.replay = None if replay is None else Path(replay)
         self.quiet = quiet
-        unknown = [s for s in self.stages if s not in STAGES]
-        if unknown:
-            raise ConfigError(f"unknown stages: {', '.join(unknown)}")
-        if not self.stages:
-            raise ConfigError("no stages selected")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
 
@@ -378,8 +372,7 @@ class Pipeline:
             repo_entries,
             global_stats,
             {"cap_exceeded": pins.get("cap_exceeded", False), "total_available": pins.get("total_available", 0)},
-            self.config.reproducible,
-            generated_at(self.config.reproducible, specs),
+            generated_at(specs),
         )
         manifest_bytes = canonical_json(manifest) + b"\n"
         schema_bytes = schema_markdown().encode("utf-8")

@@ -40,7 +40,6 @@ _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct",
 # Named tuples and plain classes rather than dataclasses: importing
 # `dataclasses` (with `inspect`) took a quarter of a `cam discover` process.
 class _Criteria(NamedTuple):
-    language: str = "java"
     min_stars: int = 1000
     max_stars: int = 10000
     min_size_kb: int = 200
@@ -49,11 +48,10 @@ class _Criteria(NamedTuple):
 
 class DiscoveryCriteria(_Criteria):
     __slots__ = ()
+    language = "java"  # the only language cam parses, so no setting
 
     def __new__(cls, *args, **kwargs) -> "DiscoveryCriteria":
         self = super().__new__(cls, *args, **kwargs)
-        if not self.language:
-            raise ValueError("language must be non-empty")
         if self.min_stars < 0 or self.max_stars < 0 or self.min_size_kb < 0:
             raise ValueError("star and size bounds must be non-negative")
         if self.min_stars > self.max_stars:
@@ -63,7 +61,7 @@ class DiscoveryCriteria(_Criteria):
         return self
 
     def to_dict(self) -> dict:
-        return self._asdict()
+        return {"language": self.language, **self._asdict()}
 
 
 class _Spec(NamedTuple):

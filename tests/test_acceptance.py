@@ -230,7 +230,7 @@ def test_criterion_end_to_end_determinism(capsys, tmp_path):
         for label, jobs in (("one", 1), ("two", 1), ("eight", 8)):
             work = tmp_path / f"work_{label}"
             args = ["run", "--workdir", str(work), "--replay", str(replay)]
-            args += ["--reproducible", "--quiet", "--jobs", str(jobs)]
+            args += ["--quiet", "--jobs", str(jobs)]
             assert main(args) == 0
             archives.append((work / "dataset.zip").read_bytes())
         assert archives[0] == archives[1] == archives[2]

@@ -119,10 +119,8 @@ def spec(name, sha, when="2020-01-04T10:00:00Z"):
 
 def test_generated_at_policies():
     specs = [spec("a/a", "a" * 40, "2020-01-02T00:00:00Z"), spec("b/b", "b" * 40, "2020-03-02T00:00:00Z")]
-    assert generated_at(True, specs) == "2020-03-02T00:00:00Z"
-    assert generated_at(True, []) == "1970-01-01T00:00:00Z"
-    live = generated_at(False, specs)
-    assert live.endswith("Z") and live >= "2026"
+    assert generated_at(specs) == "2020-03-02T00:00:00Z"
+    assert generated_at([]) == "1970-01-01T00:00:00Z"
 
 
 def test_pack_archive_is_deterministic(tmp_path):
@@ -198,7 +196,6 @@ def test_build_manifest_shape():
         entries,
         global_stats,
         {"cap_exceeded": False, "total_available": 2},
-        reproducible=True,
         stamp="2020-01-04T10:00:00Z",
     )
     assert manifest["schema_version"] == SCHEMA_VERSION

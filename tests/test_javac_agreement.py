@@ -1,13 +1,18 @@
 """The filter's verdict against javac's, on number literals (JLS
 3.10.1-3.10.2), on explicit type arguments, on variable modifiers and
 array creations, on type-parameter lists, on varargs parameters, on
-generic types before '::', on stray ';'s among the imports, and on the
+annotated local classes, on method references after an array, primitive
+or qualified generic type, on stray ';'s among the imports, and on the
 grammar sample `tests/data/Grammar8.java`.
 
-Each case goes into a class file of its own, one `javac` run compiles
-them all, and a file is one javac rejects when an error line names it.
-`evaluate_file` must keep exactly the files javac compiles and call the
-others unparseable. Skipped where no `javac` is on PATH.
+Each case goes into a class file of its own, and one run of javac's parse
+phase (`-XDshould-stop.ifError=PARSE -XDshould-stop.ifNoError=PARSE`)
+reads them all; a file is one javac rejects when an error line names it.
+A run that holds a syntax error stops after that phase anyway, so the
+verdict is javac's syntax check: `int::clone` passes it, although no
+class can compile it. `evaluate_file` must keep exactly the files javac
+keeps and call the others unparseable. The grammar sample is compiled in
+full. Skipped where no `javac` is on PATH.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from cam.filters import evaluate_file
 
 GRAMMAR_SAMPLE = Path(__file__).parent / "data" / "Grammar8.java"
 
-# Each literal and whether javac compiles it.
+# Each literal and whether javac keeps it.
 LITERALS = [
     ("0x1p", False),
     ("0x1.", False),
@@ -102,6 +107,9 @@ MEMBERS = [
     ("type-param-intersection-bound", "<T extends Number & Runnable> void f() {}", True),
     ("constructor-type-args", "Object x = new <List<String>>ArrayList<String>(1);", True),
     ("annotated-final-local", "void f() { @Deprecated final int x = 1; }", True),
+    ("annotated-local", "void f() { @Deprecated int x = 1; }", True),
+    ("annotated-local-class", "void f() { @Deprecated class L {} }", True),
+    ("annotated-final-local-class", "void f() { @Deprecated final class L {} }", True),
     # Only the last parameter of a method or a lambda takes '...'.
     ("varargs-lambda-parameter", "interface V { void f(String... a); } V v = (String... a) -> {};", True),
     ("varargs-before-last-parameter", "void f(int... a, int b) {}", False),
@@ -112,9 +120,21 @@ MEMBERS = [
     ("generic-inner-method-ref", f"{INNER} Consumer<O<String>.I> f = O<String>.I::m;", True),
     ("generic-inner-without-ref", f"{INNER} Object f = O<String>.I;", False),
     ("generic-type-indexed", "Object f = List<String>[0];", False),
+    ("qualified-generic-constructor-ref", "Supplier<ArrayList<String>> f = java.util.ArrayList<String>::new;", True),
+    ("qualified-generic-method-ref", "Function<Map.Entry<String, String>, String> f = java.util.Map.Entry<String, String>::getKey;", True),
+    ("qualified-generic-comparison", "boolean f(int d) { return a.b<c>d; }", True),
+    ("qualified-generic-without-ref", "void f() { Object x = a.b<c>; }", False),
+    # Any method name, or `new`, with or without type arguments, may follow
+    # the '::' after an array or primitive type.
+    ("primitive-array-method-ref", "Function<int[], Object> f = int[]::clone;", True),
+    ("array-method-ref", "Function<String[], Object> f = String[]::clone;", True),
+    ("array-method-ref-type-args", "Function<String[], Object> f = String[]::<String>clone;", True),
+    ("primitive-method-ref", "Object f = int::clone;", True),
+    ("array-method-ref-without-name", "Object f = int[]::;", False),
+    ("primitive-select", "Object f = int.foo;", False),
 ]
 
-# Import lists and whether javac compiles a class after them. javac 17
+# Import lists and whether javac keeps a class after them. javac 17
 # takes a stray ';' before or between imports, for which the JLS 8 grammar
 # has no place; cam follows javac.
 IMPORTS = "import java.util.*; import java.util.function.*; "
@@ -124,11 +144,11 @@ HEADERS = [
 ]
 HEADER_BODY = "List<String> a; Map<String, String> b;"
 
-CASES = [(IMPORTS, f"Object x = {literal};", compiles) for literal, compiles in LITERALS]
-CASES += [(IMPORTS, f"{declaration};", compiles) for _id, declaration, compiles in DECLARATIONS]
-CASES += [(IMPORTS, member, compiles) for _id, member, compiles in MEMBERS]
-CASES += [(header, HEADER_BODY, compiles) for _id, header, compiles in HEADERS]
-IDS = [literal for literal, _compiles in LITERALS] + [case_id for case_id, _d, _c in DECLARATIONS + MEMBERS + HEADERS]
+CASES = [(IMPORTS, f"Object x = {literal};", kept) for literal, kept in LITERALS]
+CASES += [(IMPORTS, f"{declaration};", kept) for _id, declaration, kept in DECLARATIONS]
+CASES += [(IMPORTS, member, kept) for _id, member, kept in MEMBERS]
+CASES += [(header, HEADER_BODY, kept) for _id, header, kept in HEADERS]
+IDS = [literal for literal, _kept in LITERALS] + [case_id for case_id, _d, _c in DECLARATIONS + MEMBERS + HEADERS]
 
 
 def _source(k: int, header: str, body: str) -> str:
@@ -143,13 +163,13 @@ def javac_rejects(tmp_path_factory) -> set[str]:
         pytest.skip("javac is not on PATH")
     src = tmp_path_factory.mktemp("javac-src")
     files = []
-    for k, (header, body, _compiles) in enumerate(CASES):
+    for k, (header, body, _kept) in enumerate(CASES):
         path = src / f"L{k}.java"
         path.write_text(_source(k, header, body), encoding="utf-8")
         files.append(str(path))
     out = tmp_path_factory.mktemp("javac-out")
     proc = subprocess.run(
-        [javac, "-encoding", "UTF-8", "-d", str(out), *files],
+        [javac, "-encoding", "UTF-8", "-XDshould-stop.ifError=PARSE", "-XDshould-stop.ifNoError=PARSE", "-d", str(out), *files],
         capture_output=True,
         text=True,
         timeout=300,
@@ -159,12 +179,12 @@ def javac_rejects(tmp_path_factory) -> set[str]:
     return rejects
 
 
-@pytest.mark.parametrize("k, header, body, compiles", [(k, *case) for k, case in enumerate(CASES)], ids=IDS)
-def test_evaluate_file_agrees_with_javac(javac_rejects, k, header, body, compiles):
+@pytest.mark.parametrize("k, header, body, kept", [(k, *case) for k, case in enumerate(CASES)], ids=IDS)
+def test_evaluate_file_agrees_with_javac(javac_rejects, k, header, body, kept):
     javac_keeps = f"L{k}" not in javac_rejects
     reason, _measured = evaluate_file(f"src/L{k}.java", _source(k, header, body).encode("utf-8"))
     assert reason in (None, "unparseable")
-    assert (reason is None) == javac_keeps == compiles
+    assert (reason is None) == javac_keeps == kept
 
 
 def test_grammar_sample_compiles_as_java_8_and_is_kept(tmp_path):

@@ -7,9 +7,11 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -24,7 +26,7 @@ import cam.pipeline
 from cam.cli import main
 from cam.dataset import read_csv_rows, rows_to_csv_bytes, write_json_atomic
 from cam.metrics.schema import COLUMNS, HEADER
-from cam.pipeline import STAGES, ConfigError, Pipeline, PipelineConfig
+from cam.pipeline import DEFAULT_JOBS, STAGES, ConfigError, Pipeline, PipelineConfig
 from cam.repos import DiscoveryCriteria, RepoSpec
 from conftest import build_replay_dir, commit_all, git, init_repo, single_commit_repo
 
@@ -95,24 +97,23 @@ def run_cli(workdir: Path, replay: Path, *extra: str) -> int:
             str(workdir),
             "--replay",
             str(replay),
-            "--reproducible",
             "--quiet",
             *extra,
         ]
     )
 
 
+def run_stages(workdir: Path, replay: Path, stages: str, *extra: str) -> int:
+    """Run each of the comma-separated *stages* as its own command, in
+    order; the first nonzero exit code, or 0."""
+    for stage in stages.split(","):
+        code = main([stage, "--workdir", str(workdir), "--replay", str(replay), "--quiet", *extra])
+        if code:
+            return code
+    return 0
+
+
 # ---- configuration ------------------------------------------------------
-
-
-def test_config_rejects_unknown_stage(tmp_path):
-    with pytest.raises(ConfigError):
-        PipelineConfig(workdir=tmp_path, stages=("clone", "fly"))
-
-
-def test_config_rejects_empty_stages(tmp_path):
-    with pytest.raises(ConfigError):
-        PipelineConfig(workdir=tmp_path, stages=())
 
 
 def test_config_rejects_nonpositive_jobs(tmp_path):
@@ -175,6 +176,24 @@ def test_full_run_builds_dataset(tmp_path):
     state = json.loads((work / "state" / "alpha__lib.json").read_text(encoding="utf-8"))
     assert state["stages"] == {"clone": "done", "measure": "done"}
     assert state["failure"] is None
+
+
+def test_every_run_over_the_same_pins_gives_the_same_archive(tmp_path):
+    """No run reads the clock into the archive: two runs a second apart give
+    the same bytes, and so does a run with `--reproducible`, which has no
+    effect."""
+    replay, work = make_world(tmp_path)
+    assert run_cli(work, replay) == 0
+    time.sleep(1)
+    assert run_cli(tmp_path / "later", replay) == 0
+    assert run_cli(tmp_path / "flagged", replay, "--reproducible") == 0
+    archive = (work / "dataset.zip").read_bytes()
+    assert (tmp_path / "later" / "dataset.zip").read_bytes() == archive
+    assert (tmp_path / "flagged" / "dataset.zip").read_bytes() == archive
+    pins = json.loads((work / "pins.json").read_text(encoding="utf-8"))
+    manifest = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["generated_at"] == max(entry["discovered_at"] for entry in pins["repos"])
+    assert manifest["reproducible"] is True
 
 
 def test_each_file_is_parsed_once(tmp_path, monkeypatch):
@@ -295,7 +314,7 @@ def test_second_run_skips_finished_stages(tmp_path, capsys):
     assert run_cli(work, replay) == 0
     capsys.readouterr()
 
-    assert main(["run", "--workdir", str(work), "--replay", str(replay), "--reproducible"]) == 0
+    assert main(["run", "--workdir", str(work), "--replay", str(replay)]) == 0
     lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     assert ("-", "discover", "skip") in {(f[1], f[2], f[3]) for f in lines}
     repo_lines = [f for f in lines if f[1] != "-"]
@@ -307,7 +326,7 @@ def test_force_reruns_finished_stages(tmp_path, capsys):
     assert run_cli(work, replay) == 0
     capsys.readouterr()
 
-    args = ["run", "--workdir", str(work), "--replay", str(replay), "--reproducible", "--force"]
+    args = ["run", "--workdir", str(work), "--replay", str(replay), "--force"]
     assert main(args) == 0
     statuses = {line.split("\t")[3] for line in capsys.readouterr().out.splitlines()}
     assert "skip" not in statuses
@@ -350,8 +369,7 @@ def test_untracked_file_is_skipped_not_fatal(tmp_path):
     (beta_pin,) = [entry for entry in pins["repos"] if entry["full_name"] == "beta/app"]
     beta_pin["head_commit"] = git(beta, "rev-parse", "HEAD")
     write_json_atomic(work / "pins.json", pins)
-    args = ["run", "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
-    assert main(args + ["--stages", "clone,measure,pack", "--force"]) == 0
+    assert run_stages(work, replay, "clone,measure,pack", "--force") == 0
 
     meta = json.loads((work / "rows" / "beta__app.meta.json").read_text(encoding="utf-8"))
     assert meta["untracked"] == ["app/Loose.java"]
@@ -453,11 +471,11 @@ def test_internal_error_fails_only_its_repo(tmp_path, monkeypatch):
 
 def test_a_missing_object_fails_only_its_repo(tmp_path):
     replay, work = make_world(tmp_path)
-    assert run_cli(work, replay, "--stages", "discover,clone") == 0
+    assert run_stages(work, replay, "discover,clone") == 0
     clone = work / "github" / "alpha" / "lib"
     blob = git(clone, "rev-parse", "HEAD:src/Main.java")
     (clone / "objects" / blob[:2] / blob[2:]).unlink()
-    assert run_cli(work, replay, "--stages", "measure,pack") == 0
+    assert run_stages(work, replay, "measure,pack") == 0
 
     with zipfile.ZipFile(work / "dataset.zip") as archive:
         names = archive.namelist()
@@ -476,7 +494,7 @@ def test_clones_with_a_worktree_measure_like_bare_ones(tmp_path):
     replay, bare_work = make_world(tmp_path)
     assert run_cli(bare_work, replay) == 0
     work = tmp_path / "checkouts"
-    assert run_cli(work, replay, "--stages", "discover") == 0
+    assert run_stages(work, replay, "discover") == 0
     remotes = json.loads((replay / "remotes.json").read_text(encoding="utf-8"))
     for spec in json.loads((work / "pins.json").read_text(encoding="utf-8"))["repos"]:
         checkout = work / "github" / spec["full_name"]
@@ -486,7 +504,7 @@ def test_clones_with_a_worktree_measure_like_bare_ones(tmp_path):
         (checkout / "Stray.java").write_text("class Stray {}\n", encoding="utf-8")
         key = spec["full_name"].replace("/", "__")
         write_json_atomic(work / "state" / f"{key}.json", {"stages": {"clone": "done"}, "failure": None})
-    assert run_cli(work, replay, "--stages", "measure,pack") == 0
+    assert run_stages(work, replay, "measure,pack") == 0
 
     outputs = sorted(path.relative_to(bare_work) for sub in ("rows", "filtered") for path in (bare_work / sub).iterdir())
     assert len(outputs) == 6
@@ -522,7 +540,7 @@ def test_measure_only_run_keeps_a_failed_clones_reason(tmp_path, capsys):
     assert not (work / "github" / "beta" / "app").exists()
     capsys.readouterr()
 
-    assert run_cli(work, replay, "--stages", "measure,pack") == 0
+    assert run_stages(work, replay, "measure,pack") == 0
     assert "Traceback" not in capsys.readouterr().err
     state = json.loads((work / "state" / "beta__app.json").read_text(encoding="utf-8"))
     assert (state["stages"]["clone"], state["failure"]) == ("failed", "pin-unreachable")
@@ -540,16 +558,12 @@ def test_measure_without_clone_fails(tmp_path, capsys):
     assert state["failure"] == "missing-clone"
 
 
-def test_pack_alone_after_measure_matches_run(tmp_path, capsys):
+def test_pack_alone_after_measure_matches_run(tmp_path):
     replay, work = make_world(tmp_path)
-    for stage in ("discover", "clone", "measure", "pack"):
-        assert main([stage, "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]) == 0
+    assert run_stages(work, replay, ",".join(STAGES)) == 0
     assert run_cli(tmp_path / "whole", replay) == 0
     assert (work / "dataset.zip").read_bytes() == (tmp_path / "whole" / "dataset.zip").read_bytes()
     assert sorted(path.name for path in (work / "out").iterdir()) == ["manifest.json", "schema.md"]
-
-    assert run_cli(work, replay, "--stages", "measure,aggregate,pack") == 2
-    assert "unknown stages: aggregate" in capsys.readouterr().err
 
 
 def test_pack_reads_pins_once(tmp_path, monkeypatch):
@@ -563,7 +577,7 @@ def test_pack_reads_pins_once(tmp_path, monkeypatch):
         return real_read_text(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", counting_read_text)
-    assert main(["pack", "--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]) == 0
+    assert main(["pack", "--workdir", str(work), "--replay", str(replay), "--quiet"]) == 0
     assert reads.count("pins.json") == 1
     manifest = json.loads(real_read_text(work / "out" / "manifest.json", encoding="utf-8"))
     assert manifest["discovery"] == {"cap_exceeded": False, "total_available": 2}
@@ -571,9 +585,8 @@ def test_pack_reads_pins_once(tmp_path, monkeypatch):
 
 def test_manifest_criteria_are_the_ones_the_pins_were_discovered_with(tmp_path):
     replay, work = make_world(tmp_path)
-    common = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
-    assert main(["discover", *common, "--max-repos", "1"]) == 0
-    assert main(["run", *common, "--stages", "clone,measure,pack"]) == 0
+    assert run_stages(work, replay, "discover", "--max-repos", "1") == 0
+    assert run_stages(work, replay, "clone,measure,pack") == 0
     pins = json.loads((work / "pins.json").read_text(encoding="utf-8"))
     manifest = json.loads((work / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert pins["criteria"]["max_repos"] == 1
@@ -750,7 +763,7 @@ def test_pack_memory_does_not_grow_with_rows(tmp_path, rows_per_repo):
 
     tracemalloc.start()
     try:
-        assert main(["pack", "--workdir", str(work), "--reproducible", "--quiet"]) == 0
+        assert main(["pack", "--workdir", str(work), "--quiet"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -876,8 +889,10 @@ def test_cli_requires_workdir(capsys):
 
 
 def test_cli_rejects_unknown_stage_name(tmp_path, capsys):
-    assert main(["run", "--workdir", str(tmp_path), "--stages", "discover,fly"]) == 2
-    assert "fly" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["aggregate", "--workdir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'aggregate'" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_jobs(tmp_path, capsys):
@@ -931,7 +946,7 @@ def test_cli_flag_beats_config_file(tmp_path):
         json.dumps({"workdir": str(decoy), "replay": str(replay), "quiet": True}),
         encoding="utf-8",
     )
-    args = ["run", "--config", str(config), "--workdir", str(actual), "--reproducible"]
+    args = ["run", "--config", str(config), "--workdir", str(actual)]
     assert main(args) == 0
     assert (actual / "dataset.zip").exists()
     assert not decoy.exists()
@@ -966,7 +981,6 @@ def test_cli_reports_missing_config_file(tmp_path, capsys):
         ({"force": "no"}, "config key force must be true or false"),
         ({"quiet": 0}, "config key quiet must be true or false"),
         ({"replay": 7}, "config key replay must be a string"),
-        ({"stages": ["clone"]}, "config key stages must be a comma-separated string"),
     ],
 )
 def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, settings, message):
@@ -977,29 +991,59 @@ def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, settings,
     assert not (tmp_path / "w").exists()
 
 
-def test_cli_config_stages_are_a_comma_separated_string(tmp_path):
+def test_cli_run_has_no_stages_flag(tmp_path, capsys):
+    """Stages are chosen by subcommand: `run` takes no `--stages`, and
+    exits 2 before any stage runs."""
+    work = tmp_path / "w"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--workdir", str(work), "--stages", "measure"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --stages measure" in capsys.readouterr().err
+    assert not work.exists()
+
+
+def test_cli_config_has_no_stages_key(tmp_path, capsys):
+    """A config file with a "stages" key exits 2 before any stage runs:
+    a run that went ahead over this world would write pins."""
     replay, work = make_world(tmp_path)
     config = tmp_path / "settings.json"
     settings = {"workdir": str(work), "replay": str(replay), "stages": "discover, ", "quiet": True, "force": False}
     config.write_text(json.dumps(settings), encoding="utf-8")
-    assert main(["run", "--config", str(config)]) == 0
-    assert (work / "pins.json").exists()
-    assert not (work / "github").exists()
+    assert main(["run", "--config", str(config)]) == 2
+    assert "unknown config keys: stages" in capsys.readouterr().err
+    assert not work.exists()
 
 
 @pytest.mark.parametrize("stages", ["", ",", " , "])
 def test_cli_an_empty_stage_list_selects_no_stage(tmp_path, capsys, stages):
-    """An empty --stages, or an empty "stages" in a config file, runs no
-    stage and exits 2, rather than running every stage."""
+    """An empty stage list, as `--stages` or as a "stages" config key, runs
+    no stage rather than every stage: neither is accepted, and either
+    exits 2."""
     work = tmp_path / "w"
     replay = tmp_path / "no-replay"  # a run that went ahead would fail here, offline
-    assert main(["run", "--workdir", str(work), "--replay", str(replay), "--stages", stages]) == 2
-    assert "no stages selected" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--workdir", str(work), "--replay", str(replay), "--stages", stages])
+    assert exit_info.value.code == 2
     config = tmp_path / "settings.json"
     config.write_text(json.dumps({"workdir": str(work), "replay": str(replay), "stages": stages}), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 2
-    assert "no stages selected" in capsys.readouterr().err
+    assert "unknown config keys: stages" in capsys.readouterr().err
     assert not work.exists()
+
+
+@pytest.mark.parametrize("command", ["run", *STAGES])
+def test_cli_help_gives_each_default(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = {"jobs": DEFAULT_JOBS, **DiscoveryCriteria()._asdict()}
+    assert set(defaults) == {"jobs", "min_stars", "max_stars", "min_size_kb", "max_repos"}
+    for key, value in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        assert re.search(rf"{flag} {key.upper()} [^(]+ \(default {value}\)", text), (flag, text)
+    assert "--reproducible no effect" in text
+    assert "--stages" not in text
 
 
 # ---- what each command loads -------------------------------------------
@@ -1027,7 +1071,7 @@ def measure_stack_loaded_by(*argv: str) -> set[str]:
 
 def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
     replay, work = make_world(tmp_path)
-    args = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
+    args = ["--workdir", str(work), "--replay", str(replay), "--quiet"]
     fresh = measure_stack_loaded_by("run", *args)
     assert set(MEASURE_STACK) | {"subprocess"} <= fresh
     assert {"cam.javasrc.lexer", "cam.javasrc.parser", "cam.javasrc.model"} <= fresh
@@ -1044,7 +1088,7 @@ def test_only_a_measure_stage_loads_the_parser_and_metrics(tmp_path):
 
 def test_a_resume_that_only_retries_failed_clones_loads_no_measure_stack(tmp_path):
     replay, work = make_world(tmp_path, beta_sha="0" * 40)
-    args = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet"]
+    args = ["--workdir", str(work), "--replay", str(replay), "--quiet"]
     assert set(MEASURE_STACK) <= measure_stack_loaded_by("run", *args)
     assert json.loads((work / "state" / "beta__app.json").read_text(encoding="utf-8"))["stages"] == {"clone": "failed"}
     assert measure_stack_loaded_by("run", *args) == {"subprocess"}
@@ -1059,7 +1103,7 @@ STARTUP_COST = {"dataclasses", "inspect", "email", "concurrent.futures"}
 
 def test_commands_that_do_not_measure_skip_dataclasses_email_and_the_pool(tmp_path):
     replay, work = make_world(tmp_path)
-    args = ["--workdir", str(work), "--replay", str(replay), "--reproducible", "--quiet", "--jobs", "1"]
+    args = ["--workdir", str(work), "--replay", str(replay), "--quiet", "--jobs", "1"]
     fresh = modules_loaded_by("run", *args)
     assert "cam.measure" in fresh
     assert not fresh & {"email", "concurrent.futures"}
@@ -1102,7 +1146,7 @@ def test_the_measure_stack_is_imported_before_the_workers_start(tmp_path, monkey
 
 def test_a_worker_error_surfaces_after_every_repository_ran(tmp_path, monkeypatch):
     replay, work = make_world(tmp_path)
-    assert run_cli(work, replay, "--stages", "discover") == 0
+    assert run_stages(work, replay, "discover") == 0
     seen = []
 
     def first_one_fails(self, spec):
@@ -1113,5 +1157,5 @@ def test_a_worker_error_surfaces_after_every_repository_ran(tmp_path, monkeypatc
 
     monkeypatch.setattr(Pipeline, "_process_repo", first_one_fails)
     with pytest.raises(KeyboardInterrupt):
-        run_cli(work, replay, "--stages", "clone", "--jobs", "1")
+        run_stages(work, replay, "clone", "--jobs", "1")
     assert sorted(seen) == ["alpha/lib", "beta/app"]

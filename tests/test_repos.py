@@ -59,9 +59,9 @@ class FakeTransport(Transport):
 
 
 def test_criteria_validation():
-    DiscoveryCriteria()
-    with pytest.raises(ValueError):
-        DiscoveryCriteria(language="")
+    assert DiscoveryCriteria().to_dict()["language"] == "java"
+    with pytest.raises(TypeError):
+        DiscoveryCriteria(language="java")
     with pytest.raises(ValueError):
         DiscoveryCriteria(min_stars=100, max_stars=10)
     with pytest.raises(ValueError):

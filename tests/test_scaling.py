@@ -6,7 +6,7 @@ each, and asserts that doubling the input less than triples the time: a
 linear path reads about 2x, a quadratic one about 4x. Each *n* is picked
 so that the smaller input takes about 0.1 s on a 2-vCPU host, large
 enough that timer noise and the fixed cost of a call do not decide the
-ratio, and small enough that the whole test stays within a few seconds.
+ratio, and small enough that the whole test stays within half a minute.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from cam.filters import evaluate_file
 
-RUNS = 3
+RUNS = 5
 MAX_RATIO = 3.0
 
 
